@@ -85,8 +85,7 @@ def default_cache_dir() -> Path:
     when ``REPRO_CACHE_DIR`` names no other place.  A ``cache_dir`` holds
     one sharded :class:`~repro.core.cache_store.CacheStore` (one
     ``shard-<platform>.rcs`` segment per platform, shared by every engine
-    and every process); legacy ``engine-*.pkl`` monolithic pickles in the
-    same directory are upgraded by ``repro cache migrate``.
+    and every process).
 
     Example::
 
@@ -732,16 +731,8 @@ class OptimizationSession:
             tuner_trials=engine.tuner_trials, seed=engine.seed)
 
     # ------------------------------------------------------------------
-    def save_caches(self) -> list[Path]:
-        """Write back every engine cache that has a persistence backend."""
-        written = []
-        for engine in self._engines.values():
-            if engine.cache_store is not None or engine.cache_path is not None:
-                written.append(engine.save_cache())
-        return written
-
     def close(self) -> None:
-        """Tear every engine down: persist dirty caches, stop worker pools.
+        """Tear every engine down: append pending cache entries, stop pools.
 
         Idempotent.  Pools are shut down even when a cache write fails;
         the first write failure is re-raised after all engines closed.
@@ -751,7 +742,7 @@ class OptimizationSession:
         failures: list[Exception] = []
         for engine in engines.values():
             try:
-                if engine.cache_store is not None or engine.cache_path is not None:
+                if engine.cache_store is not None:
                     engine.save_cache()
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 failures.append(exc)

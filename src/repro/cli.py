@@ -9,7 +9,7 @@ reachable from a shell::
     repro resume run.ckpt.json             # continue a killed search
     repro tune --shape 64x64x16x16x3x3 --program seq1 --platform mgpu
     repro platforms                        # the four deployment targets
-    repro cache info | clear | migrate     # manage the sharded tuning cache
+    repro cache info | clear               # manage the sharded tuning cache
     repro cache export out.jsonl           # ship a warm cache to another host
     repro serve --state-dir svc            # run the optimization daemon
     repro submit --model resnet18          # queue a job on the daemon
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
 import signal
 import sys
 from pathlib import Path
@@ -198,19 +197,12 @@ def _build_parser() -> argparse.ArgumentParser:
     cache = commands.add_parser("cache",
                                 help="manage the persisted tuning-cache store")
     cache_commands = cache.add_subparsers(dest="cache_command", metavar="action")
-    info = cache_commands.add_parser(
-        "info", help="show the sharded store (and any legacy pickles)")
+    info = cache_commands.add_parser("info", help="show the sharded store")
     info.add_argument("--cache-dir", default=None)
     info.add_argument("--json", action="store_true")
     clear = cache_commands.add_parser(
         "clear", help="delete recognised cache-store files, and nothing else")
     clear.add_argument("--cache-dir", default=None)
-    migrate = cache_commands.add_parser(
-        "migrate", help="upgrade legacy engine-*.pkl caches into the "
-                        "sharded store")
-    migrate.add_argument("--cache-dir", default=None)
-    migrate.add_argument("--keep", action="store_true",
-                         help="keep the legacy pickles after migrating them")
     export = cache_commands.add_parser(
         "export", help="write every cached entry to a portable JSON-lines file")
     export.add_argument("path", help="destination file (e.g. warm-cache.jsonl)")
@@ -500,61 +492,18 @@ def _cache_directory(cache_dir: str | None) -> Path:
     return Path(cache_dir).expanduser() if cache_dir else default_cache_dir()
 
 
-def _legacy_pickles(directory: Path) -> list[Path]:
-    """Monolithic ``engine-*.pkl`` caches left behind by older builds."""
-    if not directory.exists():
-        return []
-    return sorted(directory.glob("engine-*.pkl"))
-
-
-def _is_pickle_file(path: Path) -> bool:
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(1) == b"\x80"  # every protocol-2+ pickle
-    except OSError:
-        return False
-
-
-#: What reading a legacy pickle can legitimately throw: I/O failures,
-#: truncated/corrupt streams, payloads whose classes no longer exist or
-#: whose layout predates the dict envelope.  Anything else is a bug and
-#: must surface, not be silently reported as "unreadable".
-_LEGACY_PICKLE_ERRORS = (OSError, pickle.UnpicklingError, EOFError,
-                         ValueError, KeyError, AttributeError, ImportError,
-                         IndexError, TypeError)
-
-
-def _legacy_pickle_row(path: Path) -> dict:
-    try:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        entries = len(payload.get("entries", {}))
-        version = payload.get("version")
-    except _LEGACY_PICKLE_ERRORS as exc:
-        print(f"warning: cannot read legacy pickle {path.name}: {exc}",
-              file=sys.stderr)
-        entries, version = -1, None
-    return {"path": str(path), "bytes": path.stat().st_size,
-            "entries": entries, "format_version": version}
-
-
 def _cmd_cache(args) -> int:
     from repro.core.cache_store import CacheStore, is_store_file
 
     directory = _cache_directory(args.cache_dir)
     if args.cache_command == "clear":
         # Delete only files this tool recognises as its own — shard
-        # segments (checked by magic), their lock/scratch files, and
-        # legacy engine pickles — and report everything it left alone.
+        # segments (checked by magic) and their lock/scratch files — and
+        # report everything it left alone.
         candidates = sorted(directory.iterdir()) if directory.exists() else []
         removed, skipped = [], []
         for path in candidates:
-            if path.is_dir():
-                skipped.append(path)
-            elif is_store_file(path):
-                removed.append(path)
-            elif (path.name.startswith("engine-") and path.suffix == ".pkl"
-                  and _is_pickle_file(path)):
+            if not path.is_dir() and is_store_file(path):
                 removed.append(path)
             else:
                 skipped.append(path)
@@ -569,13 +518,12 @@ def _cmd_cache(args) -> int:
 
         store = CacheStore(directory)
         rows = [shard.to_dict() for shard in store.info()]
-        legacy = [_legacy_pickle_row(path) for path in _legacy_pickles(directory)]
         compile_info = COMPILE_CACHE.info()
         if getattr(args, "json", False):
-            print(json.dumps({"stores": rows, "legacy_pickles": legacy,
-                              "compile_cache": compile_info}, indent=2))
+            print(json.dumps({"stores": rows, "compile_cache": compile_info},
+                             indent=2))
             return 0
-        if not rows and not legacy:
+        if not rows:
             print("no engine cache stores found")
         for row in rows:
             if row["error"]:
@@ -585,45 +533,11 @@ def _cmd_cache(args) -> int:
                           f"({row['dead_records']} dead records)")
             print(f"{row['path']}  {row['bytes']} bytes  {detail}  "
                   f"(store v{row['format_version']})")
-        for row in legacy:
-            entries = ("unreadable" if row["entries"] < 0
-                       else f"{row['entries']} entries")
-            print(f"{row['path']}  {row['bytes']} bytes  {entries} "
-                  f"(legacy pickle v{row['format_version']}; upgrade with "
-                  f"'repro cache migrate')")
         print(f"compile cache (this process): "
               f"{compile_info['entries']}/{compile_info['max_entries']} entries  "
               f"{compile_info['compile_hits']} hits  "
               f"{compile_info['compile_misses']} misses  "
               f"{compile_info['prefix_depth_saved']} steps saved by prefixes")
-        return 0
-    if args.cache_command == "migrate":
-        from repro.core.engine import CACHE_FORMAT_VERSION
-
-        store = CacheStore(directory)
-        migrated = skipped = appended = 0
-        for path in _legacy_pickles(directory):
-            try:
-                with open(path, "rb") as handle:
-                    payload = pickle.load(handle)
-                version = payload.get("version")
-                if version != CACHE_FORMAT_VERSION:
-                    raise ValueError(
-                        f"cache format version {version}, expected "
-                        f"{CACHE_FORMAT_VERSION}")
-                entries = dict(payload["entries"])
-            except _LEGACY_PICKLE_ERRORS as exc:
-                skipped += 1
-                print(f"skipped {path.name}: {exc}", file=sys.stderr)
-                continue
-            appended += store.append(entries)
-            migrated += 1
-            if not args.keep:
-                path.unlink()
-            print(f"migrated {path.name}: {len(entries)} entries")
-        verb = "kept" if args.keep else "removed"
-        print(f"migrated {migrated} legacy pickle(s) ({verb} afterwards), "
-              f"{appended} new entries appended, {skipped} skipped")
         return 0
     if args.cache_command == "export":
         store = CacheStore(directory)
@@ -635,8 +549,8 @@ def _cmd_cache(args) -> int:
         new = store.import_(args.path)
         print(f"imported {new} new entries from {args.path}")
         return 0
-    print("usage: repro cache {info,clear,migrate,export,import} "
-          "[--cache-dir DIR]", file=sys.stderr)
+    print("usage: repro cache {info,clear,export,import} [--cache-dir DIR]",
+          file=sys.stderr)
     return 2
 
 

@@ -1,12 +1,10 @@
 """Sharded, content-addressed persistence for the engine's latency cache.
 
-The monolithic pickle the engine grew up with (one ``engine-*.pkl`` per
-engine key, rewritten whole on every save, reloaded whole on every start)
-stops scaling once many tuning processes share one warm ``cache_dir``:
-every writer serialises the entire table, every reader deserialises all of
-it, and two processes can only exchange work by replacing each other's
-files.  This module replaces it with an append-only, shard-per-platform
-store:
+This module is the only code that decides how a latency entry reaches
+disk: the binary shard records below, and one JSON form of an entry
+(:func:`entry_document` / :func:`entry_from_document`) that export
+envelopes and search checkpoints share.  Many tuning processes may share
+one warm ``cache_dir``, so the store is append-only and shard-per-platform:
 
 * **Content addressing** — every latency entry is keyed by the sha1 of its
   canonical ``(platform, shape, program, trials, seed)`` document (the
@@ -16,7 +14,7 @@ store:
   plain dict once and thereafter hit pure in-memory lookups; no reader
   ever takes a lock.  Programs and shapes are interned as their own
   record types, so the 10k-entry warm start is a vectorised
-  ``numpy.frombuffer`` parse instead of a pickle graph walk.
+  ``numpy.frombuffer`` parse.
 * **Concurrent multi-process writers** — appends happen under a per-shard
   ``flock``; a writer re-scans the bytes other writers appended since its
   last look, truncates any torn tail a crashed writer left behind, and
@@ -43,8 +41,7 @@ Shard layout (format version 1)::
         type 3  batch:   u32 n  | n x (sha1[20] | u32 program | u32 shape
                                        | i32 trials | i64 seed | f64 latency)
 
-See DESIGN.md §12 for the full locking discipline and the migration path
-from the legacy v2 pickles (``repro cache migrate``).
+See DESIGN.md §12 for the full locking discipline.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ import numpy as np
 
 from repro.core.faults import FAULTS
 from repro.core.program import TransformProgram, program_from_dict, program_to_dict
-from repro.errors import CacheStoreError
+from repro.errors import CacheStoreError, ReproError
 from repro.poly.statement import ConvolutionShape
 
 try:  # the per-shard write lock; readers never need it
@@ -73,14 +70,14 @@ try:  # the per-shard write lock; readers never need it
 except ImportError:  # pragma: no cover - non-POSIX platforms degrade
     fcntl = None
 
-#: A latency cache key, mirroring :data:`repro.core.engine.LatencyKey`.
+#: A latency cache key: everything the tuned latency depends on.
 LatencyKey = tuple[str, ConvolutionShape, TransformProgram, int, int]
 
 #: First bytes of every shard segment file.
 SHARD_MAGIC = b"REPROCS1"
 
 #: On-disk store format version, gated per shard header (bump when the
-#: record layout changes; distinct from the legacy pickle's version 2).
+#: record layout changes).
 STORE_FORMAT_VERSION = 1
 
 #: Shard segment files are ``shard-<platform>.rcs`` under the store root.
@@ -122,7 +119,7 @@ def _canonical_json(document) -> str:
 
 
 def canonical_key_document(key: LatencyKey) -> dict:
-    """One latency key as a plain-JSON document (the export line format).
+    """One latency key as a plain-JSON document (the key of an entry document).
 
     Example::
 
@@ -149,6 +146,37 @@ def key_from_document(document: Mapping) -> LatencyKey:
     return (str(document["platform"]), shape,
             program_from_dict(document["program"]),
             int(document["trials"]), int(document["seed"]))
+
+
+def entry_document(key: LatencyKey, latency: float) -> dict:
+    """One latency entry as a plain-JSON document: key plus ``latency_seconds``.
+
+    The line format of :meth:`CacheStore.export` and the entry format of
+    search checkpoints.
+
+    Example::
+
+        line = json.dumps(entry_document(key, 0.0012))
+    """
+    document = canonical_key_document(key)
+    document["latency_seconds"] = float(latency)
+    return document
+
+
+def entry_from_document(document: Mapping) -> tuple[LatencyKey, float]:
+    """Rebuild ``(key, latency)`` from :func:`entry_document` output.
+
+    Raises :class:`~repro.errors.CacheStoreError` for anything that is not
+    a well-formed entry; callers add where the entry came from.
+
+    Example::
+
+        key, latency = entry_from_document(json.loads(line))
+    """
+    try:
+        return key_from_document(document), float(document["latency_seconds"])
+    except (ReproError, KeyError, TypeError, ValueError) as exc:
+        raise CacheStoreError(f"malformed latency entry: {exc!r}") from exc
 
 
 def key_digest(key: LatencyKey) -> bytes:
@@ -800,9 +828,7 @@ class CacheStore:
                 handle.write(json.dumps({"schema": EXPORT_SCHEMA,
                                          "entries": len(entries)}) + "\n")
                 for key, value in entries.items():
-                    document = canonical_key_document(key)
-                    document["latency_seconds"] = value
-                    handle.write(_canonical_json(document) + "\n")
+                    handle.write(_canonical_json(entry_document(key, value)) + "\n")
             os.replace(scratch, target)
         finally:
             with contextlib.suppress(FileNotFoundError):
@@ -812,23 +838,34 @@ class CacheStore:
     def import_(self, path: str | Path) -> int:
         """Absorb a :meth:`export` envelope; returns entries actually new.
 
+        A torn or malformed line raises
+        :class:`~repro.errors.CacheStoreError` naming the file and the
+        line, and nothing is appended.
+
         Example::
 
             new = store.import_("warm-cache.jsonl")
         """
         source = Path(path).expanduser()
         with open(source, "r", encoding="utf-8") as handle:
-            header = json.loads(handle.readline() or "null")
+            try:
+                header = json.loads(handle.readline() or "null")
+            except ValueError:
+                header = None
             if not isinstance(header, dict) or header.get("schema") != EXPORT_SCHEMA:
                 raise CacheStoreError(
                     f"{source} is not a cache export (expected schema "
                     f"'{EXPORT_SCHEMA}', got {header!r})")
             entries: dict[LatencyKey, float] = {}
-            for line in handle:
-                line = line.strip()
-                if not line:
+            for number, line in enumerate(handle, start=2):
+                if not line.strip():
                     continue
-                document = json.loads(line)
-                entries[key_from_document(document)] = float(
-                    document["latency_seconds"])
+                try:
+                    key, value = entry_from_document(json.loads(line))
+                except (ValueError, CacheStoreError) as exc:
+                    raise CacheStoreError(
+                        f"cache export {source} line {number} is unreadable "
+                        f"({exc}); the file is corrupt or truncated, and "
+                        f"nothing was imported") from exc
+                entries[key] = value
         return self.append(entries)

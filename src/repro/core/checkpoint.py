@@ -12,7 +12,8 @@ things that make a search a pure function:
 * the **request document** (:class:`repro.api.OptimizationRequest` as
   JSON) — everything the run depends on, and
 * the **engine's memoised latency entries** — every tuning the run has
-  paid for so far, in the store's canonical key-document form.
+  paid for so far, in the store's entry form
+  (:func:`~repro.core.cache_store.entry_document`).
 
 Every search strategy is deterministic given the engine's oracles, so
 *resuming* is simply re-running the request over an engine warmed with
@@ -47,12 +48,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from repro.core.cache_store import (
-    LatencyKey,
-    canonical_key_document,
-    key_from_document,
-)
-from repro.errors import CheckpointError, ReproError
+from repro.core.cache_store import LatencyKey, entry_document, entry_from_document
+from repro.errors import CacheStoreError, CheckpointError
 
 #: Schema tag of the checkpoint file format.
 CHECKPOINT_SCHEMA = "repro.search-checkpoint/1"
@@ -82,18 +79,14 @@ class SearchCheckpoint:
     progress: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        document = {
+        return {
             "schema": CHECKPOINT_SCHEMA,
             "request": dict(self.request_document),
             "completed": bool(self.completed),
             "progress": dict(self.progress),
-            "entries": [],
+            "entries": [entry_document(key, value)
+                        for key, value in self.entries.items()],
         }
-        for key, value in self.entries.items():
-            entry = canonical_key_document(key)
-            entry["latency_seconds"] = float(value)
-            document["entries"].append(entry)
-        return document
 
     @classmethod
     def from_dict(cls, document: Mapping, *,
@@ -115,13 +108,13 @@ class SearchCheckpoint:
         entries: dict[LatencyKey, float] = {}
         for index, entry in enumerate(document.get("entries", ())):
             try:
-                entries[key_from_document(entry)] = float(
-                    entry["latency_seconds"])
-            except (ReproError, KeyError, TypeError, ValueError) as exc:
+                key, value = entry_from_document(entry)
+            except CacheStoreError as exc:
                 raise CheckpointError(
                     f"checkpoint {source} entry #{index} is unreadable "
                     f"({exc}); the file is corrupt — fall back to an older "
                     f"checkpoint or restart the search") from exc
+            entries[key] = value
         return cls(request_document=dict(request), entries=entries,
                    completed=bool(document.get("completed", False)),
                    progress=dict(document.get("progress", {})))

@@ -20,14 +20,13 @@ Latency entries are keyed by ``(platform.name, shape, program,
 tuner_trials, seed)`` — everything the tuned latency depends on — so a
 cache can be persisted to disk (:meth:`EvaluationEngine.save_cache`) and
 safely reloaded by later runs, even runs against other platforms or tuner
-settings.  The persistence backend is the sharded, content-addressed
+settings.  Persistence is the sharded, content-addressed
 :class:`~repro.core.cache_store.CacheStore` (``cache_store=...``; any
-number of processes can share one warm directory), with the legacy
-monolithic pickle still accepted through ``cache_path=...`` and explicit
-``save_cache(path)`` / ``load_cache(path)`` calls.  Fisher scores
-additionally depend on the profiled model and minibatch, so they are
-memoised per :class:`FisherOracle` (one oracle per Fisher profile) rather
-than persisted.
+number of processes can share one warm directory); an engine without a
+store keeps its entries in memory.  Fisher scores additionally depend on
+the profiled model and minibatch, so they are memoised per
+:class:`FisherOracle` (one oracle per Fisher profile) rather than
+persisted.
 
 The engine also enforces stage 1 of the staged legality: every latency
 query is pre-screened through the transform program's structural legality
@@ -40,8 +39,6 @@ See DESIGN.md §2–§3 and §7 for the architecture and the cache-key scheme.
 
 from __future__ import annotations
 
-import os
-import pickle
 import time
 import warnings
 from concurrent.futures import BrokenExecutor
@@ -52,7 +49,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.cache_store import CacheStore
+from repro.core.cache_store import CacheStore, LatencyKey
 from repro.core.compile_cache import COMPILE_CACHE, CompileCacheStatistics
 from repro.core.events import Observable
 from repro.core.faults import FAULTS
@@ -77,14 +74,6 @@ from repro.utils import make_rng
 
 #: Executor choices for :meth:`EvaluationEngine.tune_many`.
 PARALLEL_MODES = ("serial", "thread", "process")
-
-#: A latency cache key: everything the tuned latency depends on.
-LatencyKey = tuple[str, ConvolutionShape, TransformProgram, int, int]
-
-#: On-disk cache format version (bump when the key or value layout changes).
-#: Version 2: keys carry :class:`TransformProgram` values instead of the
-#: retired closed-enum sequence specs.
-CACHE_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -288,13 +277,13 @@ class EvaluationEngine(Observable):
     Example::
 
         with EvaluationEngine(get_platform("cpu"), tuner_trials=8,
-                              cache_path="engine.pkl") as engine:
+                              cache_store="~/.cache/repro") as engine:
             latencies = engine.tune_many([(shape, program)])
             engine.save_cache()
     """
 
     def __init__(self, platform: PlatformSpec, *, tuner_trials: int = 8,
-                 seed: int | None = 0, cache_path: str | Path | None = None,
+                 seed: int | None = 0,
                  cache_store: CacheStore | str | Path | None = None,
                  parallel: str = "serial", max_workers: int | None = None,
                  supervision: SupervisionPolicy | None = None):
@@ -304,15 +293,11 @@ class EvaluationEngine(Observable):
         if parallel not in PARALLEL_MODES:
             raise EngineError(
                 f"unknown parallel mode '{parallel}'; expected one of {PARALLEL_MODES}")
-        if cache_path is not None and cache_store is not None:
-            raise EngineError("pass either cache_path (legacy monolithic "
-                              "pickle) or cache_store (sharded store), not both")
         self.platform = platform
         self.tuner_trials = tuner_trials
         self.seed = 0 if seed is None else int(seed)
         self.parallel = parallel
         self.max_workers = max_workers
-        self.cache_path = Path(cache_path) if cache_path is not None else None
         if cache_store is not None and not isinstance(cache_store, CacheStore):
             cache_store = CacheStore(cache_store)
         self.cache_store: CacheStore | None = cache_store
@@ -323,46 +308,17 @@ class EvaluationEngine(Observable):
         #: backend appends exactly these instead of rewriting everything).
         self._pending: list[LatencyKey] = []
         self._pools: dict[tuple[str, int | None], object] = {}
-        self._cache_dirty = False
-        self._synced_path: Path | None = None
-        #: set when the sharded store turned out unreadable: the engine
+        #: set when the sharded store turned out unusable: the engine
         #: keeps running (slower, cold) and stops touching the store.
         self._store_quarantined = False
         #: jitter for retry backoff; dedicated so supervision never
         #: consumes from (or perturbs) any result-bearing random stream.
         self._retry_rng = make_rng(self.seed)
-        if self.cache_store is not None:
-            self._load_store_entries()
-        elif self.cache_path is not None and self.cache_path.exists():
-            self.load_cache(self.cache_path)
-            # The constructor load leaves memory and file identical, so the
-            # first save to the same path can be skipped entirely.
-            self._cache_dirty = False
-            self._synced_path = self.cache_path
+        self.load_cache()
 
     # ------------------------------------------------------------------
     # Graceful degradation: a broken store quarantines, never aborts
     # ------------------------------------------------------------------
-    def _load_store_entries(self) -> int:
-        """Warm-start from the sharded store, degrading on corruption.
-
-        An unreadable shard (bad header, version mismatch, dangling
-        interned records) is quarantined: the engine emits one structured
-        :class:`~repro.errors.DegradedExecutionWarning` plus a
-        ``degraded`` event and runs on with a cold cache — slower, never
-        wrong, since every cache entry equals its recomputation.
-        """
-        if self.cache_store is None or self._store_quarantined:
-            return 0
-        try:
-            loaded = self._merge_entries(
-                self.cache_store.load_platform(self.platform.name))
-        except CacheStoreError as exc:
-            self._quarantine_store(exc)
-            return 0
-        self.statistics.loaded_entries += loaded
-        return loaded
-
     def _quarantine_store(self, exc: Exception) -> None:
         self._store_quarantined = True
         message = (f"cache store for platform '{self.platform.name}' is "
@@ -670,7 +626,6 @@ class EvaluationEngine(Observable):
         self.statistics.tuner_calls += calls
         self._latency_cache[key] = seconds
         self._pending.append(key)
-        self._cache_dirty = True
         return seconds
 
     def cached_latency(self, shape: ConvolutionShape,
@@ -740,7 +695,6 @@ class EvaluationEngine(Observable):
                 self._latency_cache[key] = seconds
                 self._pending.append(key)
                 self.statistics.tuner_calls += calls
-            self._cache_dirty = True
         self.statistics.latency_misses += len(items) - hits
         self.statistics.latency_hits += hits
         self.emit("tune_batch", requested=len(items), hits=hits,
@@ -776,12 +730,12 @@ class EvaluationEngine(Observable):
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def _merge_entries(self, entries, *, remember: bool = False) -> int:
+    def _merge_entries(self, entries, *, remember: bool) -> int:
         """Merge ``entries`` into memory; in-memory entries win on conflict.
 
-        With ``remember`` the newly merged keys join the pending-append
-        set, so a store-backed engine pushes them into its shards on the
-        next :meth:`save_cache` (the legacy-pickle import path).
+        The newly merged entries count as loaded.  With ``remember`` they
+        also join the pending-append set, so a store-backed engine pushes
+        them into its shards on the next :meth:`save_cache`.
         """
         cache = self._latency_cache
         if not cache:
@@ -790,119 +744,66 @@ class EvaluationEngine(Observable):
             cache.update(entries)
             if remember:
                 self._pending.extend(entries)
-            return len(cache)
-        loaded = 0
-        for key, seconds in entries.items():
-            if key not in cache:
-                cache[key] = seconds
-                loaded += 1
-                if remember:
-                    self._pending.append(key)
-        return loaded
-
-    def save_cache(self, path: str | Path | None = None) -> Path:
-        """Synchronise the latency cache to its persistence backend.
-
-        Without an explicit ``path``, a store-backed engine appends the
-        entries tuned since the last save to its sharded
-        :class:`~repro.core.cache_store.CacheStore` (an append of only the
-        new records, under the shard lock, deduped by content digest) and
-        returns the store directory.  Otherwise the legacy monolithic
-        pickle is written to ``path`` / the configured ``cache_path`` —
-        skipped entirely when nothing changed since the target was last
-        synchronised, so drivers can call ``save_cache`` after every
-        search without rewriting an unchanged store.
-        """
-        if path is None and self.cache_store is not None:
-            if self._pending and not self._store_quarantined:
-                pending = {key: self._latency_cache[key]
-                           for key in self._pending
-                           if key in self._latency_cache}
-                try:
-                    self.cache_store.append(pending)
-                except (CacheStoreError, OSError) as exc:
-                    self._quarantine_store(exc)
-                else:
-                    self._pending.clear()
-            return self.cache_store.directory
-        target = Path(path) if path is not None else self.cache_path
-        if target is None:
-            raise EngineError(
-                "save_cache() has no target: pass an explicit path, or construct "
-                "the engine with cache_path=... or cache_store=... "
-                "(OptimizationSession does this automatically when given a "
-                "cache_dir)")
-        if not self._cache_dirty and target == self._synced_path and target.exists():
-            return target
-        payload = {"version": CACHE_FORMAT_VERSION, "entries": dict(self._latency_cache)}
-        # Write-then-rename so concurrent readers (other processes sharing the
-        # cache) never observe a truncated file; the scratch file is removed
-        # even when pickling fails mid-write, and every OS-level failure
-        # (read-only directory, full disk) becomes an actionable EngineError.
-        scratch = target.with_name(target.name + f".tmp.{os.getpid()}")
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            FAULTS.on_cache_write("engine_save")
-            with open(scratch, "wb") as handle:
-                pickle.dump(payload, handle)
-            os.replace(scratch, target)
-        except OSError as exc:
-            raise EngineError(
-                f"cannot write engine cache to {target}: {exc} — check that "
-                f"the directory is writable and has free space, or point "
-                f"cache_path at another location") from exc
-        finally:
-            try:
-                scratch.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover - unlink in an unwritable dir
-                pass
-        self._cache_dirty = False
-        self._synced_path = target
-        return target
-
-    def load_cache(self, path: str | Path | None = None) -> int:
-        """Merge a persisted cache into this engine; returns entries loaded.
-
-        In-memory entries win on conflict — they were computed by this very
-        engine, the file may predate it.  Without an explicit ``path``, a
-        store-backed engine re-scans its platform shard (absorbing what
-        other processes appended since the last look); otherwise the
-        source is a legacy monolithic pickle, whose entries additionally
-        join the pending set so the next :meth:`save_cache` appends them
-        into the store.
-        """
-        if path is None and self.cache_store is not None:
-            return self._load_store_entries()
-        source = Path(path) if path is not None else self.cache_path
-        if source is None:
-            raise EngineError("no cache path given and the engine has none configured")
-        try:
-            with open(source, "rb") as handle:
-                payload = pickle.load(handle)
-            entries = payload["entries"]
-            version = payload["version"]
-        except FileNotFoundError:
-            raise
-        except Exception as exc:
-            # Pre-version-2 files fail while unpickling their keys (the old
-            # sequence-spec class no longer exists), before the version
-            # check can run, so the message covers both corruption and
-            # stale formats.
-            raise EngineError(
-                f"unreadable engine cache at {source} (corrupt, or written by "
-                f"an older build; this build reads format version "
-                f"{CACHE_FORMAT_VERSION}): {exc}") from exc
-        if version != CACHE_FORMAT_VERSION:
-            raise EngineError(
-                f"engine cache at {source} has format version {version}; "
-                f"this build reads version {CACHE_FORMAT_VERSION}")
-        loaded = self._merge_entries(entries,
-                                     remember=self.cache_store is not None)
-        if loaded:
-            # Conservative: merged entries may not be in the synced target.
-            self._cache_dirty = True
+            loaded = len(cache)
+        else:
+            loaded = 0
+            for key, seconds in entries.items():
+                if key not in cache:
+                    cache[key] = seconds
+                    loaded += 1
+                    if remember:
+                        self._pending.append(key)
         self.statistics.loaded_entries += loaded
         return loaded
+
+    def save_cache(self) -> Path:
+        """Append the entries tuned since the last save to the cache store.
+
+        Only the new records are appended, under the shard lock and deduped
+        by content digest, so callers can run ``save_cache`` after every
+        search; returns the store directory.  A store that cannot be
+        written (full disk, unusable directory) is quarantined like an
+        unreadable one (see :meth:`load_cache`), and later saves are
+        no-ops.  An engine without a store raises
+        :class:`~repro.errors.EngineError`.
+        """
+        if self.cache_store is None:
+            raise EngineError(
+                "save_cache() has no target: construct the engine with "
+                "cache_store=... (OptimizationSession does this automatically "
+                "when given a cache_dir)")
+        if self._pending and not self._store_quarantined:
+            pending = {key: self._latency_cache[key]
+                       for key in self._pending
+                       if key in self._latency_cache}
+            try:
+                self.cache_store.append(pending)
+            except (CacheStoreError, OSError) as exc:
+                self._quarantine_store(exc)
+            else:
+                self._pending.clear()
+        return self.cache_store.directory
+
+    def load_cache(self) -> int:
+        """Merge this platform's store shard into memory; returns entries loaded.
+
+        Re-scans the shard, absorbing what other processes appended since
+        the last look; in-memory entries win on conflict.  An engine
+        without a store loads nothing.  A store that cannot be read (bad
+        header, version mismatch, dangling interned records, a path that
+        is not a directory) is quarantined: the engine emits one
+        structured :class:`~repro.errors.DegradedExecutionWarning` plus a
+        ``degraded`` event and runs on with a cold cache — slower, never
+        wrong, since every cache entry equals its recomputation.
+        """
+        if self.cache_store is None or self._store_quarantined:
+            return 0
+        try:
+            entries = self.cache_store.load_platform(self.platform.name)
+        except (CacheStoreError, OSError) as exc:
+            self._quarantine_store(exc)
+            return 0
+        return self._merge_entries(entries, remember=False)
 
     def cache_entries(self) -> dict[LatencyKey, float]:
         """A snapshot of the memoised latency entries.
@@ -929,9 +830,4 @@ class EvaluationEngine(Observable):
 
             engine.absorb_entries(checkpoint_entries)
         """
-        loaded = self._merge_entries(dict(entries),
-                                     remember=self.cache_store is not None)
-        if loaded:
-            self._cache_dirty = True
-        self.statistics.loaded_entries += loaded
-        return loaded
+        return self._merge_entries(entries, remember=self.cache_store is not None)

@@ -46,8 +46,8 @@ span builds):
     quarantine-and-degrade path (``CacheStoreError`` → warning, not
     abort);
 ``cache_enospc``
-    a cache write raises ``OSError(ENOSPC)`` — exercises the
-    scratch-file cleanup and actionable error messages;
+    a cache-store append raises ``OSError(ENOSPC)`` — exercises the
+    engine's quarantine path for a store it cannot write;
 ``compile_poison``
     the compile trie's lookup raises :class:`InjectedFault` —
     exercises the disable-the-trie degradation.
@@ -181,7 +181,7 @@ class FaultRegistry:
 
         FAULTS.install(FaultPlan(rates={"cache_enospc": 1.0}))
         try:
-            engine.save_cache(path)
+            engine.save_cache()
         finally:
             FAULTS.install(None)
     """

@@ -10,7 +10,6 @@ EXPERIMENTS.md records measured values against the paper's for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.core.engine import EvaluationEngine
@@ -69,17 +68,16 @@ def get_scale(scale: str | ExperimentScale) -> ExperimentScale:
 
 
 def evaluation_engine(platform: str | PlatformSpec, scale: ExperimentScale,
-                      seed: int = 0,
-                      cache_path: str | Path | None = None) -> EvaluationEngine:
+                      seed: int = 0) -> EvaluationEngine:
     """One shared evaluation engine for a driver's work on one platform.
 
     Every latency query of a driver should go through a single engine per
     platform so tuning work is shared across approaches, networks and
-    repeated runs; ``cache_path`` additionally persists it across processes.
+    repeated runs.
     """
     spec = get_platform(platform) if isinstance(platform, str) else platform
     return EvaluationEngine(spec, tuner_trials=scale.pipeline.tuner_trials,
-                            seed=seed, cache_path=cache_path)
+                            seed=seed)
 
 
 def cifar_model_builders(scale: ExperimentScale) -> dict[str, Callable[[], Module]]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import pickle
 import struct
 
 import pytest
@@ -16,13 +15,15 @@ from repro.core.cache_store import (
     STORE_FORMAT_VERSION,
     CacheStore,
     canonical_key_document,
+    entry_document,
+    entry_from_document,
     is_store_file,
     key_digest,
     key_from_document,
 )
-from repro.core.engine import CACHE_FORMAT_VERSION, EvaluationEngine
+from repro.core.engine import EvaluationEngine
 from repro.core.sequences import predefined_program
-from repro.errors import CacheStoreError, EngineError
+from repro.errors import CacheStoreError
 from repro.hardware import get_platform
 from repro.poly.statement import ConvolutionShape
 from repro.tenir.autotune import AutoTuner
@@ -60,6 +61,17 @@ class TestContentAddressing:
         assert key_from_document(canonical_key_document(key)) == key
         assert key_from_document(
             json.loads(json.dumps(canonical_key_document(key)))) == key
+
+    def test_entry_codec_round_trip_and_rejects_malformed(self):
+        key = next(iter(_entries(1)))
+        document = json.loads(json.dumps(entry_document(key, 0.0025)))
+        assert entry_from_document(document) == (key, 0.0025)
+        del document["latency_seconds"]
+        with pytest.raises(CacheStoreError, match="latency_seconds"):
+            entry_from_document(document)
+        for bad in (None, "cpu", {**entry_document(key, 1.0), "shape": [8]}):
+            with pytest.raises(CacheStoreError, match="malformed"):
+                entry_from_document(bad)
 
     def test_digest_ignores_the_program_display_name(self):
         key = next(iter(_entries(1)))
@@ -180,12 +192,6 @@ class TestEngineIntegration:
         CacheStore(tmp_path).append(entries)
         assert engine.load_cache() == len(entries)
         assert engine.statistics.loaded_entries == len(entries)
-
-    def test_cache_path_and_store_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(EngineError, match="not both"):
-            EvaluationEngine(get_platform("cpu"),
-                             cache_path=tmp_path / "x.pkl",
-                             cache_store=str(tmp_path))
 
 
 class TestCorruptionTolerance:
@@ -310,63 +316,23 @@ class TestFleetExchange:
         with pytest.raises(CacheStoreError, match="not a cache export"):
             CacheStore(tmp_path).import_(bogus)
 
-
-class TestLegacyPickles:
-    def _legacy_engine(self, tmp_path, tune_counter=None):
-        platform = get_platform("cpu")
-        path = tmp_path / "engine-cpu-t3-s0.pkl"
-        engine = EvaluationEngine(platform, tuner_trials=3, seed=0,
-                                  cache_path=path)
-        engine.tuned_latency(ConvolutionShape(8, 8, 6, 6, 3, 3),
-                             predefined_program("standard"))
-        engine.save_cache()
-        return engine, path
-
-    def test_save_cache_failure_leaves_no_scratch_file(self, tmp_path,
-                                                       monkeypatch):
-        engine, path = self._legacy_engine(tmp_path)
-        good = path.read_bytes()
-        engine.tuned_latency(ConvolutionShape(16, 8, 6, 6, 3, 3),
-                             predefined_program("standard"))
-
-        def explode(payload, handle):
-            handle.write(b"partial")
-            raise OSError("disk full")
-
-        monkeypatch.setattr(pickle, "dump", explode)
-        with pytest.raises(EngineError, match="disk full"):
-            engine.save_cache()
-        assert list(tmp_path.glob("*.tmp.*")) == []
-        assert path.read_bytes() == good, "the synced store must be untouched"
-
-    def test_migrate_cli_upgrades_in_place(self, tmp_path, capsys,
-                                           tune_counter):
-        engine, path = self._legacy_engine(tmp_path)
-        cold_calls = tune_counter["count"]
-        assert cli_main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 1 legacy pickle(s)" in out
-        assert not path.exists()
-        assert (tmp_path / "shard-cpu.rcs").exists()
-        warm = EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0,
-                                cache_store=str(tmp_path))
-        assert warm.statistics.loaded_entries == engine.cache_size
-        warm.tuned_latency(ConvolutionShape(8, 8, 6, 6, 3, 3),
-                           predefined_program("standard"))
-        assert tune_counter["count"] == cold_calls
-
-    def test_migrate_keep_flag_and_bad_pickles(self, tmp_path, capsys):
-        _, path = self._legacy_engine(tmp_path)
-        stale = tmp_path / "engine-cpu-t9-s9.pkl"
-        with open(stale, "wb") as handle:
-            pickle.dump({"version": CACHE_FORMAT_VERSION - 1, "entries": {}},
-                        handle)
-        assert cli_main(["cache", "migrate", "--cache-dir", str(tmp_path),
-                         "--keep"]) == 0
-        captured = capsys.readouterr()
-        assert path.exists() and stale.exists()
-        assert "1 skipped" in captured.out
-        assert "skipped engine-cpu-t9-s9.pkl" in captured.err
+    def test_envelope_format_is_frozen(self, tmp_path):
+        # An envelope as the 0.9 build wrote it: it must import unchanged,
+        # and exporting the same entry must reproduce it byte for byte.
+        frozen = (
+            '{"schema": "repro.cache-export/1", "entries": 1}\n'
+            '{"latency_seconds":0.00125,"platform":"cpu","program":{"name":'
+            '"group","steps":[{"nest":null,"optional":false,"params":'
+            '{"factor":2},"primitive":"group"}]},"seed":0,"shape":'
+            '[8,8,6,6,3,3,1,1],"trials":3}\n')
+        envelope = tmp_path / "frozen.jsonl"
+        envelope.write_text(frozen)
+        store = CacheStore(tmp_path / "store")
+        assert store.import_(envelope) == 1
+        key = ("cpu", ConvolutionShape(8, 8, 6, 6, 3, 3),
+               predefined_program("group", group=2), 3, 0)
+        assert store.load() == {key: 0.00125}
+        assert store.export(tmp_path / "again.jsonl").read_text() == frozen
 
     def test_export_import_cli(self, tmp_path, capsys):
         source, target = tmp_path / "a", tmp_path / "b"
@@ -380,3 +346,32 @@ class TestLegacyPickles:
         assert "exported 5 entries" in out
         assert "imported 5 new entries" in out
         assert CacheStore(target).load() == CacheStore(source).load()
+
+    def _envelope_lines(self, tmp_path) -> tuple:
+        store = CacheStore(tmp_path / "src")
+        store.append(_entries(4))
+        envelope = store.export(tmp_path / "warm.jsonl")
+        return envelope, envelope.read_text().splitlines(keepends=True)
+
+    def test_import_cli_names_a_torn_line(self, tmp_path, capsys):
+        envelope, lines = self._envelope_lines(tmp_path)
+        envelope.write_text("".join(lines)[:-25])  # a copy cut short
+        assert cli_main(["cache", "import", str(envelope),
+                         "--cache-dir", str(tmp_path / "dst")]) == 11
+        err = capsys.readouterr().err
+        assert str(envelope) in err and f"line {len(lines)}" in err
+        assert "Traceback" not in err
+        assert CacheStore(tmp_path / "dst").load() == {}  # all or nothing
+
+    def test_import_cli_names_an_entry_without_latency(self, tmp_path, capsys):
+        envelope, lines = self._envelope_lines(tmp_path)
+        entry = json.loads(lines[2])
+        del entry["latency_seconds"]
+        lines[2] = json.dumps(entry) + "\n"
+        envelope.write_text("".join(lines))
+        assert cli_main(["cache", "import", str(envelope),
+                         "--cache-dir", str(tmp_path / "dst")]) == 11
+        err = capsys.readouterr().err
+        assert str(envelope) in err and "line 3" in err
+        assert "latency_seconds" in err
+        assert CacheStore(tmp_path / "dst").load() == {}

@@ -8,6 +8,7 @@ import pytest
 
 from repro.api import OptimizationResult, TuningResult
 from repro.cli import main
+from repro.errors import DegradedExecutionWarning
 
 #: Small search settings shared by the CLI runs in this module.
 TINY_OPTIMIZE = ["--budget", "6", "--trials", "3", "--width", "0.125",
@@ -199,13 +200,20 @@ class TestCache:
                 "--cache-dir", str(tmp_path))
         payload = json.loads(run_cli(capsys, "cache", "info",
                                      "--cache-dir", str(tmp_path), "--json"))
-        assert set(payload) == {"stores", "legacy_pickles", "compile_cache"}
+        assert set(payload) == {"stores", "compile_cache"}
         assert isinstance(payload["stores"], list) and payload["stores"]
         for row in payload["stores"]:
             assert_schema(row, CACHE_STORE_ROW_SCHEMA, context="stores row")
-        assert isinstance(payload["legacy_pickles"], list)
         assert_schema(payload["compile_cache"], COMPILE_CACHE_SCHEMA,
                       context="compile_cache")
+
+    def test_unusable_cache_dir_degrades(self, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("in the way")
+        with pytest.warns(DegradedExecutionWarning, match="quarantined"):
+            out = run_cli(capsys, "tune", "--shape", "8x8x6x6x3x3",
+                          "--trials", "2", "--cache-dir", str(blocker / "store"))
+        assert "ms" in out
 
     def test_empty_dir(self, capsys, tmp_path):
         assert "no engine cache stores" in run_cli(

@@ -2,8 +2,8 @@
 
 Every test here runs a failure branch that production would otherwise hit
 first: worker crashes retried with backoff, broken/stuck pools healed,
-corrupt cache shards quarantined, the compile trie disabled, full disks
-reported actionably.  The one invariant everything asserts: faults change
+corrupt, full or unusable cache stores quarantined, the compile trie
+disabled.  The one invariant everything asserts: faults change
 wall clock and statistics, never results.
 """
 
@@ -246,6 +246,22 @@ class TestDegradation:
         assert engine.store_quarantined
         assert engine.save_cache() == tmp_path  # later saves stay silent
 
+    def test_unusable_store_directory_quarantines(self, tmp_path):
+        # the store "directory" sits under a plain file, so every read and
+        # write fails with NotADirectoryError (works even when running as
+        # root, where chmod 0o500 would not stop us)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("in the way")
+        with pytest.warns(DegradedExecutionWarning, match="quarantined"):
+            engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2,
+                                      seed=0, cache_store=blocker / "store")
+        assert engine.store_quarantined
+        assert engine.tuned_latency(ConvolutionShape(8, 8, 6, 6, 3, 3),
+                                    predefined_program("standard")) > 0
+        assert engine.save_cache() == blocker / "store"  # a silent no-op
+        assert blocker.read_text() == "in the way"
+        assert list(tmp_path.glob("*.tmp.*")) == []
+
     def test_compile_poison_disables_the_trie(self):
         shape = ConvolutionShape(8, 8, 6, 6, 3, 3)
         program = predefined_program("standard")
@@ -270,50 +286,6 @@ class TestDegradation:
             engine.save_cache()
         assert [e.kind for e in events] == ["degraded"]
         assert events[0].data["component"] == "cache_store"
-
-
-# ---------------------------------------------------------------------------
-# save_cache / load_cache error paths (the satellite)
-# ---------------------------------------------------------------------------
-class TestPersistenceErrorPaths:
-    def _pickle_engine(self, path):
-        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0,
-                                  cache_path=path)
-        engine.tuned_latency(ConvolutionShape(8, 8, 6, 6, 3, 3),
-                             predefined_program("standard"))
-        return engine
-
-    def test_unwritable_directory_is_an_actionable_error(self, tmp_path):
-        # the cache "directory" is a plain file, so every write attempt
-        # fails with NotADirectoryError (works even when running as root,
-        # where chmod 0o500 would not stop us)
-        blocker = tmp_path / "blocker"
-        blocker.write_text("in the way")
-        engine = self._pickle_engine(tmp_path / "warm.pkl")
-        engine._cache_dirty = True
-        with pytest.raises(EngineError, match="writable"):
-            engine.save_cache(blocker / "engine.pkl")
-        assert list(tmp_path.glob("*.tmp.*")) == []
-
-    def test_enospc_fault_is_an_actionable_error(self, tmp_path):
-        engine = self._pickle_engine(tmp_path / "engine.pkl")
-        with faults.inject(cache_enospc=1.0):
-            with pytest.raises(EngineError, match="free space"):
-                engine.save_cache()
-        assert list(tmp_path.glob("*.tmp.*")) == []
-        engine.save_cache()  # transient: the next save succeeds
-
-    def test_corrupt_pickle_header_is_an_actionable_error(self, tmp_path):
-        victim = tmp_path / "engine.pkl"
-        victim.write_bytes(b"\x00not a pickle at all")
-        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0)
-        with pytest.raises(EngineError, match="unreadable engine cache"):
-            engine.load_cache(victim)
-
-    def test_missing_cache_file_raises_file_not_found(self, tmp_path):
-        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0)
-        with pytest.raises(FileNotFoundError):
-            engine.load_cache(tmp_path / "absent.pkl")
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ The contract under test is *bit-identical results, much less work*:
 * ``AutoTuner.tune`` must return the same ``TuningResult.seconds`` (and
   parameters, and nest) as ``reference_tune`` — the pre-fast-path loop
   kept verbatim — for any seed, while instantiating far fewer schedules;
-* the engine's persistent pool and incremental ``save_cache`` change no
-  observable latency, only the wall clock and the write traffic.
+* the engine's persistent pool changes no observable latency, only the
+  wall clock.
 """
 
 from __future__ import annotations
@@ -228,34 +228,6 @@ class TestEngineFastPath:
                 first = engine.tune_many(items[:half], parallel=mode, max_workers=2)
                 second = engine.tune_many(items[half:], parallel=mode, max_workers=2)
                 assert first + second == reference
-
-    def test_save_cache_skips_clean_rewrites(self, tmp_path):
-        path = tmp_path / "latency.pkl"
-        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0,
-                                  cache_path=path)
-        shape = ConvolutionShape(8, 8, 6, 6, 3, 3)
-        engine.tuned_latency(shape, SequenceSpec(kind="standard"))
-        engine.save_cache()
-        # Clobber the file out-of-band: a clean engine must NOT rewrite it.
-        path.write_bytes(b"sentinel")
-        assert engine.save_cache() == path
-        assert path.read_bytes() == b"sentinel"
-        # A new entry dirties the cache and the next save really writes.
-        engine.tuned_latency(shape, SequenceSpec(kind="group", group=2))
-        engine.save_cache()
-        assert path.read_bytes() != b"sentinel"
-        warm = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0,
-                                cache_path=path)
-        assert warm.statistics.loaded_entries == 2
-        # The constructor load syncs the store: saving straight back to the
-        # same path is also a no-op.
-        path.write_bytes(b"sentinel")
-        warm.save_cache()
-        assert path.read_bytes() == b"sentinel"
-        # An explicit different target still writes.
-        other = tmp_path / "other.pkl"
-        warm.save_cache(other)
-        assert other.exists()
 
 
 class TestDivisorsMemoisation:
