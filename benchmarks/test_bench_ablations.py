@@ -19,7 +19,7 @@ from repro.hardware import estimate_latency, estimate_roofline_bound, get_platfo
 from repro.models import resnet34
 from repro.nn.convs import ConvTransformConfig, DerivedConv2d
 from repro.poly import ConvolutionShape
-from repro.tenir import AutoTuner, conv2d_compute, lower, naive_schedule
+from repro.tenir import AutoTuner, conv2d_compute, create_schedule, lower
 
 
 def _search(scale, strategy: str, threshold: float = 1.0, seed: int = 0):
@@ -101,7 +101,7 @@ def test_bench_ablation_cost_model(benchmark, scale):
     platform = get_platform("cpu")
 
     def evaluate():
-        naive = lower(naive_schedule(computation))
+        naive = lower(create_schedule(computation))
         tuned = AutoTuner(trials=scale.pipeline.tuner_trials, seed=0).tune(computation, platform)
         return {
             "roofline_naive": estimate_roofline_bound(naive, platform),

@@ -15,7 +15,7 @@ from repro.models import resnet34
 from repro.nn import Conv2d
 from repro.poly import ConvolutionShape
 from repro.tensor import Tensor, ops
-from repro.tenir import AutoTuner, conv2d_compute, lower, naive_schedule
+from repro.tenir import AutoTuner, conv2d_compute, create_schedule, lower
 
 
 def test_bench_conv2d_forward(benchmark, rng=np.random.default_rng(0)):
@@ -39,7 +39,7 @@ def test_bench_conv2d_backward(benchmark, rng=np.random.default_rng(0)):
 
 
 def test_bench_cost_model_single_estimate(benchmark):
-    nest = lower(naive_schedule(conv2d_compute(ConvolutionShape(64, 64, 32, 32, 3, 3))))
+    nest = lower(create_schedule(conv2d_compute(ConvolutionShape(64, 64, 32, 32, 3, 3))))
     platform = get_platform("cpu")
     estimate = benchmark(estimate_latency, nest, platform)
     assert estimate.seconds > 0

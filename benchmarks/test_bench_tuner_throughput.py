@@ -5,7 +5,8 @@ engine **configurations/sec** — and pins the headline of the fast-path
 work: ``AutoTuner.tune`` at 64 trials is at least 3x faster than main.
 
 The baseline is ``reference_tune`` (the pre-fast-path loop, kept
-verbatim) measured with the shared-layer speedups of the same change
+verbatim in ``tests/tuning_oracle.py``) measured with the shared-layer
+speedups of the same change
 — the memoised ``divisors`` and the affine-substitution short-circuits —
 monkeypatched back to main's implementations, so the comparison is
 against what main actually executed, not against a baseline that already
@@ -15,8 +16,10 @@ path bit for bit.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -30,11 +33,24 @@ from repro.core.sequences import SequenceSpec, paper_sequences
 from repro.hardware import get_platform
 from repro.poly.affine import AffineExpr, AffineMap
 from repro.poly.statement import ConvolutionShape
-from repro.tenir import AutoTuner, TuningContext, conv2d_compute, reference_tune
+from repro.tenir import AutoTuner, TuningContext, conv2d_compute
 
 TRIALS = 64
 PLATFORM_NAMES = ("cpu", "gpu", "mcpu", "mgpu")
 SHAPE = ConvolutionShape(64, 64, 16, 16, 3, 3)
+
+
+def _load_oracle():
+    """The frozen pre-fast-path tuner, by path: ``tests/`` may be off sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        "tuning_oracle",
+        Path(__file__).resolve().parents[1] / "tests" / "tuning_oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _load_oracle()
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +91,14 @@ def test_bench_tuner_throughput_64_trials(benchmark, monkeypatch, perf_record):
     with monkeypatch.context() as patched:
         patched.setattr(AffineExpr, "substitute", _legacy_expr_substitute)
         patched.setattr(AffineMap, "substitute", _legacy_map_substitute)
-        patched.setattr(autotune_module, "divisors", _legacy_divisors)
+        patched.setattr(oracle, "divisors", _legacy_divisors)
         for platform in platforms:
-            reference_tune(computation, platform, trials=TRIALS, seed=0)  # warm-up
+            oracle.reference_tune(computation, platform, trials=TRIALS, seed=0)  # warm-up
             rounds = []
             for _ in range(3):
                 start = time.perf_counter()
-                result = reference_tune(computation, platform, trials=TRIALS, seed=0)
+                result = oracle.reference_tune(computation, platform,
+                                               trials=TRIALS, seed=0)
                 rounds.append(time.perf_counter() - start)
             baseline_seconds[platform.name] = min(rounds)
             baseline_results.append(result.seconds)
@@ -129,10 +146,19 @@ def _clear_process_caches():
     return (), {}
 
 
+def _vectorised_dram_traffic(nest, cache_bytes: int) -> float:
+    """Main's per-candidate traffic over the nest's memoised locality arrays."""
+    arrays = nest.traffic_arrays()
+    fits = arrays.working_set_bytes <= cache_bytes
+    depth = int(np.argmax(fits)) if fits.any() else len(nest.loops)
+    per_access = arrays.tensor_footprints[depth] * arrays.refetch[depth] * nest.element_bytes
+    per_access = np.maximum(per_access, arrays.compulsory_bytes)
+    return float(np.sum(per_access * arrays.write_factor))
+
+
 def _legacy_traffic_batch(nests, cache_bytes):
     """Main's batch traffic: one numpy round-trip per candidate."""
-    return np.array([cost_model._vectorised_dram_traffic(nest, cache_bytes)
-                     for nest in nests])
+    return np.array([_vectorised_dram_traffic(nest, cache_bytes) for nest in nests])
 
 
 def test_bench_engine_configurations_per_second(benchmark, scale, monkeypatch,

@@ -493,9 +493,20 @@ def _cache_directory(cache_dir: str | None) -> Path:
 
 
 def _cmd_cache(args) -> int:
+    directory = _cache_directory(args.cache_dir)
+    try:
+        return _cache_verb(args, directory)
+    except OSError as error:
+        # A --cache-dir that is a file, or an import file that is missing,
+        # is the operator's to fix: name the path instead of a traceback.
+        path = error.filename or directory
+        raise CacheStoreError(f"cache {args.cache_command}: {path}: "
+                              f"{error.strerror or error}") from error
+
+
+def _cache_verb(args, directory: Path) -> int:
     from repro.core.cache_store import CacheStore, is_store_file
 
-    directory = _cache_directory(args.cache_dir)
     if args.cache_command == "clear":
         # Delete only files this tool recognises as its own — shard
         # segments (checked by magic) and their lock/scratch files — and

@@ -7,8 +7,8 @@ DeepHyper's AMBS) replaces that rank with an *acquisition function* that
 trades the predicted mean off against the surrogate's uncertainty:
 
 * ``rank`` — the original behaviour: score is the negated predicted
-  mean, uncertainty ignored.  Kept as the reference; selecting with it
-  is bit-identical to the historical ``np.argsort(predicted / gain)``;
+  mean, uncertainty ignored, so selecting with it is a stable sort by
+  predicted speedup;
 * ``ei`` — expected improvement over the best observed objective;
 * ``pi`` — probability of improvement over the best observed objective;
 * ``lcb`` — negated lower confidence bound ``mean - kappa * std``
@@ -23,7 +23,7 @@ All scores are **higher-is-better** over a **minimised** objective (the
 search minimises latency relative to the per-shape baseline).  When the
 surrogate reports zero variance everywhere, every acquisition collapses
 to ``rank``: :func:`argbest` breaks score ties by the lower predicted
-mean, so the selected index is exactly the historical one
+mean, so the selected index is exactly the ``rank`` pick
 (property-tested in ``tests/test_acquisition.py``).
 
 Example::

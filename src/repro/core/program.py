@@ -263,6 +263,39 @@ class Primitive:
         return pool[int(rng.integers(0, len(pool)))]
 
 
+def apply_step(state: ProgramState, app: PrimitiveApplication,
+               program_name: str) -> None:
+    """Apply one program step to ``state`` in place.
+
+    The step function both compile paths share (the uncached loop and the
+    prefix trie's replay).  An unknown primitive and a rejected required
+    step raise :class:`LegalityError` naming the primitive; a rejected
+    ``optional`` step leaves ``state`` exactly as it was.
+    """
+    primitive = PRIMITIVE_REGISTRY.get(app.primitive)
+    if primitive is None:
+        raise LegalityError(f"unknown primitive '{app.primitive}'",
+                            primitive=app.primitive, reason="not registered")
+    # A skipped optional step must be a no-op even when it fails partway
+    # through a multi-nest application, so snapshot the stages it may
+    # touch and restore them on failure.
+    backup = [stage.clone() for stage in state.stages] if app.optional else None
+    try:
+        primitive.apply(state, app)
+    except LegalityError as error:
+        if not app.optional:
+            raise LegalityError(
+                f"{program_name}: {app.describe()} rejected: {error.reason}",
+                primitive=app.primitive, reason=error.reason) from error
+        state.stages = backup
+    except (TransformError, ScheduleError) as error:
+        if not app.optional:
+            raise LegalityError(
+                f"{program_name}: {app.describe()} rejected: {error}",
+                primitive=app.primitive, reason=str(error)) from error
+        state.stages = backup
+
+
 def _require_param(app: PrimitiveApplication, name: str):
     value = app.param(name)
     if value is None:
@@ -620,41 +653,13 @@ class TransformProgram:
     def compile_uncached(self, shape: ConvolutionShape) -> list[Stage]:
         """The from-scratch compile loop, bypassing the prefix trie.
 
-        Kept as the golden reference the incremental path is pinned
-        against (and as the fallback when the trie is disabled).
+        The fallback when the trie is disabled, and the reference the
+        incremental path is pinned against.
         """
         state = ProgramState(shape, name=self.name)
         for app in self.steps:
-            primitive = PRIMITIVE_REGISTRY.get(app.primitive)
-            if primitive is None:
-                raise LegalityError(f"unknown primitive '{app.primitive}'",
-                                    primitive=app.primitive,
-                                    reason="not registered")
-            # A skipped optional step must be a no-op even when it fails
-            # partway through a multi-nest application, so snapshot the
-            # stages it may touch and restore them on failure.
-            backup = [stage.clone() for stage in state.stages] if app.optional else None
-            try:
-                primitive.apply(state, app)
-            except LegalityError as error:
-                if app.optional:
-                    state.stages = backup
-                    continue
-                raise LegalityError(
-                    f"{self.name}: {app.describe()} rejected: {error.reason}",
-                    primitive=app.primitive, reason=error.reason) from error
-            except (TransformError, ScheduleError) as error:
-                if app.optional:
-                    state.stages = backup
-                    continue
-                raise LegalityError(
-                    f"{self.name}: {app.describe()} rejected: {error}",
-                    primitive=app.primitive, reason=str(error)) from error
+            apply_step(state, app, self.name)
         return state.stages
-
-    # Legacy-facing aliases kept so the IR slots where SequenceSpec lived.
-    def build_stages(self, shape: ConvolutionShape) -> list[Stage]:
-        return self.compile(shape)
 
     def build_computations(self, shape: ConvolutionShape) -> list[Computation]:
         """The transformed computations (structural part only, no annotations)."""

@@ -623,29 +623,9 @@ class ModelGuidedStrategy:
                 # starve the rest of the network.  The whole batch then
                 # tunes concurrently through one tune_many submission and
                 # the surrogate refits on real data once per round.
-                if search.acquisition == "rank" and search.liar == "none":
-                    predicted = predictor.predict_batch(
-                        untuned, trials=context.engine.tuner_trials)
-                    # Rank by predicted latency relative to the pair's own
-                    # baseline (its predicted speedup) in one static pass.
-                    gain = np.array([baselines[shape] for shape, _ in untuned])
-                    order = []
-                    shapes_this_round: set[ConvolutionShape] = set()
-                    for index in np.argsort(predicted / gain):
-                        shape = untuned[int(index)][0]
-                        if shape in shapes_this_round:
-                            continue
-                        shapes_this_round.add(shape)
-                        order.append(int(index))
-                        if len(order) >= remaining:
-                            break
-                elif search.acquisition == "rank":
-                    order = self._liar_batch(search, context, predictor,
-                                             untuned, baselines, remaining)
-                else:
-                    order = self._acquisition_batch(
-                        search, context, predictor, untuned, baselines,
-                        remaining, best_ratio[0], acq_rng)
+                order = self._acquisition_batch(
+                    search, context, predictor, untuned, baselines,
+                    remaining, best_ratio[0], acq_rng)
             else:
                 # Cold start: the surrogate is not trustworthy yet, fall
                 # back to random exploration — but only for as many
@@ -663,61 +643,23 @@ class ModelGuidedStrategy:
         return assignment, search._assignment_latency(context, assignment)
 
     @staticmethod
-    def _liar_batch(search: "UnifiedSearch", context: _SearchContext,
-                    predictor, untuned, baselines, remaining: int) -> list[int]:
-        """Constant-liar batch selection (DeepHyper AMBS, DESIGN.md §14).
-
-        Picks up to ``remaining`` candidates (one per shape) sequentially
-        from one surrogate *without* tuning between picks: after each
-        pick the candidate is imputed with a constant-liar
-        pseudo-observation (:meth:`LatencyPredictor.lie`), so the next
-        pick's predictions see it as pending work and the batch spreads
-        across the space instead of collapsing onto near-duplicates of
-        the single best prediction.  All lies are retracted before the
-        caller tunes the batch for real; the only refits on real data
-        remain the once-per-round ones.  Fully deterministic — no RNG —
-        so resume/replay stays bit-identical.
-        """
-        order: list[int] = []
-        shapes_picked: set[ConvolutionShape] = set()
-        candidates = list(range(len(untuned)))
-        try:
-            while candidates and len(order) < remaining:
-                predicted = predictor.predict_batch(
-                    [untuned[index] for index in candidates],
-                    trials=context.engine.tuner_trials)
-                gain = np.array([baselines[untuned[index][0]]
-                                 for index in candidates])
-                pick = candidates[int(np.argmin(predicted / gain))]
-                shape, program = untuned[pick]
-                order.append(pick)
-                shapes_picked.add(shape)
-                predictor.lie(shape, program,
-                              trials=context.engine.tuner_trials,
-                              strategy=search.liar)
-                candidates = [index for index in candidates
-                              if untuned[index][0] not in shapes_picked]
-        finally:
-            predictor.retract_lies()
-        return order
-
-    @staticmethod
     def _acquisition_batch(search: "UnifiedSearch", context: _SearchContext,
                            predictor, untuned, baselines, remaining: int,
                            best_ratio: float, acq_rng) -> list[int]:
-        """Acquisition-scored round selection (EI/PI/LCB/Thompson).
+        """One ready round's picks, for every acquisition (``rank`` included).
 
         The objective is the predicted latency *ratio* to the pair's own
         baseline (lower is better, the incumbent is ``best_ratio``), so
         one acquisition score is comparable across shapes whose absolute
-        latencies differ by orders of magnitude.  With a constant-liar
-        strategy active the batch is picked sequentially — score, pick
-        the best (ties to the lower mean, matching ``rank``), impute the
-        pick with a lie, re-score — exactly the ``_liar_batch`` protocol
-        with the acquisition in place of the plain argmin; with
-        ``liar == "none"`` one static scoring pass picks up to one
-        candidate per shape.  Thompson draws come from ``acq_rng``, the
-        dedicated stream, never from ``context.rng``.
+        latencies differ by orders of magnitude.  With ``liar == "none"``
+        one static scoring pass picks up to one candidate per shape.  With
+        a constant liar (DeepHyper AMBS, DESIGN.md §14) picks are
+        sequential without tuning in between: score, pick, impute the pick
+        with a lie so the batch spreads instead of clustering, re-score;
+        every lie is retracted before the batch is tuned.  Ties go to the
+        lower mean, then the first candidate (a stable ``lexsort``), on
+        every machine.  Thompson draws come from ``acq_rng``, never from
+        ``context.rng``.
         """
         score = get_acquisition(search.acquisition)
         order: list[int] = []
@@ -955,8 +897,8 @@ class UnifiedSearch:
         self.liar = liar
         # The surrogate portfolio knobs of model_guided: which learner the
         # predictor trains, which acquisition scores candidates ("rank"
-        # restores the historical rank-by-predicted-speedup bit-identically)
-        # and which candidate encoding featurizes them.
+        # is the historical rank by predicted speedup) and which candidate
+        # encoding featurizes them.
         self.learner = learner
         self.acquisition = acquisition
         self.encoding = encoding

@@ -11,23 +11,15 @@ from repro.hardware.platform import (
 )
 from repro.hardware.cost_model import (
     LatencyEstimate,
-    estimate_dram_traffic,
     estimate_dram_traffic_batch,
     estimate_latency,
     estimate_latency_batch,
     estimate_roofline_bound,
 )
-from repro.hardware.measure import (
-    GRAPH_OVERHEAD_US,
-    NetworkMeasurement,
-    measure_network,
-    speedup,
-)
 
 __all__ = [
     "ARM_A57", "INTEL_I7", "MAXWELL_MGPU", "NVIDIA_1080TI", "PLATFORMS",
     "PlatformSpec", "get_platform",
-    "LatencyEstimate", "estimate_dram_traffic", "estimate_dram_traffic_batch",
+    "LatencyEstimate", "estimate_dram_traffic_batch",
     "estimate_latency", "estimate_latency_batch", "estimate_roofline_bound",
-    "GRAPH_OVERHEAD_US", "NetworkMeasurement", "measure_network", "speedup",
 ]

@@ -16,6 +16,10 @@ The model combines three classic ingredients:
 Absolute numbers are not the point (the paper's testbed is real hardware);
 the model's job is to rank schedules and operators the way the hardware
 would, which is what the search and all the figures rely on.
+
+The model has one implementation, :func:`estimate_latency_batch`;
+:func:`estimate_latency` is its one-nest call.  The scalar model it
+replaced is frozen in ``tests/tuning_oracle.py`` and pinned bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.hardware.platform import PlatformSpec
-from repro.tenir.lower import LoweredAccess, LoweredLoop, LoweredNest
+from repro.tenir.lower import LoweredLoop, LoweredNest
 from repro.utils import prod
 
 
@@ -57,67 +61,6 @@ class LatencyEstimate:
 # ---------------------------------------------------------------------------
 # Traffic model
 # ---------------------------------------------------------------------------
-def _tensor_footprints(nest: LoweredNest, depth: int) -> dict[str, int]:
-    """Unique elements touched per tensor by the sub-nest starting at ``depth``."""
-    varying = nest.varying_iterators_from(depth)
-    footprints: dict[str, int] = {}
-    for access in nest.accesses:
-        elements = access.footprint(varying)
-        footprints[access.tensor] = max(footprints.get(access.tensor, 0), elements)
-    return footprints
-
-
-def _reuse_depth(nest: LoweredNest, cache_bytes: int) -> int:
-    """Outermost loop depth whose sub-nest working set fits in the cache."""
-    for depth in range(len(nest.loops) + 1):
-        footprint = sum(_tensor_footprints(nest, depth).values()) * nest.element_bytes
-        if footprint <= cache_bytes:
-            return depth
-    return len(nest.loops)
-
-
-def estimate_dram_traffic(nest: LoweredNest, cache_bytes: int) -> float:
-    """DRAM bytes moved by the nest under a shared cache of ``cache_bytes``."""
-    depth = _reuse_depth(nest, cache_bytes)
-    footprints = _tensor_footprints(nest, depth)
-    outer_loops = nest.loops[:depth]
-    traffic_bytes = 0.0
-    for access in nest.accesses:
-        footprint = footprints[access.tensor]
-        # Only outer loops that change this tensor's working set force refetches.
-        refetch = 1
-        for loop in outer_loops:
-            if access.stride_of(loop.name) != 0 or any(
-                loop.name in coeffs for coeffs in access.dim_coefficients
-            ):
-                refetch *= loop.extent
-        tensor_bytes = footprint * refetch * nest.element_bytes
-        # Compulsory lower bound: the tensor must be read/written at least once.
-        tensor_bytes = max(tensor_bytes, access.total_elements * nest.element_bytes)
-        # Writes cost twice (write-allocate + write-back).
-        if access.is_write:
-            tensor_bytes *= 2
-        traffic_bytes += tensor_bytes
-    return traffic_bytes
-
-
-def _vectorised_dram_traffic(nest: LoweredNest, cache_bytes: int) -> float:
-    """DRAM traffic from the nest's precomputed locality arrays.
-
-    Same quantity as :func:`estimate_dram_traffic`, computed over the
-    memoised :class:`~repro.tenir.lower.NestTrafficArrays` instead of
-    per-depth Python loops.  Every intermediate value is an exact integer
-    in float64, so the result equals the scalar path bit for bit (pinned
-    by the equivalence tests).
-    """
-    arrays = nest.traffic_arrays()
-    fits = arrays.working_set_bytes <= cache_bytes
-    depth = int(np.argmax(fits)) if fits.any() else len(nest.loops)
-    per_access = arrays.tensor_footprints[depth] * arrays.refetch[depth] * nest.element_bytes
-    per_access = np.maximum(per_access, arrays.compulsory_bytes)
-    return float(np.sum(per_access * arrays.write_factor))
-
-
 class _BatchWorkspace(threading.local):
     """Growable per-thread scratch buffers reused across batch calls.
 
@@ -156,9 +99,10 @@ def estimate_dram_traffic_batch(nests: Sequence[LoweredNest],
                                 cache_bytes: int) -> np.ndarray:
     """Per-nest DRAM traffic for a whole batch in a few numpy passes.
 
-    Bit-identical to calling :func:`_vectorised_dram_traffic` (and hence
-    :func:`estimate_dram_traffic`) on each nest, but with no per-candidate
-    numpy dispatch: the per-depth working sets are scattered into one
+    Every intermediate value is an exact integer in float64, so the
+    result equals the frozen oracle's scalar per-depth scan bit for bit,
+    with no per-candidate numpy dispatch: the per-depth working sets are
+    scattered into one
     ``+inf``-padded matrix for a single batched reuse-depth ``argmax``,
     the per-access footprint/refetch rows at the chosen depths are
     gathered through flat indices, and the per-nest reductions run as one
@@ -351,56 +295,20 @@ def _gpu_mapping(nest: LoweredNest, platform: PlatformSpec) -> tuple[float, floa
 # ---------------------------------------------------------------------------
 def estimate_latency(nest: LoweredNest, platform: PlatformSpec) -> LatencyEstimate:
     """Estimate the latency of one scheduled operator on one platform."""
-    flops = 2.0 * nest.macs
-    dram_bytes = estimate_dram_traffic(nest, platform.cache_bytes)
-    overhead = platform.launch_overhead_us * 1e-6
-
-    if platform.is_gpu:
-        concurrency, coalescing, mapping_quality = _gpu_mapping(nest, platform)
-        instr = _instruction_efficiency(nest)
-        effective_flops = platform.peak_flops * concurrency * mapping_quality * instr
-        compute_seconds = flops / max(effective_flops, 1.0)
-        memory_seconds = dram_bytes / (platform.dram_bandwidth * coalescing)
-        vector_eff = coalescing
-        parallel_fraction = concurrency
-    else:
-        cores_used, parallel_eff = _cpu_parallelism(nest, platform)
-        vector_eff = _vector_efficiency(nest, platform)
-        instr = _instruction_efficiency(nest)
-        per_core_peak = platform.peak_flops / platform.cores
-        effective_flops = per_core_peak * cores_used * parallel_eff * vector_eff * instr
-        compute_seconds = flops / max(effective_flops, 1.0)
-        bandwidth_share = 0.55 + 0.45 * (cores_used / platform.cores)
-        memory_seconds = dram_bytes / (platform.dram_bandwidth * bandwidth_share)
-        parallel_fraction = cores_used / platform.cores
-
-    seconds = max(compute_seconds, memory_seconds) + overhead
-    return LatencyEstimate(
-        seconds=seconds,
-        compute_seconds=compute_seconds,
-        memory_seconds=memory_seconds,
-        overhead_seconds=overhead,
-        dram_bytes=dram_bytes,
-        flops=flops,
-        vector_efficiency=vector_eff,
-        parallel_fraction=parallel_fraction,
-        details={"instruction_efficiency": _instruction_efficiency(nest)},
-    )
+    return estimate_latency_batch([nest], platform)[0]
 
 
 def estimate_latency_batch(nests: Sequence[LoweredNest],
                            platform: PlatformSpec) -> list[LatencyEstimate]:
-    """Batch form of :func:`estimate_latency`, vectorised with numpy.
+    """Estimate the latency of every nest in one vectorised pass.
 
     The per-nest quantities (flops, DRAM traffic from the memoised
     locality arrays, schedule-quality factors) are packed into arrays and
-    the roofline combination runs once over the whole batch.  The scalar
-    path is kept as the reference: for every nest the batch result equals
-    ``estimate_latency(nest, platform)`` exactly — same IEEE operations in
-    the same order — which the property tests pin.
+    the roofline combination runs once over the whole batch.  Each result
+    equals the frozen scalar oracle's exactly — same IEEE operations in
+    the same order — which the equivalence tests pin.
 
-    This is what the auto-tuner's fast path scores a whole trial
-    generation with.
+    This is what the auto-tuner scores a whole trial generation with.
     """
     nests = list(nests)
     if not nests:

@@ -16,12 +16,6 @@ from repro.tenir.autotune import (
     TuningResult,
     classify_loops,
     clear_tuning_contexts,
-    cpu_schedule,
-    default_schedule,
-    gpu_schedule,
-    naive_schedule,
-    reference_tune,
-    sample_parameters,
     shared_tuning_context,
 )
 from repro.tenir.runtime import output_shape, run, run_computation
@@ -32,8 +26,6 @@ __all__ = [
     "THREAD_TAGS", "LoopAnnotation", "Stage", "create_schedule",
     "LoweredAccess", "LoweredLoop", "LoweredNest", "lower",
     "AutoTuner", "ScheduleParameters", "TuningContext", "TuningResult",
-    "classify_loops", "clear_tuning_contexts", "cpu_schedule", "default_schedule",
-    "gpu_schedule", "naive_schedule", "reference_tune", "sample_parameters",
-    "shared_tuning_context",
+    "classify_loops", "clear_tuning_contexts", "shared_tuning_context",
     "output_shape", "run", "run_computation",
 ]

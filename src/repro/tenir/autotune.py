@@ -6,17 +6,20 @@ module provides the equivalent: parameterised CPU and GPU schedule
 templates over an arbitrary convolution-like loop nest, plus a random
 search over the template parameters evaluated with the analytic cost model.
 
-The tuner has a **fast path** built on a :class:`TuningContext`: all the
-template analysis that does not depend on the sampled parameter values —
-loop classification, the innermost-spatial axis, iterator extents and the
+The templates live in a :class:`TuningContext`: all the template
+analysis that does not depend on the sampled parameter values — loop
+classification, the innermost-spatial axis, iterator extents and the
 divisor tables the sampler draws from — is computed once per
 (computation, platform) and amortised across every trial, the way TVM's
 auto-tuner amortises template analysis across measurements.  Trials whose
 parameters instantiate the same schedule are deduplicated, structural
 schedule state is cached and cloned instead of rebuilt, and the surviving
-candidates are scored through the vectorised batch cost model.  The
-results are bit-identical to the pre-fast-path loop, which is kept as
-:func:`reference_tune` and pinned by golden tests.
+candidates are scored through the batch cost model.
+
+:meth:`AutoTuner.tune` is the only tuning loop.  The pre-fast-path loop
+it replaced (per-trial template functions and the scalar cost model) is
+frozen in ``tests/tuning_oracle.py``, and ``tests/test_tuning_fastpath.py``
+pins the two bit for bit.
 """
 
 from __future__ import annotations
@@ -29,11 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.hardware.cost_model import (
-    LatencyEstimate,
-    estimate_latency,
-    estimate_latency_batch,
-)
+from repro.hardware.cost_model import LatencyEstimate, estimate_latency_batch
 from repro.hardware.platform import PlatformSpec
 from repro.tenir.expr import Computation
 from repro.tenir.lower import LoweredNest, analyse_accesses, lower
@@ -61,10 +60,8 @@ def classify_loops(stage: Stage) -> dict[str, list[str]]:
 
 
 def _innermost_spatial(stage: Stage, categories: dict[str, list[str]],
-                       nest: LoweredNest | None = None) -> str:
+                       nest: LoweredNest) -> str:
     """The output-parallel iterator with unit stride in the output tensor."""
-    if nest is None:
-        nest = lower(stage)
     write = next(acc for acc in nest.accesses if acc.is_write)
     best = categories["parallel"][-1]
     best_stride = None
@@ -77,14 +74,8 @@ def _innermost_spatial(stage: Stage, categories: dict[str, list[str]],
     return best
 
 
-def _pick_factor(extent: int, limit: int, rng: np.random.Generator) -> int:
-    """A random divisor of ``extent`` no larger than ``limit`` (at least 1)."""
-    options = [d for d in divisors(extent) if d <= limit]
-    return int(rng.choice(options)) if options else 1
-
-
 # ---------------------------------------------------------------------------
-# Schedule templates
+# Template parameters
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ScheduleParameters:
@@ -101,24 +92,6 @@ class ScheduleParameters:
                 f"unroll={self.unroll}, threads={self.threads}, vthread={self.use_vthread}")
 
 
-def sample_parameters(computation: Computation, platform: PlatformSpec,
-                      rng: np.random.Generator) -> ScheduleParameters:
-    """Sample template parameters compatible with the computation's extents."""
-    stage = create_schedule(computation)
-    categories = classify_loops(stage)
-    spatial = _innermost_spatial(stage, categories)
-    spatial_extent = stage.statement.domain.extent(spatial)
-    outer = categories["parallel"][0]
-    outer_extent = stage.statement.domain.extent(outer)
-    return ScheduleParameters(
-        spatial_tile=_pick_factor(spatial_extent, 64, rng),
-        channel_tile=_pick_factor(outer_extent, 32, rng),
-        unroll=int(rng.choice([1, 2, 4, 8])),
-        threads=_pick_factor(spatial_extent * outer_extent, platform.vector_width * 8, rng),
-        use_vthread=bool(rng.random() < 0.5),
-    )
-
-
 def _largest_parallel(stage: Stage, categories: dict[str, list[str]],
                       exclude: tuple[str, ...] = ()) -> str:
     """The output-parallel iterator with the largest extent (best to spread)."""
@@ -128,87 +101,8 @@ def _largest_parallel(stage: Stage, categories: dict[str, list[str]],
     return max(candidates, key=lambda name: stage.statement.domain.extent(name))
 
 
-def cpu_schedule(computation: Computation, params: ScheduleParameters) -> Stage:
-    """The default CPU schedule template: tile, parallelise, vectorise, unroll."""
-    stage = create_schedule(computation)
-    categories = classify_loops(stage)
-    spatial = _innermost_spatial(stage, categories)
-    outer = _largest_parallel(stage, categories, exclude=(spatial,))
-
-    spatial_inner = spatial
-    if params.spatial_tile > 1 and stage.statement.domain.extent(spatial) % params.spatial_tile == 0:
-        _, spatial_inner = stage.split(spatial, params.spatial_tile)
-    outer_name = outer
-    if (outer != spatial and params.channel_tile > 1
-            and stage.statement.domain.extent(outer) % params.channel_tile == 0):
-        outer_name, _ = stage.split(outer, params.channel_tile)
-
-    # Hoist the parallel loop to the front, sink the vector loop to the back.
-    remaining = [n for n in stage.loop_order if n not in (outer_name, spatial_inner)]
-    stage.reorder(outer_name, *remaining, spatial_inner)
-    stage.parallel(outer_name)
-    stage.vectorize(spatial_inner)
-    if params.unroll > 1:
-        reductions = [n for n in classify_loops(stage)["reduction"] if n in stage.loop_order]
-        if reductions:
-            stage.unroll(reductions[-1], params.unroll)
-    return stage
-
-
-def gpu_schedule(computation: Computation, params: ScheduleParameters,
-                 platform: PlatformSpec) -> Stage:
-    """The default GPU schedule template: map output loops to blocks/threads."""
-    stage = create_schedule(computation)
-    categories = classify_loops(stage)
-    spatial = _innermost_spatial(stage, categories)
-    others = sorted((n for n in categories["parallel"] if n != spatial),
-                    key=lambda name: stage.statement.domain.extent(name), reverse=True)
-
-    thread_extent = min(params.threads, platform.vector_width * 8)
-    spatial_extent = stage.statement.domain.extent(spatial)
-    factor = 1
-    for candidate in divisors(spatial_extent):
-        if candidate <= thread_extent:
-            factor = candidate
-    thread_axis = spatial
-    block_axis_spatial = None
-    if factor > 1 and factor < spatial_extent:
-        block_axis_spatial, thread_axis = stage.split(spatial, factor)
-    stage.bind(thread_axis, "threadIdx.x")
-
-    if others:
-        stage.bind(others[0], "blockIdx.x")
-        if len(others) > 1:
-            stage.bind(others[1], "blockIdx.y")
-    if block_axis_spatial is not None:
-        if params.use_vthread:
-            stage.bind(block_axis_spatial, "vthread")
-        elif len(others) < 2:
-            stage.bind(block_axis_spatial, "blockIdx.y")
-    if params.unroll > 1:
-        reductions = [n for n in classify_loops(stage)["reduction"] if n in stage.loop_order]
-        if reductions:
-            stage.unroll(reductions[-1], params.unroll)
-    stage.prefetch(thread_axis)
-    return stage
-
-
-def default_schedule(computation: Computation, platform: PlatformSpec,
-                     params: ScheduleParameters | None = None) -> Stage:
-    """Platform-appropriate default schedule with default parameter values."""
-    params = params or ScheduleParameters()
-    if platform.is_gpu:
-        return gpu_schedule(computation, params, platform)
-    return cpu_schedule(computation, params)
-
-
-def naive_schedule(computation: Computation) -> Stage:
-    """The untransformed textual loop order, used as a worst-case reference."""
-    return create_schedule(computation)
-
-
 # ---------------------------------------------------------------------------
-# The tuning fast path
+# Schedule templates
 # ---------------------------------------------------------------------------
 @dataclass
 class TuningContext:
@@ -223,10 +117,10 @@ class TuningContext:
     additionally cached per :meth:`schedule_key`, so trials that differ
     only in annotations clone instead of rebuild.
 
-    Sampling (:meth:`sample`) consumes the RNG in exactly the order
-    :func:`sample_parameters` does and :meth:`instantiate` replays the
-    template logic of :func:`cpu_schedule` / :func:`gpu_schedule`, so the
-    fast path is bit-identical to the legacy one (pinned by golden tests).
+    Sampling (:meth:`sample`) consumes the RNG in exactly the order the
+    pre-fast-path sampler did and :meth:`instantiate` builds the same
+    schedules its CPU and GPU template functions did, so tuning is
+    bit-identical to the frozen oracle (``tests/tuning_oracle.py``).
     """
 
     computation: Computation
@@ -262,7 +156,7 @@ class TuningContext:
     def build(cls, computation: Computation, platform: PlatformSpec) -> "TuningContext":
         stage = create_schedule(computation)
         categories = classify_loops(stage)
-        spatial = _innermost_spatial(stage, categories, nest=lower(stage))
+        spatial = _innermost_spatial(stage, categories, lower(stage))
         domain = stage.statement.domain
         spatial_extent = domain.extent(spatial)
         sample_outer = categories["parallel"][0]
@@ -290,7 +184,7 @@ class TuningContext:
         )
 
     # ------------------------------------------------------------------
-    # Sampling (same RNG stream as sample_parameters)
+    # Sampling (same RNG stream as the pre-fast-path sampler)
     # ------------------------------------------------------------------
     def sample(self, rng: np.random.Generator) -> ScheduleParameters:
         """Sample template parameters from the precomputed divisor tables.
@@ -298,8 +192,8 @@ class TuningContext:
         ``options[rng.integers(0, len(options))]`` consumes the generator
         exactly like ``rng.choice(options)`` (a uniform replace=True choice
         is one bounded-integer draw) at a fraction of the cost, so the
-        stream stays identical to :func:`sample_parameters` — which the
-        golden tests pin.
+        stream stays identical to the pre-fast-path sampler's — which the
+        equivalence tests pin.
         """
         def pick(options: list[int]) -> int:
             return options[int(rng.integers(0, len(options)))] if options else 1
@@ -409,8 +303,9 @@ class TuningContext:
     def instantiate(self, params: ScheduleParameters) -> Stage:
         """Instantiate the platform template for ``params``.
 
-        Equivalent to :func:`default_schedule` on this context's
-        computation and platform, but reusing the cached structural state.
+        CPU: tile, parallelise, vectorise, unroll.  GPU: map the output
+        loops to blocks/threads, unroll, prefetch.  Both clone the cached
+        structural state.
         """
         if self.platform.is_gpu:
             return self._instantiate_gpu(params)
@@ -539,43 +434,6 @@ class TuningResult:
         return self.estimate.seconds
 
 
-def _tune_task(args: tuple[int, int | None, Computation, PlatformSpec]) -> TuningResult:
-    """Tune one computation; a picklable top-level entry for process pools."""
-    trials, seed, computation, platform = args
-    return AutoTuner(trials=trials, seed=seed).tune(computation, platform)
-
-
-def reference_tune(computation: Computation, platform: PlatformSpec,
-                   trials: int = 16, seed: int | None = None) -> TuningResult:
-    """The pre-fast-path tuning loop, kept verbatim as the golden reference.
-
-    Rebuilds the schedule, re-classifies loops, re-lowers and runs the
-    scalar cost model from scratch on every trial — exactly what
-    :meth:`AutoTuner.tune` did before the :class:`TuningContext` fast
-    path.  The equivalence tests and the throughput benchmark compare the
-    fast path against this function; it is not meant for production use.
-    """
-    if trials < 1:
-        raise ScheduleError("the tuner needs at least one trial")
-    rng = make_rng(seed)
-    best: TuningResult | None = None
-    for trial in range(trials):
-        params = (ScheduleParameters() if trial == 0
-                  else sample_parameters(computation, platform, rng))
-        try:
-            stage = default_schedule(computation, platform, params)
-        except ScheduleError:
-            continue
-        nest = lower(stage)
-        estimate = estimate_latency(nest, platform)
-        candidate = TuningResult(stage, nest, estimate, params, trials)
-        if best is None or candidate.seconds < best.seconds:
-            best = candidate
-    if best is None:
-        raise ScheduleError("auto-tuning failed to produce a single valid schedule")
-    return best
-
-
 class AutoTuner:
     """Random search over schedule-template parameters."""
 
@@ -596,9 +454,9 @@ class AutoTuner:
         ``(stage, nest, estimate)`` triple per key, so a re-tune at a new
         fidelity or from a new engine session only pays for keys it has
         never seen), and freshly surviving candidates go through the
-        vectorised batch cost model.  Results are bit-identical to
-        :func:`reference_tune` (the pre-fast-path loop) for any seed:
-        every memoised value equals its recomputation.
+        vectorised batch cost model.  Results are bit-identical to the
+        pre-fast-path loop frozen in ``tests/tuning_oracle.py`` for any
+        seed: every memoised value equals its recomputation.
         """
         rng = make_rng(self.seed)
         if context is None:
@@ -649,27 +507,3 @@ class AutoTuner:
             raise ScheduleError("auto-tuning failed to produce a single valid schedule")
         params, (stage, nest, estimate) = chosen[best_key]
         return TuningResult(stage, nest, estimate, params, self.trials)
-
-    def tune_many(self, computations: list[Computation], platform: PlatformSpec,
-                  *, parallel: str = "serial",
-                  max_workers: int | None = None) -> list[TuningResult]:
-        """Tune a batch of computations, optionally on an executor pool.
-
-        Each :meth:`tune` call seeds a fresh RNG from ``self.seed``, so the
-        results are independent of evaluation order and the parallel modes
-        (``"thread"`` / ``"process"``) return exactly the serial results.
-        """
-        computations = list(computations)
-        if parallel == "serial" or len(computations) < 2:
-            return [self.tune(computation, platform) for computation in computations]
-        tasks = [(self.trials, self.seed, computation, platform)
-                 for computation in computations]
-        if parallel == "thread":
-            from concurrent.futures import ThreadPoolExecutor as Executor
-        elif parallel == "process":
-            from concurrent.futures import ProcessPoolExecutor as Executor
-        else:
-            raise ScheduleError(
-                f"unknown parallel mode '{parallel}'; expected 'serial', 'thread' or 'process'")
-        with Executor(max_workers=max_workers) as pool:
-            return list(pool.map(_tune_task, tasks))

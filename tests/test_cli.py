@@ -215,6 +215,30 @@ class TestCache:
                           "--trials", "2", "--cache-dir", str(blocker / "store"))
         assert "ms" in out
 
+    def test_clear_rejects_a_file_as_cache_dir(self, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("in the way")
+        assert main(["cache", "clear", "--cache-dir", str(blocker)]) == 11
+        assert str(blocker) in capsys.readouterr().err
+        assert blocker.read_text() == "in the way"
+
+    def test_import_rejects_a_missing_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.jsonl"
+        assert main(["cache", "import", str(missing),
+                     "--cache-dir", str(tmp_path / "store")]) == 11
+        assert str(missing) in capsys.readouterr().err
+
+    def test_import_rejects_a_file_as_cache_dir(self, capsys, tmp_path):
+        source, envelope = tmp_path / "source", tmp_path / "warm.jsonl"
+        run_cli(capsys, "tune", "--shape", "8x8x6x6x3x3", "--trials", "2",
+                "--cache-dir", str(source))
+        run_cli(capsys, "cache", "export", str(envelope), "--cache-dir", str(source))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("in the way")
+        assert main(["cache", "import", str(envelope),
+                     "--cache-dir", str(blocker)]) == 11
+        assert str(blocker) in capsys.readouterr().err
+
     def test_empty_dir(self, capsys, tmp_path):
         assert "no engine cache stores" in run_cli(
             capsys, "cache", "info", "--cache-dir", str(tmp_path))

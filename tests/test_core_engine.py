@@ -105,20 +105,6 @@ class TestEngineCache:
         assert tune_counter["count"] == 1
         assert engine.cache_size == 1
 
-    def test_autotuner_tune_many_parallel_equals_serial(self):
-        from repro.tenir.expr import conv2d_compute
-
-        platform = get_platform("cpu")
-        computations = [conv2d_compute(shape) for shape, _ in _items(4)]
-        tuner = AutoTuner(trials=3, seed=0)
-        serial = [r.seconds for r in tuner.tune_many(computations, platform)]
-        threaded = [r.seconds for r in
-                    tuner.tune_many(computations, platform, parallel="thread")]
-        forked = [r.seconds for r in
-                  tuner.tune_many(computations, platform, parallel="process",
-                                  max_workers=2)]
-        assert serial == threaded == forked
-
     def test_seed_is_part_of_the_key(self):
         platform = get_platform("cpu")
         engine_a = EvaluationEngine(platform, tuner_trials=4, seed=0)

@@ -472,14 +472,14 @@ class TestLiarBatchSearch:
     """model_guided's batch-concurrent rounds under constant-liar."""
 
     @staticmethod
-    def _run(liar: str):
+    def _run(liar: str, seed: int = 0):
         dataset = SyntheticImageDataset.cifar10_like(
             train_size=32, test_size=16, image_size=8, seed=0)
         images, labels = dataset.random_minibatch(4, seed=0)
         events = []
         search = UnifiedSearch(get_platform("cpu"), configurations=16,
                                tuner_trials=3, strategy="model_guided",
-                               space=UnifiedSpaceConfig(seed=0), seed=0,
+                               space=UnifiedSpaceConfig(seed=seed), seed=seed,
                                observer=lambda event: events.append(event.kind),
                                liar=liar)
         result = search.search(_small_model(), images, labels,
@@ -507,6 +507,37 @@ class TestLiarBatchSearch:
         search, result, _events = self._run("none")
         assert result.speedup >= 0.999
         assert search.predictor.statistics.liar_fits == 0
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_static_ranking_breaks_ties_to_the_first_candidate(self, seed,
+                                                              monkeypatch):
+        """With every prediction tied, each round tunes the first untuned
+        candidate of each shape, whatever sort kernel numpy dispatches to."""
+        log = []
+
+        def tied(self, items, *, trials=1):
+            items = list(items)
+            log.append(("predict", items))
+            return np.ones(len(items)), np.zeros(len(items))
+
+        tune_many = EvaluationEngine.tune_many
+
+        def recorded(self, items, *args, **kwargs):
+            items = list(items)
+            log.append(("tune", items))
+            return tune_many(self, items, *args, **kwargs)
+
+        monkeypatch.setattr(LatencyPredictor, "predict_batch_with_std", tied)
+        monkeypatch.setattr(EvaluationEngine, "tune_many", recorded)
+        self._run("none", seed=seed)
+        rounds = [(untuned, batch) for (kind, untuned), (_, batch)
+                  in zip(log, log[1:]) if kind == "predict"]
+        assert rounds
+        for untuned, batch in rounds:
+            first: dict = {}
+            for shape, program in untuned:
+                first.setdefault(shape, (shape, program))
+            assert batch and all(pair == first[pair[0]] for pair in batch)
 
     def test_liar_runs_are_deterministic(self):
         first_search, first, _ = self._run("cl_mean")

@@ -8,15 +8,13 @@ from repro.errors import PlatformError
 from repro.hardware import (
     PLATFORMS,
     PlatformSpec,
-    estimate_dram_traffic,
+    estimate_dram_traffic_batch,
     estimate_latency,
     estimate_roofline_bound,
     get_platform,
-    measure_network,
-    speedup,
 )
 from repro.poly import ConvolutionShape
-from repro.tenir import AutoTuner, conv2d_compute, create_schedule, lower, naive_schedule
+from repro.tenir import AutoTuner, conv2d_compute, create_schedule, lower
 
 
 def _nest(shape: ConvolutionShape, schedule=None):
@@ -96,12 +94,13 @@ class TestCostModel:
     def test_traffic_at_least_compulsory(self):
         nest = _nest(ConvolutionShape(16, 16, 8, 8, 3, 3))
         platform = get_platform("cpu")
-        assert estimate_dram_traffic(nest, platform.cache_bytes) >= nest.total_data_bytes()
+        traffic = estimate_dram_traffic_batch([nest], platform.cache_bytes)[0]
+        assert traffic >= nest.total_data_bytes()
 
     def test_larger_cache_never_increases_traffic(self):
         nest = _nest(ConvolutionShape(32, 32, 16, 16, 3, 3))
-        small_cache = estimate_dram_traffic(nest, 16 * 1024)
-        big_cache = estimate_dram_traffic(nest, 8 * 1024 * 1024)
+        small_cache = estimate_dram_traffic_batch([nest], 16 * 1024)[0]
+        big_cache = estimate_dram_traffic_batch([nest], 8 * 1024 * 1024)[0]
         assert big_cache <= small_cache
 
     def test_roofline_is_a_lower_bound(self):
@@ -113,22 +112,6 @@ class TestCostModel:
         nest = _nest(ConvolutionShape(16, 16, 8, 8, 3, 3))
         estimate = estimate_latency(nest, get_platform("cpu"))
         assert estimate.arithmetic_intensity > 0
-
-
-class TestNetworkMeasurement:
-    def test_network_latency_sums_layers(self):
-        platform = get_platform("cpu")
-        nests = [_nest(ConvolutionShape(8, 8, 8, 8, 3, 3)) for _ in range(3)]
-        measurement = measure_network(nests, platform)
-        assert measurement.total_seconds >= sum(measurement.layer_seconds())
-        assert len(measurement.layer_estimates) == 3
-
-    def test_speedup_helper(self):
-        platform = get_platform("cpu")
-        slow = measure_network([_nest(ConvolutionShape(32, 32, 16, 16, 3, 3))], platform)
-        fast = measure_network([_nest(ConvolutionShape(16, 16, 8, 8, 3, 3))], platform)
-        assert speedup(slow, fast) > 1.0
-        assert fast.speedup_over(slow) == pytest.approx(speedup(slow, fast))
 
     def test_mgpu_benefits_more_from_compression_than_gpu(self):
         """The paper's Figure 4 trend: small memory-starved devices gain most."""

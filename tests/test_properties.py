@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hardware import estimate_dram_traffic, estimate_latency, get_platform
+from repro.hardware import estimate_dram_traffic_batch, estimate_latency, get_platform
 from repro.poly import (
     Bottleneck,
     ConvolutionShape,
@@ -19,7 +19,7 @@ from repro.poly import (
     schedule_preserves_dependences,
 )
 from repro.tensor import Tensor, ops
-from repro.tenir import conv2d_compute, create_schedule, lower, naive_schedule
+from repro.tenir import conv2d_compute, create_schedule, lower
 from repro.utils import ceil_div, divisors, geometric_mean, prod
 
 # Small, divisor-friendly extents keep the property tests fast.
@@ -122,7 +122,7 @@ class TestCostModelProperties:
     @settings(max_examples=20, deadline=None)
     @given(conv_shapes())
     def test_latency_positive_on_every_platform(self, shape):
-        nest = lower(naive_schedule(conv2d_compute(shape)))
+        nest = lower(create_schedule(conv2d_compute(shape)))
         for name in ("cpu", "gpu", "mcpu", "mgpu"):
             assert estimate_latency(nest, get_platform(name)).seconds > 0
 
@@ -132,7 +132,7 @@ class TestCostModelProperties:
         if shape.c_out % factor:
             return
         platform = get_platform("cpu")
-        base = lower(naive_schedule(conv2d_compute(shape)))
+        base = lower(create_schedule(conv2d_compute(shape)))
         stage = create_schedule(conv2d_compute(shape))
         stage.bottleneck("co", factor)
         reduced = lower(stage)
@@ -142,9 +142,9 @@ class TestCostModelProperties:
     @settings(max_examples=20, deadline=None)
     @given(conv_shapes())
     def test_traffic_monotone_in_cache_size(self, shape):
-        nest = lower(naive_schedule(conv2d_compute(shape)))
-        assert (estimate_dram_traffic(nest, 64 * 1024)
-                >= estimate_dram_traffic(nest, 8 * 1024 * 1024))
+        nest = lower(create_schedule(conv2d_compute(shape)))
+        assert (estimate_dram_traffic_batch([nest], 64 * 1024)[0]
+                >= estimate_dram_traffic_batch([nest], 8 * 1024 * 1024)[0])
 
 
 class TestTensorProperties:

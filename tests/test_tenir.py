@@ -11,17 +11,14 @@ from repro.poly import ConvolutionShape, execute_reference_convolution
 from repro.tenir import (
     AutoTuner,
     ScheduleParameters,
+    TuningContext,
     classify_loops,
     conv2d_compute,
-    cpu_schedule,
     create_schedule,
-    default_schedule,
     dense_compute,
     depthwise_conv2d_compute,
-    gpu_schedule,
     grouped_conv2d_compute,
     lower,
-    naive_schedule,
     output_shape,
     run,
     run_computation,
@@ -104,7 +101,7 @@ class TestSchedulePrimitives:
 
 class TestLowering:
     def test_lowered_macs_and_loops(self, conv_comp):
-        nest = lower(naive_schedule(conv_comp))
+        nest = lower(create_schedule(conv_comp))
         assert nest.macs == conv_comp.macs
         assert nest.loop_names == ("co", "ci", "oh", "ow", "kh", "kw")
 
@@ -117,18 +114,18 @@ class TestLowering:
         assert nest.loop("co").annotation.parallel
 
     def test_access_strides_unit_in_innermost_dim(self, conv_comp):
-        nest = lower(naive_schedule(conv_comp))
+        nest = lower(create_schedule(conv_comp))
         output = next(a for a in nest.accesses if a.is_write)
         assert output.stride_of("ow") == 1
         assert output.stride_of("ci") == 0
 
     def test_footprint_shrinks_with_fewer_varying_iterators(self, conv_comp):
-        nest = lower(naive_schedule(conv_comp))
+        nest = lower(create_schedule(conv_comp))
         image = next(a for a in nest.accesses if a.tensor == "I")
         assert image.footprint({"ow", "kh", "kw"}) < image.footprint({"ci", "ow", "oh", "kh", "kw"})
 
     def test_total_data_bytes_positive(self, conv_comp):
-        nest = lower(naive_schedule(conv_comp))
+        nest = lower(create_schedule(conv_comp))
         assert nest.total_data_bytes() > 0
 
     def test_bound_extent_counts_gpu_loops(self, conv_comp):
@@ -164,16 +161,22 @@ class TestExecution:
 
 
 class TestAutotuning:
+    @staticmethod
+    def _template(computation, platform_name: str):
+        """The platform template at default parameter values."""
+        context = TuningContext.build(computation, get_platform(platform_name))
+        return context.instantiate(ScheduleParameters())
+
     def test_templates_produce_valid_schedules(self, conv_comp):
-        cpu = cpu_schedule(conv_comp, ScheduleParameters())
-        gpu = gpu_schedule(conv_comp, ScheduleParameters(), get_platform("gpu"))
+        cpu = self._template(conv_comp, "cpu")
+        gpu = self._template(conv_comp, "gpu")
         assert lower(cpu).macs == conv_comp.macs
         assert lower(gpu).macs == conv_comp.macs
         assert any(l.annotation.bind for l in lower(gpu).loops)
 
     def test_default_schedule_dispatches_by_platform(self, conv_comp):
-        cpu_stage = default_schedule(conv_comp, get_platform("cpu"))
-        gpu_stage = default_schedule(conv_comp, get_platform("mgpu"))
+        cpu_stage = self._template(conv_comp, "cpu")
+        gpu_stage = self._template(conv_comp, "mgpu")
         assert any(a.parallel for a in cpu_stage.annotations.values())
         assert any(a.bind for a in gpu_stage.annotations.values())
 
@@ -184,7 +187,7 @@ class TestAutotuning:
         shape = ConvolutionShape(32, 32, 16, 16, 3, 3)
         comp = conv2d_compute(shape)
         platform = get_platform("cpu")
-        naive = estimate_latency(lower_fn(naive_schedule(comp)), platform)
+        naive = estimate_latency(lower_fn(create_schedule(comp)), platform)
         tuned = AutoTuner(trials=8, seed=0).tune(comp, platform)
         assert tuned.seconds < naive.seconds
 

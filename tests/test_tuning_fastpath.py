@@ -2,11 +2,12 @@
 
 The contract under test is *bit-identical results, much less work*:
 
-* ``estimate_latency_batch`` must equal ``estimate_latency`` exactly on
-  arbitrary lowered nests (the scalar path is the reference);
+* ``estimate_latency_batch`` must equal the frozen oracle's scalar
+  ``estimate_latency`` exactly on arbitrary lowered nests;
 * ``AutoTuner.tune`` must return the same ``TuningResult.seconds`` (and
-  parameters, and nest) as ``reference_tune`` — the pre-fast-path loop
-  kept verbatim — for any seed, while instantiating far fewer schedules;
+  parameters, and nest) as the oracle's ``reference_tune`` — the
+  pre-fast-path loop kept verbatim in ``tests/tuning_oracle.py`` — for
+  any seed, while instantiating far fewer schedules;
 * the engine's persistent pool changes no observable latency, only the
   wall clock.
 """
@@ -15,24 +16,22 @@ from __future__ import annotations
 
 import pickle
 
-import numpy as np
 import pytest
 
+import repro.hardware.cost_model as cost_model
+import repro.tenir.autotune as autotune_module
+import tuning_oracle
 from repro.core import SequenceSpec
 from repro.core.engine import EvaluationEngine
-from repro.hardware import estimate_latency, estimate_latency_batch, get_platform
-from repro.hardware.measure import measure_network
+from repro.hardware import estimate_latency_batch, get_platform
 from repro.poly.statement import ConvolutionShape
 from repro.tenir import (
     AutoTuner,
     TuningContext,
     conv2d_compute,
-    default_schedule,
+    create_schedule,
     dense_compute,
     lower,
-    naive_schedule,
-    reference_tune,
-    sample_parameters,
 )
 from repro.utils import divisors, make_rng
 
@@ -50,13 +49,14 @@ SHAPES = [
 def _random_nests(platform, count: int = 24, seed: int = 0):
     """Random scheduled-and-lowered nests: naive, tuned-template and dense."""
     rng = make_rng(seed)
-    nests = [lower(naive_schedule(dense_compute(32, 10, 64)))]
+    nests = [lower(create_schedule(dense_compute(32, 10, 64)))]
     for shape in SHAPES:
         computation = conv2d_compute(shape)
-        nests.append(lower(naive_schedule(computation)))
+        nests.append(lower(create_schedule(computation)))
         while len(nests) < count and len(nests) % len(SHAPES) != 0:
-            params = sample_parameters(computation, platform, rng)
-            nests.append(lower(default_schedule(computation, platform, params)))
+            params = tuning_oracle.sample_parameters(computation, platform, rng)
+            nests.append(lower(tuning_oracle.default_schedule(computation, platform,
+                                                              params)))
     return nests[:count]
 
 
@@ -70,7 +70,7 @@ class TestBatchCostModelEquivalence:
             batch = estimate_latency_batch(nests, platform)
             assert len(batch) == len(nests)
             for nest, batched in zip(nests, batch):
-                scalar = estimate_latency(nest, platform)
+                scalar = tuning_oracle.estimate_latency(nest, platform)
                 # Frozen-dataclass equality covers every field, including
                 # the seconds, the traffic and the quality factors.
                 assert batched == scalar
@@ -83,11 +83,7 @@ class TestBatchCostModelEquivalence:
         platform = get_platform("cpu")
         for nest in _random_nests(platform, count=8):
             for depth in range(len(nest.loops) + 1):
-                varying = nest.varying_iterators_from(depth)
-                unique: dict[str, int] = {}
-                for access in nest.accesses:
-                    footprint = access.footprint(varying)
-                    unique[access.tensor] = max(unique.get(access.tensor, 0), footprint)
+                unique = tuning_oracle._tensor_footprints(nest, depth)
                 expected = sum(unique.values()) * nest.element_bytes
                 assert nest.footprint_bytes(depth) == expected
 
@@ -97,13 +93,6 @@ class TestBatchCostModelEquivalence:
         clone = pickle.loads(pickle.dumps(nest))
         assert clone == nest
         assert "_traffic_arrays" not in clone.__dict__
-
-    def test_measure_network_matches_scalar_sum(self):
-        platform = get_platform("cpu")
-        nests = _random_nests(platform, count=6)
-        measured = measure_network(nests, platform)
-        assert measured.layer_seconds() == [
-            estimate_latency(nest, platform).seconds for nest in nests]
 
 
 class TestTunerFastPath:
@@ -115,8 +104,8 @@ class TestTunerFastPath:
             computation = conv2d_compute(shape)
             for trials, seed in ((1, 0), (8, 0), (24, 1), (24, None)):
                 fast = AutoTuner(trials=trials, seed=seed).tune(computation, platform)
-                reference = reference_tune(computation, platform,
-                                           trials=trials, seed=seed)
+                reference = tuning_oracle.reference_tune(
+                    computation, platform, trials=trials, seed=seed)
                 assert fast.seconds == reference.seconds
                 assert fast.parameters == reference.parameters
                 assert fast.nest == reference.nest
@@ -124,13 +113,13 @@ class TestTunerFastPath:
 
     @pytest.mark.parametrize("platform_name", ("cpu", "gpu"))
     def test_context_sampling_matches_legacy_stream(self, platform_name):
-        """TuningContext.sample consumes the RNG exactly like sample_parameters."""
+        """TuningContext.sample consumes the RNG like the oracle's sampler."""
         platform = get_platform(platform_name)
         computation = conv2d_compute(SHAPES[1])
         context = TuningContext.build(computation, platform)
         rng_fast, rng_legacy = make_rng(3), make_rng(3)
         for _ in range(50):
-            assert context.sample(rng_fast) == sample_parameters(
+            assert context.sample(rng_fast) == tuning_oracle.sample_parameters(
                 computation, platform, rng_legacy)
         # Both generators end in the same state.
         assert rng_fast.random() == rng_legacy.random()
@@ -155,17 +144,22 @@ class TestTunerFastPath:
         assert 0 < calls["count"] < trials, (
             "the small parameter space must dedupe most of the 64 trials")
 
-    def test_tune_many_modes_bit_identical(self):
-        computations = [conv2d_compute(shape) for shape in SHAPES[:4]]
-        platform = get_platform("cpu")
-        tuner = AutoTuner(trials=6, seed=0)
-        serial = [r.seconds for r in tuner.tune_many(computations, platform)]
-        threaded = [r.seconds for r in
-                    tuner.tune_many(computations, platform, parallel="thread")]
-        forked = [r.seconds for r in
-                  tuner.tune_many(computations, platform, parallel="process",
-                                  max_workers=2)]
-        assert serial == threaded == forked
+    @pytest.mark.parametrize("platform_name", PLATFORMS)
+    def test_oracle_never_runs_the_production_path(self, platform_name,
+                                                   monkeypatch):
+        """The oracle (the benchmark baseline) tunes with the fast path disabled."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle called the production tuning path")
+
+        monkeypatch.setattr(cost_model, "estimate_latency_batch", forbidden)
+        monkeypatch.setattr(cost_model, "estimate_dram_traffic_batch", forbidden)
+        monkeypatch.setattr(autotune_module, "estimate_latency_batch", forbidden)
+        monkeypatch.setattr(autotune_module, "shared_tuning_context", forbidden)
+        monkeypatch.setattr(TuningContext, "build", forbidden)
+        result = tuning_oracle.reference_tune(conv2d_compute(SHAPES[1]),
+                                              get_platform(platform_name),
+                                              trials=8, seed=0)
+        assert result.seconds > 0
 
 
 class TestEngineFastPath:
