@@ -26,7 +26,11 @@ number of processes can share one warm directory); an engine without a
 store keeps its entries in memory.  Fisher scores additionally depend on
 the profiled model and minibatch, so they are memoised per
 :class:`FisherOracle` (one oracle per Fisher profile) rather than
-persisted.
+persisted.  The oracle memoises at two levels: per ``(layer, program)``,
+which the hit statistics count, and behind that per ``(layer, operator)``,
+so programs that differ only in schedule steps and derive the same
+:class:`~repro.nn.convs.ConvTransformConfig` build and score that
+operator once.
 
 The engine also enforces stage 1 of the staged legality: every latency
 query is pre-screened through the transform program's structural legality
@@ -67,7 +71,7 @@ from repro.errors import (
 )
 from repro.fisher import candidate_layer_fisher
 from repro.hardware.platform import PlatformSpec
-from repro.nn.convs import DerivedConv2d
+from repro.nn.convs import ConvTransformConfig, DerivedConv2d
 from repro.poly.statement import ConvolutionShape
 from repro.tenir.autotune import AutoTuner
 from repro.utils import make_rng
@@ -202,12 +206,24 @@ class FisherOracle:
     cache lives with the profile rather than in the engine's persistent
     store; the engine only aggregates the hit statistics and supplies the
     candidate-instantiation seed.
+
+    Two memo levels sit behind :meth:`candidate_fisher`.  The first is
+    keyed by ``(layer, program)`` and is what ``fisher_hits`` /
+    ``fisher_misses`` count.  The second is keyed by ``(layer,
+    ConvTransformConfig)``: many programs differ only in schedule steps
+    (an unroll factor, a reorder) and derive the same operator, so they
+    share one :class:`~repro.nn.convs.DerivedConv2d` construction and one
+    forward pass.  The operator key is sound because every candidate is
+    built from a fresh engine-seeded RNG: a score is a pure function of
+    the layer's record and the config, and skipping a construction
+    consumes no draw another candidate sees.
     """
 
     def __init__(self, engine: "EvaluationEngine", profile):
         self.engine = engine
         self.profile = profile
         self._cache: dict[tuple[str, TransformProgram], float] = {}
+        self._operator_cache: dict[tuple[str, ConvTransformConfig], float] = {}
 
     def candidate_fisher(self, workload: LayerWorkload,
                          program: TransformProgram) -> float:
@@ -229,15 +245,27 @@ class FisherOracle:
         else:
             try:
                 config = program.conv_config(workload.shape)
+            except TransformError:
+                score = -np.inf
+            else:
+                score = self._operator_fisher(record, config)
+        self._cache[key] = score
+        return score
+
+    def _operator_fisher(self, record, config: ConvTransformConfig) -> float:
+        """Score of the operator ``config`` derives for ``record``'s layer."""
+        key = (record.name, config)
+        if key not in self._operator_cache:
+            try:
                 candidate = DerivedConv2d(
                     record.in_channels, record.out_channels, record.kernel_size,
                     stride=record.stride, padding=record.padding, config=config,
                     rng=make_rng(self.engine.seed))
                 score = candidate_layer_fisher(record, candidate)
-            except (ModelError, TransformError):
+            except ModelError:
                 score = -np.inf
-        self._cache[key] = score
-        return score
+            self._operator_cache[key] = score
+        return self._operator_cache[key]
 
     def candidate_fisher_many(self, items: Iterable[tuple[LayerWorkload,
                                                           TransformProgram]],

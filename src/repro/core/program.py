@@ -709,13 +709,9 @@ def _structural_legality(program: TransformProgram,
 def _conv_config(program: TransformProgram,
                  shape: ConvolutionShape) -> ConvTransformConfig:
     stages = program.compile(shape)
-    unroll = 1
-    for app in program.steps:
-        if app.primitive == "unroll" and isinstance(app.param("factor"), int):
-            unroll = app.param("factor")
     return ConvTransformConfig.from_neural_transformations(
         [stage.neural_transformations for stage in stages],
-        source_in_channels=shape.c_in, unroll=unroll)
+        source_in_channels=shape.c_in)
 
 
 # ---------------------------------------------------------------------------

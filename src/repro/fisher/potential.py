@@ -95,51 +95,63 @@ def fisher_profile(model: Module, images: np.ndarray, labels: np.ndarray) -> Fis
     """Run one forward/backward pass and collect per-layer Fisher scores.
 
     The model is evaluated in training mode (batch statistics) as in the
-    reference implementation; recording hooks are enabled only for the
-    duration of the call.
+    reference implementation.  The scores read only activation gradients,
+    so the pass takes every parameter off the tape and puts the input on
+    it: the backward pass computes no weight or BN gamma/beta gradient.
+    The caller's model comes back as it went in: the parameters'
+    ``requires_grad`` flags, the BN running statistics the training-mode
+    pass updates, the recording flags and the training mode are restored,
+    and no parameter's ``.grad`` is touched.
     """
     convs = _conv_layers(model)
-    previous_flags = [conv.record_activations for _, conv in convs]
-    for _, conv in convs:
-        conv.record_activations = True
-        conv.last_input = None
-        conv.last_output = None
-
+    parameters = list(model.parameters())
+    grad_flags = [param.requires_grad for param in parameters]
+    recording_flags = [conv.record_activations for _, conv in convs]
+    buffers = [(buffer, buffer.copy()) for _, buffer in model.named_buffers()]
     was_training = model.training
-    model.train(True)
-    logits = model(Tensor(np.asarray(images)))
-    loss = ops.cross_entropy(logits, np.asarray(labels))
-    model.zero_grad()
-    loss.backward()
+    try:
+        for param in parameters:
+            param.requires_grad = False
+        for _, conv in convs:
+            conv.record_activations = True
+            conv.last_input = None
+            conv.last_output = None
+        model.train(True)
+        logits = model(Tensor(np.asarray(images), requires_grad=True))
+        loss = ops.cross_entropy(logits, np.asarray(labels))
+        loss.backward()
 
-    profile = FisherProfile(loss=float(loss.data))
-    for (name, conv), flag in zip(convs, previous_flags):
-        output = conv.last_output
-        conv.record_activations = flag
-        if output is None or output.grad is None or conv.last_input is None:
-            continue
-        score = layer_fisher(output.data, output.grad)
-        in_hw = conv.last_input.shape[2:]
-        profile.layers[name] = LayerFisherRecord(
-            name=name,
-            score=score,
-            input_activation=conv.last_input.data.copy(),
-            output_gradient=output.grad.copy(),
-            output_reference_std=output.data.std(axis=(0, 2, 3)),
-            output_shape=tuple(output.shape),
-            in_channels=conv.in_channels,
-            out_channels=conv.out_channels,
-            kernel_size=conv.kernel_size,
-            stride=conv.stride,
-            padding=conv.padding,
-            groups=conv.groups,
-            input_hw=(int(in_hw[0]), int(in_hw[1])),
-        )
-        conv.last_input = None
-        conv.last_output = None
-
-    model.train(was_training)
-    model.zero_grad()
+        profile = FisherProfile(loss=float(loss.data))
+        for name, conv in convs:
+            output = conv.last_output
+            if output is None or output.grad is None or conv.last_input is None:
+                continue
+            in_hw = conv.last_input.shape[2:]
+            profile.layers[name] = LayerFisherRecord(
+                name=name,
+                score=layer_fisher(output.data, output.grad),
+                input_activation=conv.last_input.data.copy(),
+                output_gradient=output.grad.copy(),
+                output_reference_std=output.data.std(axis=(0, 2, 3)),
+                output_shape=tuple(output.shape),
+                in_channels=conv.in_channels,
+                out_channels=conv.out_channels,
+                kernel_size=conv.kernel_size,
+                stride=conv.stride,
+                padding=conv.padding,
+                groups=conv.groups,
+                input_hw=(int(in_hw[0]), int(in_hw[1])),
+            )
+    finally:
+        for param, flag in zip(parameters, grad_flags):
+            param.requires_grad = flag
+        for (_, conv), flag in zip(convs, recording_flags):
+            conv.record_activations = flag
+            conv.last_input = None
+            conv.last_output = None
+        for buffer, saved in buffers:
+            buffer[...] = saved
+        model.train(was_training)
     return profile
 
 

@@ -144,6 +144,8 @@ class ConvTransformConfig:
     The unified search space manipulates loop nests; this dataclass is the
     network-level summary of the resulting operator so it can be
     instantiated as a trainable module for Fisher / accuracy evaluation.
+    It holds no schedule-only detail (unroll factors, loop orders), so two
+    configs are equal exactly when they describe the same operator.
 
     ``group_factors`` may contain several factors: the output channels are
     split evenly and each split is grouped by its own factor (this is how
@@ -155,11 +157,10 @@ class ConvTransformConfig:
     bottleneck_in: int = 1
     spatial_bottleneck: int = 1
     group_factors: tuple[int, ...] = (1,)
-    unroll: int = 1  # schedule-only; kept so sequences round-trip losslessly
 
     @classmethod
-    def from_neural_transformations(cls, per_stage, *, source_in_channels: int,
-                                    unroll: int = 1) -> "ConvTransformConfig":
+    def from_neural_transformations(cls, per_stage, *,
+                                    source_in_channels: int) -> "ConvTransformConfig":
         """Fold the neural transformations of each produced loop nest into a
         network-level operator description.
 
@@ -215,7 +216,6 @@ class ConvTransformConfig:
             spatial_bottleneck=spatial_h if spatial_h == spatial_w else max(spatial_h,
                                                                             spatial_w),
             group_factors=resolved,
-            unroll=unroll,
         )
 
     def compute_reduction(self) -> float:

@@ -69,6 +69,11 @@ class Module:
         for _, param in self.named_parameters():
             yield param
 
+    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
+        for prefix, module in self.named_modules():
+            for name, buffer in module._buffers.items():
+                yield (f"{prefix}.{name}" if prefix else name), buffer
+
     def num_parameters(self) -> int:
         """Total number of learnable scalar parameters."""
         return sum(p.size for p in self.parameters())
@@ -96,21 +101,17 @@ class Module:
         state: dict[str, np.ndarray] = {}
         for name, param in self.named_parameters():
             state[name] = param.data.copy()
-        for prefix, module in self.named_modules():
-            for buf_name, buf in module._buffers.items():
-                key = f"{prefix}.{buf_name}" if prefix else buf_name
-                state[key] = buf.copy()
+        for name, buffer in self.named_buffers():
+            state[name] = buffer.copy()
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         for name, param in self.named_parameters():
             if name in state:
                 param.data = state[name].copy()
-        for prefix, module in self.named_modules():
-            for buf_name, buf in module._buffers.items():
-                key = f"{prefix}.{buf_name}" if prefix else buf_name
-                if key in state:
-                    buf[...] = state[key]
+        for name, buffer in self.named_buffers():
+            if name in state:
+                buffer[...] = state[name]
 
     # ------------------------------------------------------------------
     # Call protocol

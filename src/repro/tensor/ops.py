@@ -5,6 +5,13 @@ the paper (standard, grouped, bottlenecked and depthwise convolutions are
 all expressed through :func:`conv2d` with appropriate ``groups`` and channel
 counts).  Convolutions use im2col + matmul so that forward and backward
 passes over the NumPy substrate stay fast enough for the experiments.
+
+The forward and input-gradient contractions call ``np.matmul`` on the
+im2col operands, which reads them in place and returns NCHW directly;
+``np.einsum(..., optimize=True)`` copies the whole column tensor into
+transposed order and then copies its result again (DESIGN.md §2 has the
+measurements).  The weight-gradient contraction, which only training
+runs, stays an einsum.
 """
 
 from __future__ import annotations
@@ -44,21 +51,22 @@ def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int) ->
     """Rearrange image patches into columns.
 
     Input ``x`` has shape ``(N, C, H, W)``; the result has shape
-    ``(N, C, KH, KW, OH, OW)``.
+    ``(N, C, KH, KW, OH, OW)``.  The columns are one strided window view
+    over the (zero-padded) input, copied once into a contiguous array.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
-    return cols
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding:padding + h, padding:padding + w] = x
+        x = padded
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, kh, kw, oh, ow),
+        strides=(sn, sc, sh, sw, stride * sh, stride * sw), writeable=False)
+    return windows.copy()
 
 
 def col2im(cols: np.ndarray, input_shape: tuple[int, int, int, int],
@@ -120,15 +128,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     if groups == 1:
         cols_mat = cols.reshape(n, c_in * kh * kw, oh * ow)
         w_mat = weight.data.reshape(c_out, c_in * kh * kw)
-        out_data = np.einsum("ok,nkp->nop", w_mat, cols_mat, optimize=True)
-        out_data = out_data.reshape(n, c_out, oh, ow)
+        out_data = np.matmul(w_mat, cols_mat).reshape(n, c_out, oh, ow)
     else:
         cpg_in = c_in // groups
         cpg_out = c_out // groups
         cols_g = cols.reshape(n, groups, cpg_in * kh * kw, oh * ow)
         w_g = weight.data.reshape(groups, cpg_out, cpg_in * kh * kw)
-        out_data = np.einsum("gok,ngkp->ngop", w_g, cols_g, optimize=True)
-        out_data = out_data.reshape(n, c_out, oh, ow)
+        out_data = np.matmul(w_g, cols_g).reshape(n, c_out, oh, ow)
 
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
@@ -144,7 +150,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
                 weight._accumulate(w_grad.reshape(weight.shape))
             if x.requires_grad:
                 w_mat_local = weight.data.reshape(c_out, c_in * kh * kw)
-                cols_grad = np.einsum("ok,nop->nkp", w_mat_local, grad_mat, optimize=True)
+                cols_grad = np.matmul(w_mat_local.T, grad_mat)
                 cols_grad = cols_grad.reshape(n, c_in, kh, kw, oh, ow)
                 x._accumulate(col2im(cols_grad, x.shape, (kh, kw), stride, padding))
         else:
@@ -157,7 +163,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
                 weight._accumulate(w_grad.reshape(weight.shape))
             if x.requires_grad:
                 w_g_local = weight.data.reshape(groups, cpg_out, cpg_in * kh * kw)
-                cols_grad = np.einsum("gok,ngop->ngkp", w_g_local, grad_g, optimize=True)
+                cols_grad = np.matmul(w_g_local.transpose(0, 2, 1), grad_g)
                 cols_grad = cols_grad.reshape(n, c_in, kh, kw, oh, ow)
                 x._accumulate(col2im(cols_grad, x.shape, (kh, kw), stride, padding))
         if bias is not None and bias.requires_grad:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 import repro
@@ -22,6 +23,7 @@ from repro.core.sequences import SEQUENCE_KINDS, predefined_program
 from repro.errors import ReproError
 from repro.hardware.platform import get_platform
 from repro.nn.convs import DerivedConv2d
+from repro.tensor import Tensor, ops
 
 #: Small settings shared by every search-running test in this module.
 TINY = dict(budget=6, trials=3, width=0.125, image_size=8)
@@ -267,3 +269,19 @@ class TestModelZoo:
         # The instance marker is provenance, not a replayable zoo name.
         with pytest.raises(ReproError, match="live module instance"):
             build_model(result.request.model)
+
+    def test_optimize_leaves_the_caller_model_unchanged(self):
+        """A search reads the model: BN running statistics and the
+        parameters' gradients come back as they went in."""
+        model = build_model("resnet18", width_multiplier=TINY["width"])
+        rng = np.random.default_rng(0)
+        images, labels = rng.normal(size=(2, 3, 8, 8)), rng.integers(0, 10, size=2)
+        ops.cross_entropy(model(Tensor(images)), labels).backward()
+        state = model.state_dict()
+        grads = [param.grad.copy() for param in model.parameters()]
+        repro.optimize(model, platform="cpu", **TINY)
+        after = model.state_dict()
+        assert state.keys() == after.keys()
+        assert [key for key in state if not np.array_equal(state[key], after[key])] == []
+        assert all(np.array_equal(grad, param.grad)
+                   for grad, param in zip(grads, model.parameters()))

@@ -7,16 +7,21 @@ import pytest
 
 from repro import nn
 from repro.core import SequenceSpec, UnifiedSpaceConfig, compare_approaches
+from repro.core import engine as engine_module
 from repro.core.engine import EvaluationEngine
 from repro.core.pipeline import PipelineScale
+from repro.core.program import TransformProgram, step
+from repro.core.sequences import predefined_program
 from repro.core.search import (
     SEARCH_STRATEGY_REGISTRY,
     UnifiedSearch,
     get_strategy,
     register_strategy,
 )
+from repro.core.workloads import extract_workloads
 from repro.data import SyntheticImageDataset
 from repro.errors import EngineError, SearchError
+from repro.fisher import fisher_profile
 from repro.hardware import get_platform
 from repro.models import resnet34
 from repro.poly.statement import ConvolutionShape
@@ -54,6 +59,34 @@ def tune_counter(monkeypatch):
 
     monkeypatch.setattr(AutoTuner, "tune", counted)
     return calls
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Record every operator the Fisher oracle builds and every one it scores."""
+    calls = {"built": [], "scored": []}
+    build, score = engine_module.DerivedConv2d, engine_module.candidate_layer_fisher
+
+    def built(*args, config, **kwargs):
+        calls["built"].append(config)
+        return build(*args, config=config, **kwargs)
+
+    def scored(record, candidate):
+        calls["scored"].append(record.name)
+        return score(record, candidate)
+
+    monkeypatch.setattr(engine_module, "DerivedConv2d", built)
+    monkeypatch.setattr(engine_module, "candidate_layer_fisher", scored)
+    return calls
+
+
+def _fisher_oracle(minibatch):
+    """A fresh Fisher oracle over the small model, plus its workloads by name."""
+    model = _small_model()
+    images, labels = minibatch
+    oracle = EvaluationEngine(get_platform("cpu")).fisher_oracle(
+        fisher_profile(model, images, labels))
+    return oracle, {w.name: w for w in extract_workloads(model, images.shape[1:])}
 
 
 def _items(n: int = 6) -> list[tuple[ConvolutionShape, SequenceSpec]]:
@@ -123,6 +156,49 @@ class TestEngineCache:
         engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2)
         with pytest.raises(EngineError):
             engine.tune_many(_items(2), parallel="gpu")
+
+
+class TestFisherOracle:
+    @pytest.mark.parametrize("first,second", [
+        (predefined_program("seq2", unroll=8), predefined_program("seq2", unroll=16)),
+        (TransformProgram("group", (step("group", factor=2),)),
+         TransformProgram("group", (step("group", factor=2), step("reorder", front=("g",))))),
+    ], ids=["unroll", "reorder"])
+    def test_programs_deriving_one_operator_share_its_score(
+            self, minibatch, derivations, first, second):
+        oracle, workloads = _fisher_oracle(minibatch)
+        workload = workloads["layer2.conv1"]
+        assert first != second
+        assert first.conv_config(workload.shape) == second.conv_config(workload.shape)
+        scores = [oracle.candidate_fisher(workload, first),
+                  oracle.candidate_fisher(workload, second)]
+        assert np.isfinite(scores[0]) and scores[0] == scores[1]
+        assert derivations["scored"] == ["layer2.conv1"]
+        statistics = oracle.engine.statistics
+        assert (statistics.fisher_hits, statistics.fisher_misses) == (0, 2)
+        oracle.candidate_fisher(workload, second)
+        assert (statistics.fisher_hits, statistics.fisher_misses) == (1, 2)
+        # The shared score is the one the second program earns on its own.
+        alone, _ = _fisher_oracle(minibatch)
+        assert alone.candidate_fisher(workload, second) == scores[1]
+
+    def test_infeasible_operator_scores_minus_inf_for_both_programs(
+            self, minibatch, derivations):
+        # The loop nests accept this split, but its operator cannot be built:
+        # bottleneck factors fold across nests by max, so each split maps
+        # 8 -> 2 channels and the second cannot group by 8.
+        steps = (step("split", parts=2),
+                 step("bottleneck", iterator="co", factor=4, nest=0),
+                 step("group", factor=8, nest=1))
+        first = TransformProgram("split", steps)
+        second = TransformProgram("split", steps + (step("unroll", iterator="kw", factor=3),))
+        oracle, workloads = _fisher_oracle(minibatch)
+        workload = workloads["layer1.conv1"]
+        assert first.conv_config(workload.shape) == second.conv_config(workload.shape)
+        assert [oracle.candidate_fisher(workload, first),
+                oracle.candidate_fisher(workload, second)] == [-np.inf, -np.inf]
+        assert len(derivations["built"]) == 1 and derivations["scored"] == []
+        assert oracle.engine.statistics.fisher_misses == 2
 
 
 class TestDiskCache:

@@ -232,6 +232,13 @@ class TestProgramAlgebra:
         assert derived.num_parameters() < DerivedConv2d(16, 16, 3, rng=make_rng(0)
                                                         ).num_parameters()
 
+    def test_conv_config_ignores_schedule_only_steps(self):
+        """Config equality is operator equality: an unroll factor is not part
+        of the derived operator."""
+        shape = ConvolutionShape(16, 16, 8, 8, 3, 3)
+        assert (predefined_program("seq2", unroll=8).conv_config(shape)
+                == predefined_program("seq2", unroll=16).conv_config(shape))
+
     def test_optional_step_is_skipped_when_inapplicable(self):
         # seq1's trailing fuse never fires on the standard nest (the split
         # pair is not adjacent after the group hoist) yet the program stays

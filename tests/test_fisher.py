@@ -16,7 +16,8 @@ from repro.fisher import (
     network_fisher_potential,
     sensitive_layers,
 )
-from repro.tensor import Tensor
+from repro.models import densenet161, resnet18
+from repro.tensor import Tensor, ops
 
 
 def _tiny_model(rng=None):
@@ -83,6 +84,43 @@ class TestFisherProfile:
             if isinstance(module, nn.Conv2d):
                 assert not module.record_activations
                 assert module.last_output is None
+
+    @pytest.mark.parametrize("build", [
+        lambda: resnet18(width_multiplier=0.125),
+        lambda: densenet161(width_multiplier=0.125)], ids=["resnet18", "densenet161"])
+    def test_off_tape_profile_is_bit_identical_to_an_on_tape_pass(self, rng, build):
+        """Taking the parameters off the tape changes no activation gradient."""
+        model = build()
+        images, labels = rng.normal(size=(4, 3, 8, 8)), rng.integers(0, 10, size=4)
+        profile = fisher_profile(model, images, labels)
+        assert all(param.grad is None for param in model.parameters())
+
+        # The same pass with every parameter on the tape, as a training
+        # step would run it.
+        convs = {name: m for name, m in model.named_modules() if isinstance(m, nn.Conv2d)}
+        for conv in convs.values():
+            conv.record_activations = True
+        model.train(True)
+        ops.cross_entropy(model(Tensor(images)), labels).backward()
+        assert all(param.grad is not None for param in model.parameters())
+        assert profile.layer_names() == list(convs)
+        for name, conv in convs.items():
+            record = profile.layers[name]
+            assert np.array_equal(record.output_gradient, conv.last_output.grad)
+            assert record.score == layer_fisher(conv.last_output.data, conv.last_output.grad)
+
+    def test_profile_leaves_the_model_state_and_gradients_unchanged(self, minibatch):
+        model = _tiny_model()
+        ops.cross_entropy(model(Tensor(minibatch[0])), minibatch[1]).backward()
+        state = model.state_dict()
+        grads = [param.grad.copy() for param in model.parameters()]
+        fisher_profile(model, *minibatch)
+        after = model.state_dict()
+        assert state.keys() == after.keys()
+        assert all(np.array_equal(state[key], after[key]) for key in state)
+        assert all(np.array_equal(grad, param.grad)
+                   for grad, param in zip(grads, model.parameters()))
+        assert all(param.requires_grad for param in model.parameters())
 
     def test_without_layer_subtracts_contribution(self, minibatch):
         profile = fisher_profile(_tiny_model(), *minibatch)

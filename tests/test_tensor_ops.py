@@ -94,6 +94,114 @@ class TestConv2d:
         assert ops.conv_output_size(7, 3, 1, 0) == 5
 
 
+# ---------------------------------------------------------------------------
+# Frozen references: the loop im2col and the einsum contractions conv2d ran
+# before it moved to a strided window view and np.matmul.
+# ---------------------------------------------------------------------------
+def _loop_im2col(x, kernel, stride, padding):
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    oh = ops.conv_output_size(h, kh, stride, padding)
+    ow = ops.conv_output_size(w, kw, stride, padding)
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        i_max = i + stride * oh
+        for j in range(kw):
+            j_max = j + stride * ow
+            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
+    return cols
+
+
+def _einsum_conv(x, w, stride, padding, groups):
+    n, c_in = x.shape[:2]
+    c_out, cpg_in, kh, kw = w.shape
+    cols = _loop_im2col(x, (kh, kw), stride, padding)
+    oh, ow = cols.shape[-2:]
+    cols_g = cols.reshape(n, groups, cpg_in * kh * kw, oh * ow)
+    w_g = w.reshape(groups, c_out // groups, cpg_in * kh * kw)
+    if groups == 1:
+        out = np.einsum("ok,nkp->nop", w_g[0], cols_g[:, 0], optimize=True)
+    else:
+        out = np.einsum("gok,ngkp->ngop", w_g, cols_g, optimize=True)
+    return out.reshape(n, c_out, oh, ow)
+
+
+def _einsum_input_grad(grad, x_shape, w, stride, padding, groups):
+    n, c_in = x_shape[:2]
+    c_out, cpg_in, kh, kw = w.shape
+    oh, ow = grad.shape[-2:]
+    w_g = w.reshape(groups, c_out // groups, cpg_in * kh * kw)
+    grad_g = grad.reshape(n, groups, c_out // groups, oh * ow)
+    if groups == 1:
+        cols_grad = np.einsum("ok,nop->nkp", w_g[0], grad_g[:, 0], optimize=True)
+    else:
+        cols_grad = np.einsum("gok,ngop->ngkp", w_g, grad_g, optimize=True)
+    cols_grad = cols_grad.reshape(n, c_in, kh, kw, oh, ow)
+    return ops.col2im(cols_grad, x_shape, (kh, kw), stride, padding)
+
+
+#: (batch, c_in, c_out, height, width, kernel, stride, padding, groups)
+KERNEL_CASES = [
+    (2, 8, 16, 9, 7, 3, 1, 1, 1),     # standard, non-square
+    (2, 8, 16, 8, 8, 3, 2, 1, 2),     # two groups, stride 2
+    (1, 8, 8, 6, 6, 3, 1, 2, 4),      # four groups, padding 2, batch 1
+    (2, 8, 8, 10, 6, 3, 2, 1, 8),     # depthwise, stride 2, non-square
+    (3, 6, 12, 5, 5, 1, 1, 0, 1),     # 1x1
+    (1, 4, 4, 6, 6, 1, 2, 0, 4),      # 1x1 depthwise, stride 2, batch 1
+    (1, 4, 8, 7, 11, 5, 2, 0, 2),     # 5x5, padding 0, non-square
+]
+
+
+def _kernel_operands(rng, case):
+    n, c_in, c_out, h, w, k, stride, padding, groups = case
+    x = rng.normal(size=(n, c_in, h, w))
+    weight = rng.normal(size=(c_out, c_in // groups, k, k))
+    return x, weight, stride, padding, groups
+
+
+def _assert_matches_float64_reference(actual, reference):
+    """The tolerance fixed before the kernels changed (matmul sums in
+    another order; the depthwise case takes a gemv path and differs in the
+    last ulp)."""
+    np.testing.assert_allclose(actual, reference, rtol=1e-12,
+                               atol=1e-12 * np.abs(reference).max())
+
+
+class TestKernelReferences:
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_im2col_equals_the_loop_version_exactly(self, rng, case):
+        x, weight, stride, padding, _ = _kernel_operands(rng, case)
+        kernel = weight.shape[2:]
+        assert np.array_equal(ops.im2col(x, kernel, stride, padding),
+                              _loop_im2col(x, kernel, stride, padding))
+
+    def test_im2col_of_a_channel_slice_equals_the_loop_version(self, rng):
+        # Input bottlenecking convolves a non-contiguous channel slice.
+        x = rng.normal(size=(2, 8, 6, 5))[:, :4]
+        assert np.array_equal(ops.im2col(x, (3, 3), 2, 1), _loop_im2col(x, (3, 3), 2, 1))
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_forward_matches_the_einsum_reference(self, rng, case):
+        x, weight, stride, padding, groups = _kernel_operands(rng, case)
+        out = ops.conv2d(Tensor(x), Tensor(weight), stride=stride, padding=padding,
+                         groups=groups)
+        _assert_matches_float64_reference(
+            out.data, _einsum_conv(x, weight, stride, padding, groups))
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_input_gradient_matches_the_einsum_reference(self, rng, case):
+        x, weight, stride, padding, groups = _kernel_operands(rng, case)
+        inputs = Tensor(x, requires_grad=True)
+        out = ops.conv2d(inputs, Tensor(weight), stride=stride, padding=padding,
+                         groups=groups)
+        grad = rng.normal(size=out.shape)
+        out.backward(grad)
+        _assert_matches_float64_reference(
+            inputs.grad, _einsum_input_grad(grad, x.shape, weight, stride, padding, groups))
+
+
 class TestIm2col:
     def test_roundtrip_counts_overlaps(self, rng):
         x = rng.normal(size=(1, 1, 4, 4))
