@@ -20,9 +20,7 @@ from repro.hardware import get_platform
 from repro.models import resnet34
 
 
-def _run_strategy(strategy: str, scale, seed: int = 0,
-                  learner: str = "ridge", acquisition: str = "rank",
-                  encoding: str = "flat"):
+def _run_strategy(strategy: str, scale, seed: int = 0):
     pipeline = scale.pipeline
     platform = get_platform("cpu")
     dataset = cifar_dataset(scale, seed=seed)
@@ -32,8 +30,7 @@ def _run_strategy(strategy: str, scale, seed: int = 0,
     search = UnifiedSearch(platform, configurations=pipeline.configurations,
                            strategy=strategy,
                            space=UnifiedSpaceConfig(seed=seed), seed=seed,
-                           engine=engine, learner=learner,
-                           acquisition=acquisition, encoding=encoding)
+                           engine=engine)
     model = resnet34(width_multiplier=pipeline.width_multiplier)
     outcome = search.search(model, images, labels, dataset.spec.image_shape)
     return outcome, engine
@@ -68,76 +65,6 @@ def test_bench_predictor_search_vs_evolutionary(benchmark, scale):
         f"{guided_tunings} vs {evolutionary_tunings} ({reduction:.2f}x)")
     assert guided.statistics.evaluations_saved > 0
     assert guided.statistics.full_tunings == guided_tunings
-
-
-#: The surrogates beyond the ridge reference (see repro.core.predictor).
-NEW_LEARNERS = ("random_forest", "gbrt", "gp")
-
-
-def test_bench_learner_portfolio(benchmark, scale, perf_record):
-    """Every portfolio surrogate vs. the ridge/rank reference search.
-
-    The tuning bill is structural — the budget fixes the number of
-    full-trial tunings regardless of which surrogate screens — so every
-    learner is compared at exactly the reference's bill.  At the quick
-    (CI) scale each new learner must match or beat the reference's final
-    latency; at the larger default scale the exploitative ridge/rank
-    pairing is a strong incumbent, so the others are only held to a
-    sanity envelope (never below baseline, within 1.5x of the
-    reference).  The recorded ``speedup`` is reference latency over the
-    *worst* new learner's latency — the pinned floor in
-    ``perf_baseline.json`` fails CI when any learner regresses >20%.
-    """
-    import os
-    import time
-
-    reference, reference_engine = _run_strategy("model_guided", scale)
-    reference_tunings = full_trial_tunings(reference_engine)
-
-    def sweep():
-        rows = {}
-        for learner in NEW_LEARNERS:
-            outcome, engine = _run_strategy("model_guided", scale,
-                                            learner=learner,
-                                            acquisition="ei")
-            rows[learner] = (outcome, full_trial_tunings(engine))
-        return rows
-
-    start = time.perf_counter()
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    wall = time.perf_counter() - start
-
-    reference_latency = reference.optimized_latency_seconds
-    lines = [f"ridge/rank (reference): {reference_latency * 1e3:.4f}ms "
-             f"({reference.speedup:.2f}x) at {reference_tunings} tunings"]
-    for learner, (outcome, tunings) in rows.items():
-        lines.append(
-            f"{learner}/ei: {outcome.optimized_latency_seconds * 1e3:.4f}ms "
-            f"({outcome.speedup:.2f}x) at {tunings} tunings")
-        assert tunings == reference_tunings, (
-            f"{learner} paid a different tuning bill: "
-            f"{tunings} vs {reference_tunings}")
-        assert outcome.speedup >= 0.999, (
-            f"{learner} regressed below the always-legal baseline")
-    print("\n" + "\n".join(lines))
-
-    worst = max(outcome.optimized_latency_seconds
-                for outcome, _tunings in rows.values())
-    if os.environ.get("REPRO_BENCH_QUICK"):
-        assert worst <= reference_latency, (
-            f"at the CI scale every new learner must match or beat the "
-            f"ridge reference's latency, got {worst:.6g}s vs "
-            f"{reference_latency:.6g}s")
-    else:
-        assert worst <= 1.5 * reference_latency, (
-            f"a new learner strayed beyond the sanity envelope: "
-            f"{worst:.6g}s vs reference {reference_latency:.6g}s")
-    perf_record(wall_seconds=wall,
-                configurations=len(NEW_LEARNERS) * scale.pipeline.configurations,
-                speedup=reference_latency / worst,
-                reference_latency_seconds=reference_latency,
-                worst_learner_latency_seconds=worst,
-                tunings_per_learner=reference_tunings)
 
 
 def test_bench_hyperband_fidelity_ladder(benchmark, scale):

@@ -227,19 +227,16 @@ class OptimizationRequest:
     #: pending-point imputation for model_guided's batch-concurrent rounds
     #: (see repro.core.predictor.LIAR_STRATEGIES; "none" disables it)
     liar: str = "cl_mean"
-    #: surrogate learner for model_guided (repro.core.predictor.LEARNERS)
+    #: model_guided's surrogate, acquisition and candidate encoding.  Each
+    #: field has one accepted value: the study in DESIGN.md §15 retired
+    #: the alternatives.  The fields stay so every request, job and
+    #: checkpoint document keeps the same shape.
     learner: str = "ridge"
-    #: acquisition function for model_guided's candidate selection
-    #: (repro.core.acquisition.ACQUISITIONS; "rank" restores the
-    #: historical rank-by-predicted-speedup bit-identically)
     acquisition: str = "rank"
-    #: candidate featurization (repro.core.encoding.ENCODINGS)
     encoding: str = "flat"
 
     def __post_init__(self) -> None:
-        from repro.core.acquisition import ACQUISITION_REGISTRY
-        from repro.core.encoding import ENCODING_REGISTRY
-        from repro.core.predictor import LEARNER_REGISTRY, LIAR_STRATEGIES
+        from repro.core.predictor import LIAR_STRATEGIES
 
         get_platform(self.platform)  # fail fast on unknown targets
         if self.strategy not in SEARCH_STRATEGY_REGISTRY:
@@ -250,18 +247,12 @@ class OptimizationRequest:
             raise ReproError(
                 f"unknown liar strategy '{self.liar}'; expected one of "
                 f"{('none',) + LIAR_STRATEGIES}")
-        if self.learner not in LEARNER_REGISTRY:
-            raise ReproError(
-                f"unknown learner '{self.learner}'; expected one of "
-                f"{tuple(LEARNER_REGISTRY)}")
-        if self.acquisition not in ACQUISITION_REGISTRY:
-            raise ReproError(
-                f"unknown acquisition '{self.acquisition}'; expected one of "
-                f"{tuple(ACQUISITION_REGISTRY)}")
-        if self.encoding not in ENCODING_REGISTRY:
-            raise ReproError(
-                f"unknown encoding '{self.encoding}'; expected one of "
-                f"{tuple(ENCODING_REGISTRY)}")
+        for name, only in (("learner", "ridge"), ("acquisition", "rank"),
+                           ("encoding", "flat")):
+            if getattr(self, name) != only:
+                raise ReproError(
+                    f"request field '{name}' must be '{only}', got "
+                    f"{getattr(self, name)!r}")
         if self.configurations < 1:
             raise ReproError("the search budget must be at least 1 configuration")
         if self.tuner_trials < 1:
@@ -276,8 +267,17 @@ class OptimizationRequest:
 
     @classmethod
     def from_dict(cls, document: Mapping) -> "OptimizationRequest":
+        schema = document.get("schema", REQUEST_SCHEMA)
+        if schema != REQUEST_SCHEMA:
+            raise ReproError(f"cannot read request schema '{schema}'; "
+                             f"this build reads '{REQUEST_SCHEMA}'")
         fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{key: value for key, value in document.items() if key in fields})
+        unknown = sorted(set(document) - fields - {"schema"})
+        if unknown:
+            raise ReproError(f"unknown request field(s) {unknown}; expected "
+                             f"some of {sorted(fields)}")
+        return cls(**{key: value for key, value in document.items()
+                      if key != "schema"})
 
 
 @dataclass(frozen=True)
@@ -609,8 +609,7 @@ class OptimizationSession:
                  fisher_threshold: float | None = None,
                  seed: int | None = None, width_multiplier: float | None = None,
                  image_size: int | None = None, fisher_batch: int | None = None,
-                 liar: str | None = None, learner: str | None = None,
-                 acquisition: str | None = None, encoding: str | None = None,
+                 liar: str | None = None,
                  observer: Observer | None = None,
                  checkpoint: str | Path | None = None,
                  checkpoint_interval: float = 0.0) -> OptimizationResult:
@@ -640,8 +639,7 @@ class OptimizationSession:
             ("tuner_trials", tuner_trials), ("fisher_threshold", fisher_threshold),
             ("seed", seed), ("width_multiplier", width_multiplier),
             ("image_size", image_size), ("fisher_batch", fisher_batch),
-            ("liar", liar), ("learner", learner),
-            ("acquisition", acquisition), ("encoding", encoding),
+            ("liar", liar),
         ) if value is not None}
         if isinstance(model, str):
             overrides["model"] = model
@@ -672,8 +670,7 @@ class OptimizationSession:
             fisher_threshold=request.fisher_threshold, strategy=request.strategy,
             space=UnifiedSpaceConfig(seed=request.seed), seed=request.seed,
             engine=engine, observer=observer or self.observer,
-            liar=request.liar, learner=request.learner,
-            acquisition=request.acquisition, encoding=request.encoding)
+            liar=request.liar)
         writer = None
         if checkpoint is not None:
             from repro.core.checkpoint import CheckpointWriter
@@ -781,8 +778,6 @@ def optimize(model: Module | str = "resnet34", *, platform: str = "cpu",
              strategy: str = "greedy", budget: int = 60, trials: int = 4,
              seed: int = 0, fisher_threshold: float = 1.0,
              width: float = 0.25, image_size: int = 16, fisher_batch: int = 4,
-             learner: str = "ridge", acquisition: str = "rank",
-             encoding: str = "flat",
              cache_dir: str | Path | None = None,
              observer: Observer | None = None,
              checkpoint: str | Path | None = None,
@@ -793,10 +788,7 @@ def optimize(model: Module | str = "resnet34", *, platform: str = "cpu",
     engine teardown (cache write-back, pool shutdown) before returning.
     With ``checkpoint=``, the search persists its resume point after
     every tuning batch, so a killed run continues bit-identically with
-    :func:`resume_checkpoint`.  ``learner``, ``acquisition`` and
-    ``encoding`` pick the surrogate portfolio of the ``model_guided``
-    strategy (see :mod:`repro.core.acquisition`); the defaults
-    reproduce the historical behaviour exactly.
+    :func:`resume_checkpoint`.
 
     Example::
 
@@ -810,8 +802,6 @@ def optimize(model: Module | str = "resnet34", *, platform: str = "cpu",
                                 fisher_threshold=fisher_threshold,
                                 width_multiplier=width, image_size=image_size,
                                 fisher_batch=fisher_batch,
-                                learner=learner, acquisition=acquisition,
-                                encoding=encoding,
                                 checkpoint=checkpoint,
                                 checkpoint_interval=checkpoint_interval)
 

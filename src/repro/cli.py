@@ -110,14 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strategies", default=None,
                      help="comma-separated strategy list, for experiments "
                           "that compare strategies (e.g. analysis_predictor)")
-    run.add_argument("--learner", default=None,
-                     help="surrogate learner for predictor-guided drivers "
-                          "(ridge, random_forest, gbrt, gp)")
-    run.add_argument("--acquisition", default=None,
-                     help="acquisition function for predictor-guided "
-                          "drivers (rank, ei, pi, lcb, thompson)")
-    run.add_argument("--encoding", default=None,
-                     help="candidate featurization (flat, path)")
     run.add_argument("--transfer-from", dest="transfer_from", default=None,
                      help="warm-start the surrogate from this platform's "
                           "trained predictor (analysis_predictor)")
@@ -140,15 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--width", type=float, default=0.25,
                           help="width multiplier for the zoo network")
     optimize.add_argument("--image-size", type=int, default=16)
-    optimize.add_argument("--learner", default="ridge",
-                          help="surrogate learner for model_guided: ridge, "
-                               "random_forest, gbrt or gp")
-    optimize.add_argument("--acquisition", default="rank",
-                          help="acquisition function for model_guided: rank "
-                               "(the historical behaviour), ei, pi, lcb or "
-                               "thompson")
-    optimize.add_argument("--encoding", default="flat",
-                          help="candidate featurization: flat or path")
     optimize.add_argument("--cache-dir", default=None,
                           help="persist engine caches under this directory "
                                "(default: $REPRO_CACHE_DIR when set)")
@@ -241,12 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--seed", type=int, default=0)
     submit.add_argument("--width", type=float, default=0.25)
     submit.add_argument("--image-size", type=int, default=16)
-    submit.add_argument("--learner", default="ridge",
-                        help="surrogate learner for model_guided jobs")
-    submit.add_argument("--acquisition", default="rank",
-                        help="acquisition function for model_guided jobs")
-    submit.add_argument("--encoding", default="flat",
-                        help="candidate featurization: flat or path")
     submit.add_argument("--liar", default="cl_mean",
                         help="pending-point imputation for model_guided "
                              "batches: cl_min, cl_max, cl_mean or none")
@@ -303,9 +280,6 @@ def _run_options(spec, args) -> dict:
         "strategy": args.strategy,
         "strategies": _csv(args.strategies) if args.strategies else None,
         "max_layers": args.max_layers,
-        "learner": args.learner,
-        "acquisition": args.acquisition,
-        "encoding": args.encoding,
         "transfer_from": args.transfer_from,
     }
     options = {}
@@ -387,8 +361,6 @@ def _cmd_optimize(args) -> int:
             args.model, platform=args.platform, strategy=args.strategy,
             budget=args.budget, trials=args.trials, seed=args.seed,
             width=args.width, image_size=args.image_size,
-            learner=args.learner, acquisition=args.acquisition,
-            encoding=args.encoding,
             cache_dir=args.cache_dir or env_cache_dir(),
             observer=_print_progress if args.progress else None,
             checkpoint=args.checkpoint,
@@ -615,8 +587,7 @@ def _cmd_submit(args) -> int:
         model=args.model, platform=args.platform, strategy=args.strategy,
         configurations=args.budget, tuner_trials=args.trials, seed=args.seed,
         width_multiplier=args.width, image_size=args.image_size,
-        liar=args.liar, learner=args.learner, acquisition=args.acquisition,
-        encoding=args.encoding)
+        liar=args.liar)
     client = _service_client(args)
     job_id = client.submit(request)
     if not args.wait:

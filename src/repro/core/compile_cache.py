@@ -174,10 +174,6 @@ class CompileCache:
             self._entries.clear()
             self.statistics.invalidations += 1
 
-    def reset_statistics(self) -> None:
-        with self._lock:
-            self.statistics = CompileCacheStatistics()
-
     def info(self) -> dict:
         """JSON-ready description of the trie (size, bound, counters)."""
         stats = self.statistics

@@ -1,4 +1,4 @@
-"""Fixed-width candidate encodings for the predictor-guided search.
+"""The fixed-width candidate encoding of the predictor-guided search.
 
 The online latency surrogate (:mod:`repro.core.predictor`) needs every
 ``(convolution shape, TransformProgram)`` candidate as a fixed-width
@@ -15,22 +15,12 @@ numeric vector.  This module is the one place that featurization lives:
   estimate (MACs per byte touched), which is what separates memory-bound
   from compute-bound layers for the cost model the latencies come from.
 
-Encodings are *syntactic*: they read the program's steps and the shape's
+The encoding is *syntactic*: it reads the program's steps and the shape's
 extents only — no compilation, no legality check, no tuner trial — so a
 search can featurize thousands of candidates for the price of one tuning.
 The NAS-encodings literature (BANANAS and friends) shows that even such
 flat encodings carry enough signal for a surrogate to rank candidates;
 DESIGN.md §10 documents the exact schema and its stability rules.
-
-Two encodings are registered (see :data:`ENCODING_REGISTRY`):
-
-* ``flat`` — the original count/parameter/shape vector above
-  (:func:`encode_candidate`, columns named by :data:`FEATURE_NAMES`);
-* ``path`` — a path-based encoding per the NAS-encodings study: which
-  primitive the program starts and ends with plus the count of every
-  adjacent primitive *transition*, so the surrogate sees step order,
-  which the flat counts erase (:func:`encode_path`, columns named by
-  :data:`PATH_FEATURE_NAMES`).
 
 Example::
 
@@ -134,8 +124,20 @@ def arithmetic_intensity(shape: ConvolutionShape) -> float:
     return shape.macs() / max(bytes_touched, 1.0)
 
 
-def _program_factors(program: TransformProgram) -> dict[str, object]:
-    """The per-primitive counts and parameter products both encodings share."""
+def encode_candidate(shape: ConvolutionShape,
+                     program: TransformProgram) -> np.ndarray:
+    """Featurize one ``(shape, program)`` candidate as a fixed-width vector.
+
+    Purely syntactic — reads the program steps and shape extents only —
+    and deterministic: the same candidate always encodes to the same
+    vector, which keeps the predictor (and every search built on it)
+    reproducible.  Columns are named by :data:`FEATURE_NAMES`.
+
+    Example::
+
+        vector = encode_candidate(shape, program)
+        features = dict(zip(FEATURE_NAMES, vector))
+    """
     counts = {name: 0.0 for name in ENCODED_PRIMITIVES}
     other = 0.0
     optional = 0.0
@@ -169,66 +171,30 @@ def _program_factors(program: TransformProgram) -> dict[str, object]:
             bottleneck_product *= _int_factor(app.param("factor"))
         elif app.primitive == "depthwise":
             depthwise = 1.0
-    return {"counts": counts, "other": other, "optional": optional,
-            "tile_product": tile_product, "split_product": split_product,
-            "unroll_product": unroll_product, "split_parts": split_parts,
-            "group_factor": group_factor,
-            "bottleneck_product": bottleneck_product, "depthwise": depthwise}
-
-
-def _parameter_features(factors: dict[str, object]) -> list[float]:
-    return [
-        _log2(factors["tile_product"]),
-        _log2(factors["split_product"]),
-        _log2(factors["unroll_product"]),
-        factors["split_parts"],
-        _log2(factors["group_factor"]),
-        _log2(factors["bottleneck_product"]),
-        factors["depthwise"],
-    ]
-
-
-def _shape_features(shape: ConvolutionShape,
-                    program: TransformProgram) -> list[float]:
-    return [
-        _log2(shape.c_out),
-        _log2(shape.c_in),
-        _log2(shape.h_out * shape.w_out),
-        float(shape.k_h * shape.k_w),
-        float(shape.stride),
-        1.0 if shape.groups > 1 else 0.0,
-        _log2(shape.macs()),
-        math.log2(max(arithmetic_intensity(shape), 1e-6)),
-        math.log2(_mac_reduction(shape, program)),
-    ]
-
-
-def encode_candidate(shape: ConvolutionShape,
-                     program: TransformProgram) -> np.ndarray:
-    """Featurize one ``(shape, program)`` candidate as a fixed-width vector.
-
-    Purely syntactic — reads the program steps and shape extents only —
-    and deterministic: the same candidate always encodes to the same
-    vector, which keeps the predictor (and every search built on it)
-    reproducible.  Columns are named by :data:`FEATURE_NAMES`.
-
-    Example::
-
-        vector = encode_candidate(shape, program)
-        features = dict(zip(FEATURE_NAMES, vector))
-    """
-    factors = _program_factors(program)
-    counts = factors["counts"]
     vector = np.array(
         [counts[name] for name in ENCODED_PRIMITIVES]
         + [
-            factors["other"],
+            other,
             float(len(program.steps)),
-            factors["optional"],
+            optional,
             1.0 if program.is_neural else 0.0,
-        ]
-        + _parameter_features(factors)
-        + _shape_features(shape, program),
+            _log2(tile_product),
+            _log2(split_product),
+            _log2(unroll_product),
+            split_parts,
+            _log2(group_factor),
+            _log2(bottleneck_product),
+            depthwise,
+            _log2(shape.c_out),
+            _log2(shape.c_in),
+            _log2(shape.h_out * shape.w_out),
+            float(shape.k_h * shape.k_w),
+            float(shape.stride),
+            1.0 if shape.groups > 1 else 0.0,
+            _log2(shape.macs()),
+            math.log2(max(arithmetic_intensity(shape), 1e-6)),
+            math.log2(_mac_reduction(shape, program)),
+        ],
         dtype=np.float64,
     )
     assert vector.shape == (len(FEATURE_NAMES),)
@@ -252,139 +218,3 @@ def encode_batch(items: Iterable[tuple[ConvolutionShape, TransformProgram]]
 def feature_dict(vector: Sequence[float]) -> dict[str, float]:
     """Render one encoded vector as ``{feature name: value}`` (debugging)."""
     return {name: float(value) for name, value in zip(FEATURE_NAMES, vector)}
-
-
-# ---------------------------------------------------------------------------
-# The path-based encoding (per the NAS-encodings study)
-# ---------------------------------------------------------------------------
-
-#: Token alphabet of the path encoding: every encoded primitive plus the
-#: ``other`` bucket, so unknown primitives never change the vector width.
-_PATH_TOKENS: tuple[str, ...] = ENCODED_PRIMITIVES + ("other",)
-_PATH_INDEX = {token: index for index, token in enumerate(_PATH_TOKENS)}
-
-#: Names of the path encoding's columns, in vector order.
-PATH_FEATURE_NAMES: tuple[str, ...] = tuple(
-    [f"starts_{token}" for token in _PATH_TOKENS]
-    + [f"ends_{token}" for token in _PATH_TOKENS]
-    + [f"pair_{first}__{second}" for first in _PATH_TOKENS
-       for second in _PATH_TOKENS]
-    + ["steps_total", "steps_optional", "is_neural"]
-    + ["log2_tile_product", "log2_split_product", "log2_unroll_product",
-       "split_parts", "log2_group_factor", "log2_bottleneck_product",
-       "is_depthwise"]
-    + ["log2_c_out", "log2_c_in", "log2_spatial", "kernel_area", "stride",
-       "is_grouped_shape", "log2_macs", "log2_arithmetic_intensity",
-       "log2_mac_reduction"]
-)
-
-
-def encode_path(shape: ConvolutionShape,
-                program: TransformProgram) -> np.ndarray:
-    """Path-based featurization: step *order*, not just step counts.
-
-    A ``TransformProgram`` is one path through the primitive alphabet,
-    so — following the path encodings of the NAS-encodings study — the
-    vector records which primitive the path starts and ends with plus a
-    count for every adjacent ``(primitive, primitive)`` transition.
-    Two programs with identical primitive multisets but different step
-    orders (``tile;unroll`` vs ``unroll;tile``) encode differently here
-    and identically under :func:`encode_candidate`.  The parameter and
-    shape blocks are shared with the flat encoding.  Purely syntactic
-    and deterministic, like every encoding in this module.
-
-    Example::
-
-        vector = encode_path(shape, program)
-        assert vector.shape == (len(PATH_FEATURE_NAMES),)
-    """
-    tokens = [app.primitive if app.primitive in _PATH_INDEX else "other"
-              for app in program.steps]
-    starts = np.zeros(len(_PATH_TOKENS), dtype=np.float64)
-    ends = np.zeros(len(_PATH_TOKENS), dtype=np.float64)
-    pairs = np.zeros((len(_PATH_TOKENS), len(_PATH_TOKENS)), dtype=np.float64)
-    if tokens:
-        starts[_PATH_INDEX[tokens[0]]] = 1.0
-        ends[_PATH_INDEX[tokens[-1]]] = 1.0
-    for first, second in zip(tokens, tokens[1:]):
-        pairs[_PATH_INDEX[first], _PATH_INDEX[second]] += 1.0
-    factors = _program_factors(program)
-    vector = np.concatenate([
-        starts,
-        ends,
-        pairs.ravel(),
-        np.array([float(len(program.steps)), factors["optional"],
-                  1.0 if program.is_neural else 0.0], dtype=np.float64),
-        np.array(_parameter_features(factors), dtype=np.float64),
-        np.array(_shape_features(shape, program), dtype=np.float64),
-    ])
-    assert vector.shape == (len(PATH_FEATURE_NAMES),)
-    return vector
-
-
-# ---------------------------------------------------------------------------
-# The encoding registry
-# ---------------------------------------------------------------------------
-
-class CandidateEncoding:
-    """One registered candidate featurization (name, columns, encoder).
-
-    Example::
-
-        encoding = get_encoding("path")
-        vector = encoding.encode(shape, program)
-        assert len(vector) == len(encoding.feature_names)
-    """
-
-    def __init__(self, name: str, feature_names: tuple[str, ...], encode):
-        self.name = name
-        self.feature_names = tuple(feature_names)
-        self.encode = encode
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"CandidateEncoding({self.name!r}, "
-                f"{len(self.feature_names)} columns)")
-
-
-ENCODING_REGISTRY: dict[str, CandidateEncoding] = {}
-
-
-def register_encoding(name: str, feature_names: Sequence[str]):
-    """Decorator registering an encoder function under ``name``.
-
-    Example::
-
-        @register_encoding("my_encoding", MY_FEATURE_NAMES)
-        def encode_mine(shape, program):
-            ...
-    """
-
-    def wrap(function):
-        ENCODING_REGISTRY[name] = CandidateEncoding(
-            name, tuple(feature_names), function)
-        return function
-
-    return wrap
-
-
-ENCODING_REGISTRY["flat"] = CandidateEncoding("flat", FEATURE_NAMES,
-                                              encode_candidate)
-ENCODING_REGISTRY["path"] = CandidateEncoding("path", PATH_FEATURE_NAMES,
-                                              encode_path)
-
-#: Registered encoding names, in registration order (``flat`` first).
-ENCODINGS = tuple(ENCODING_REGISTRY)
-
-
-def get_encoding(name: str) -> CandidateEncoding:
-    """Resolve a registered encoding by name.
-
-    Example::
-
-        width = len(get_encoding("flat").feature_names)
-    """
-    try:
-        return ENCODING_REGISTRY[name]
-    except KeyError:
-        raise ReproError(f"unknown encoding '{name}'; expected one of "
-                         f"{tuple(ENCODING_REGISTRY)}") from None

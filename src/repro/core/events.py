@@ -22,8 +22,8 @@ public surface and covered by ``tests/test_api.py``):
 ``tune_result``
     ``trials`` and ``entries`` — one serialised ``{shape, program,
     trials, latency_seconds}`` record per tuned cache miss of a
-    ``tune_many`` call.  This is the training feed of the online latency
-    predictor (:meth:`repro.core.predictor.LatencyPredictor.attach`).
+    ``tune_many`` call.  The optimization service trains its warm
+    per-platform latency predictors on this feed.
 ``predictor_fitted``
     ``observations``, ``mae`` — the ``model_guided`` strategy refit its
     surrogate on the tunings observed so far

@@ -33,14 +33,10 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.core.acquisition import (DEFAULT_KAPPA, acquisition_rng, argbest,
-                                    get_acquisition, ranking)
 from repro.core.compile_cache import COMPILE_CACHE
-from repro.core.encoding import get_encoding
 from repro.core.engine import EvaluationEngine, FisherOracle
 from repro.core.events import Observer, ProgressEvent
-from repro.core.predictor import (LIAR_STRATEGIES, LatencyPredictor,
-                                  get_learner)
+from repro.core.predictor import LIAR_STRATEGIES, LatencyPredictor
 from repro.core.program import TransformProgram
 from repro.core.sequences import predefined_program
 from repro.core.unified_space import UnifiedSpace, UnifiedSpaceConfig
@@ -555,31 +551,19 @@ class ModelGuidedStrategy:
         # Insertion-ordered on purpose: set iteration order would depend
         # on string hashing and break run-to-run reproducibility.
         tuned: dict[tuple[ConvolutionShape, TransformProgram], None] = {}
-        # Best observed latency ratio (tuned / baseline) so far — the
-        # incumbent the improvement-based acquisitions (EI, PI) measure
-        # against.  The baselines themselves sit at ratio 1.0.
-        best_ratio = [1.0]
-        # Stochastic acquisitions draw from a dedicated stream derived
-        # from the search seed, never from ``context.rng`` — swapping the
-        # acquisition cannot perturb any result-bearing random decision.
-        acq_rng = acquisition_rng(search.seed)
 
         def tune_batch(batch) -> None:
             if not batch:
                 return
             latencies = context.engine.tune_many(batch)
-            for (shape, _program), seconds in zip(batch, latencies):
-                ratio = seconds / baselines[shape]
-                if ratio < best_ratio[0]:
-                    best_ratio[0] = ratio
             # Feed the surrogate directly from the batch results, in
             # batch order, rather than through the engine's tune_result
             # events: events fire for cache misses only, so on a warm
             # engine (repeated seeds, shared sessions, REPRO_CACHE_DIR)
             # the direct path keeps the observation stream — and hence
             # the whole trajectory — identical to the cold run.  The
-            # event stream remains how an externally attach()ed predictor
-            # learns across searches.
+            # event stream is how the service's per-platform predictors
+            # learn across jobs.
             for (shape, program), seconds in zip(batch, latencies):
                 predictor.observe(shape, program, seconds,
                                   trials=context.engine.tuner_trials)
@@ -623,9 +607,8 @@ class ModelGuidedStrategy:
                 # starve the rest of the network.  The whole batch then
                 # tunes concurrently through one tune_many submission and
                 # the surrogate refits on real data once per round.
-                order = self._acquisition_batch(
-                    search, context, predictor, untuned, baselines,
-                    remaining, best_ratio[0], acq_rng)
+                order = self._predicted_batch(search, context, predictor,
+                                              untuned, baselines, remaining)
             else:
                 # Cold start: the surrogate is not trustworthy yet, fall
                 # back to random exploration — but only for as many
@@ -643,40 +626,37 @@ class ModelGuidedStrategy:
         return assignment, search._assignment_latency(context, assignment)
 
     @staticmethod
-    def _acquisition_batch(search: "UnifiedSearch", context: _SearchContext,
-                           predictor, untuned, baselines, remaining: int,
-                           best_ratio: float, acq_rng) -> list[int]:
-        """One ready round's picks, for every acquisition (``rank`` included).
+    def _predicted_batch(search: "UnifiedSearch", context: _SearchContext,
+                         predictor, untuned, baselines,
+                         remaining: int) -> list[int]:
+        """One ready round's picks: the lowest predicted latency ratios.
 
         The objective is the predicted latency *ratio* to the pair's own
-        baseline (lower is better, the incumbent is ``best_ratio``), so
-        one acquisition score is comparable across shapes whose absolute
-        latencies differ by orders of magnitude.  With ``liar == "none"``
-        one static scoring pass picks up to one candidate per shape.  With
-        a constant liar (DeepHyper AMBS, DESIGN.md §14) picks are
-        sequential without tuning in between: score, pick, impute the pick
-        with a lie so the batch spreads instead of clustering, re-score;
-        every lie is retracted before the batch is tuned.  Ties go to the
-        lower mean, then the first candidate (a stable ``lexsort``), on
-        every machine.  Thompson draws come from ``acq_rng``, never from
-        ``context.rng``.
+        baseline, so one ranking is comparable across shapes whose
+        absolute latencies differ by orders of magnitude.  With
+        ``liar == "none"`` one static ranking picks up to one candidate
+        per shape.  With a constant liar (DeepHyper AMBS, DESIGN.md §14)
+        picks are sequential without tuning in between: rank, pick,
+        impute the pick with a lie so the batch spreads instead of
+        clustering, re-rank; every lie is retracted before the batch is
+        tuned.  A stable sort sends ties to the first candidate and NaN
+        last, on every machine.
         """
-        score = get_acquisition(search.acquisition)
+        trials = context.engine.tuner_trials
+
+        def ratios(pairs) -> np.ndarray:
+            return (predictor.predict_batch(pairs, trials=trials)
+                    / np.array([baselines[shape] for shape, _ in pairs]))
+
         order: list[int] = []
         if search.liar == "none":
-            predicted, spread = predictor.predict_batch_with_std(
-                untuned, trials=context.engine.tuner_trials)
-            gain = np.array([baselines[shape] for shape, _ in untuned])
-            mean = predicted / gain
-            scores = score(mean, spread / gain, best=best_ratio,
-                           kappa=DEFAULT_KAPPA, rng=acq_rng)
             shapes_this_round: set[ConvolutionShape] = set()
-            for index in ranking(scores, mean):
+            for index in np.argsort(ratios(untuned), kind="stable"):
                 shape = untuned[index][0]
                 if shape in shapes_this_round:
                     continue
                 shapes_this_round.add(shape)
-                order.append(index)
+                order.append(int(index))
                 if len(order) >= remaining:
                     break
             return order
@@ -684,20 +664,12 @@ class ModelGuidedStrategy:
         candidates = list(range(len(untuned)))
         try:
             while candidates and len(order) < remaining:
-                predicted, spread = predictor.predict_batch_with_std(
-                    [untuned[index] for index in candidates],
-                    trials=context.engine.tuner_trials)
-                gain = np.array([baselines[untuned[index][0]]
-                                 for index in candidates])
-                mean = predicted / gain
-                scores = score(mean, spread / gain, best=best_ratio,
-                               kappa=DEFAULT_KAPPA, rng=acq_rng)
-                pick = candidates[argbest(scores, mean)]
+                ratio = ratios([untuned[index] for index in candidates])
+                pick = candidates[int(np.argsort(ratio, kind="stable")[0])]
                 shape, program = untuned[pick]
                 order.append(pick)
                 shapes_picked.add(shape)
-                predictor.lie(shape, program,
-                              trials=context.engine.tuner_trials,
+                predictor.lie(shape, program, trials=trials,
                               strategy=search.liar)
                 candidates = [index for index in candidates
                               if untuned[index][0] not in shapes_picked]
@@ -857,14 +829,10 @@ class UnifiedSearch:
                  engine: EvaluationEngine | None = None,
                  observer: Observer | None = None,
                  predictor: LatencyPredictor | None = None,
-                 liar: str = "cl_mean", learner: str = "ridge",
-                 acquisition: str = "rank", encoding: str = "flat"):
+                 liar: str = "cl_mean"):
         if configurations < 1:
             raise SearchError("the search needs at least one configuration")
         get_strategy(strategy)  # fail fast on unknown names
-        get_learner(learner)
-        get_acquisition(acquisition)
-        get_encoding(encoding)
         if liar not in ("none",) + LIAR_STRATEGIES:
             raise SearchError(
                 f"unknown liar strategy '{liar}'; expected one of "
@@ -895,20 +863,11 @@ class UnifiedSearch:
         # Pending-point imputation rule for model_guided's batch-concurrent
         # rounds ("none" restores the static one-pass ranking).
         self.liar = liar
-        # The surrogate portfolio knobs of model_guided: which learner the
-        # predictor trains, which acquisition scores candidates ("rank"
-        # is the historical rank by predicted speedup) and which candidate
-        # encoding featurizes them.
-        self.learner = learner
-        self.acquisition = acquisition
-        self.encoding = encoding
 
     def _predictor(self) -> LatencyPredictor:
         """The search's latency surrogate (created on first use)."""
         if self.predictor is None:
-            self.predictor = LatencyPredictor(seed=self.seed,
-                                              learner=self.learner,
-                                              encoding=self.encoding)
+            self.predictor = LatencyPredictor()
         return self.predictor
 
     # ------------------------------------------------------------------

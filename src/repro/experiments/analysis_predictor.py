@@ -95,9 +95,7 @@ class PredictorAnalysisResult:
 def run(scale: str | ExperimentScale = "ci", seed: int = 0,
         network: str = "ResNet-34", platform: str = "cpu",
         strategies: tuple[str, ...] = DEFAULT_STRATEGIES,
-        learner: str = "ridge", acquisition: str = "rank",
-        encoding: str = "flat", transfer_from: str = ""
-        ) -> PredictorAnalysisResult:
+        transfer_from: str = "") -> PredictorAnalysisResult:
     scale = get_scale(scale)
     builder = cifar_model_builders(scale)[network]
     dataset = cifar_dataset(scale, seed=seed)
@@ -115,8 +113,7 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0,
         source_search = UnifiedSearch(
             source, configurations=scale.pipeline.configurations,
             strategy="model_guided", space=UnifiedSpaceConfig(seed=seed),
-            seed=seed, engine=source_engine, learner=learner,
-            acquisition=acquisition, encoding=encoding)
+            seed=seed, engine=source_engine)
         source_search.search(builder(), images, labels,
                              dataset.spec.image_shape)
         warm = source_search.predictor
@@ -129,15 +126,12 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0,
         if warm is not None and strategy == "model_guided":
             from repro.core.predictor import LatencyPredictor
 
-            predictor = LatencyPredictor(seed=seed, learner=learner,
-                                         encoding=encoding)
+            predictor = LatencyPredictor()
             predictor.warm_start_from(warm)
         search = UnifiedSearch(plat, configurations=scale.pipeline.configurations,
                                strategy=strategy,
                                space=UnifiedSpaceConfig(seed=seed), seed=seed,
-                               engine=engine, learner=learner,
-                               acquisition=acquisition, encoding=encoding,
-                               predictor=predictor)
+                               engine=engine, predictor=predictor)
         outcome = search.search(builder(), images, labels,
                                 dataset.spec.image_shape)
         statistics = outcome.statistics
@@ -223,8 +217,7 @@ register_experiment(ExperimentSpec(
     description=__doc__.strip().splitlines()[0],
     run=run, report=format_report, payload=to_payload,
     primary=primary_optimization,
-    options=("network", "platform", "strategies", "learner", "acquisition",
-             "encoding", "transfer_from"),
+    options=("network", "platform", "strategies", "transfer_from"),
 ))
 
 

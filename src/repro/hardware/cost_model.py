@@ -50,10 +50,6 @@ class LatencyEstimate:
     details: dict[str, float] = field(default_factory=dict)
 
     @property
-    def milliseconds(self) -> float:
-        return self.seconds * 1e3
-
-    @property
     def arithmetic_intensity(self) -> float:
         return self.flops / max(self.dram_bytes, 1.0)
 

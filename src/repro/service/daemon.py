@@ -252,9 +252,12 @@ class OptimizationService:
         job.result = result
         job.error = error
         job.finished_at = time.time()
-        self.jobs.save(job)
+        # The event goes first: a watcher that sees a terminal job with no
+        # unread log bytes ends its stream, so the log must already hold
+        # job_finished when the terminal state becomes visible.
         self._log_event(job.job_id, "job_finished",
                         {"state": state, "error": error})
+        self.jobs.save(job)
 
     def _log_event(self, job_id: str, kind: str, data: dict) -> None:
         line = json.dumps({"kind": kind, "data": data},

@@ -87,10 +87,6 @@ class ScheduleParameters:
     threads: int = 32
     use_vthread: bool = False
 
-    def describe(self) -> str:
-        return (f"tile_spatial={self.spatial_tile}, tile_channel={self.channel_tile}, "
-                f"unroll={self.unroll}, threads={self.threads}, vthread={self.use_vthread}")
-
 
 def _largest_parallel(stage: Stage, categories: dict[str, list[str]],
                       exclude: tuple[str, ...] = ()) -> str:

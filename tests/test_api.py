@@ -77,10 +77,31 @@ class TestRequest:
                                       strategy="random", configurations=12, seed=3)
         assert OptimizationRequest.from_dict(request.to_dict()) == request
 
-    def test_from_dict_ignores_unknown_keys(self):
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ReproError) as error:
+            OptimizationRequest.from_dict({"learnr": "gp", "stratgy": "random"})
+        assert "learnr" in str(error.value) and "stratgy" in str(error.value)
         document = OptimizationRequest().to_dict()
         document["unknown_future_field"] = 1
+        with pytest.raises(ReproError, match="unknown_future_field"):
+            OptimizationRequest.from_dict(document)
+
+    def test_from_dict_rejects_foreign_schema(self):
+        document = OptimizationRequest().to_dict()
+        document["schema"] = "repro.optimization-request/2"
+        with pytest.raises(ReproError, match="schema"):
+            OptimizationRequest.from_dict(document)
+        del document["schema"]
         assert OptimizationRequest.from_dict(document) == OptimizationRequest()
+
+    @pytest.mark.parametrize("field,value", [
+        ("learner", "gp"), ("acquisition", "ei"), ("encoding", "path"),
+    ])
+    def test_surrogate_fields_accept_only_the_one_surrogate(self, field, value):
+        with pytest.raises(ReproError, match=field):
+            OptimizationRequest.from_dict({field: value})
+        with pytest.raises(ReproError, match=field):
+            OptimizationRequest(**{field: value})
 
     @pytest.mark.parametrize("bad", [
         dict(platform="tpu"), dict(strategy="quantum"),

@@ -9,6 +9,8 @@ run's — for a checkpoint taken at *any* point, including completion.
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +194,39 @@ def test_resume_is_bit_identical(strategy, tmp_path):
     assert stripped(again) == stripped(golden)
 
 
+#: resnet18/cpu model_guided at budget 16, seed 3: the uninterrupted run's
+#: latency under each liar, recorded at the 0.9.0 release (the liar changes
+#: the picks, and cl_min happens to agree with the static ranking here).
+LIAR_LATENCY_HEX = {"cl_mean": "0x1.128baf688ef0ap-13",
+                    "cl_min": "0x1.12252ce2032dfp-13",
+                    "cl_max": "0x1.2558e65562300p-13",
+                    "none": "0x1.12252ce2032dfp-13"}
+
+
+@pytest.mark.parametrize("liar", sorted(LIAR_LATENCY_HEX))
+def test_model_guided_resume_is_bit_identical_for_every_liar(liar, tmp_path):
+    """The liar rides in the checkpoint's request, and a resumed run makes
+    the uninterrupted run's surrogate-guided picks under it."""
+    def run(**kwargs):
+        with repro.OptimizationSession(
+                "cpu", tuner_trials=2, seed=3,
+                observer=kwargs.pop("observer", None)) as session:
+            return session.optimize("resnet18", strategy="model_guided",
+                                    budget=16, image_size=8, fisher_batch=2,
+                                    liar=liar, **kwargs)
+
+    golden = run()
+    assert golden.optimized_latency_seconds.hex() == LIAR_LATENCY_HEX[liar]
+    path = tmp_path / f"{liar}.ckpt.json"
+    with pytest.raises(KeyboardInterrupt):
+        run(checkpoint=path, observer=_AbortAfter(2))
+    partial = read_checkpoint(path)
+    assert not partial.completed
+    assert partial.request_document["liar"] == liar
+    resumed = repro.resume_checkpoint(path)
+    assert stripped(resumed) == stripped(golden)
+
+
 def test_resume_checkpoint_can_relocate_the_checkpoint(tmp_path):
     source = tmp_path / "a.ckpt.json"
     moved = tmp_path / "b.ckpt.json"
@@ -202,3 +237,24 @@ def test_resume_checkpoint_can_relocate_the_checkpoint(tmp_path):
     relocated = repro.resume_checkpoint(source, checkpoint=moved)
     assert stripped(relocated) == stripped(golden)
     assert read_checkpoint(moved).completed
+
+
+#: A model_guided checkpoint killed after its second tuning batch, written
+#: by the 0.9.0 release (the request carries learner/acquisition/encoding
+#: at their defaults), and the uninterrupted run's latency at that release.
+PARENT_CHECKPOINT = Path(__file__).parent / "data" / "model_guided_parent.ckpt.json"
+PARENT_LATENCY_HEX = "0x1.2d7a62266ddbbp-13"
+
+
+def test_checkpoint_from_0_9_resumes_bit_identically(tmp_path):
+    path = tmp_path / "resume.ckpt.json"
+    shutil.copyfile(PARENT_CHECKPOINT, path)
+    request = read_checkpoint(path).request_document
+    assert (request["learner"], request["acquisition"],
+            request["encoding"]) == ("ridge", "rank", "flat")
+    golden = repro.optimize(model="resnet18", platform="cpu",
+                            strategy="model_guided", budget=10, trials=2,
+                            seed=3, image_size=8, fisher_batch=2)
+    resumed = repro.resume_checkpoint(path)
+    assert stripped(resumed) == stripped(golden)
+    assert resumed.optimized_latency_seconds.hex() == PARENT_LATENCY_HEX

@@ -151,6 +151,17 @@ class TestOptimize:
         assert main(["optimize", "--model", "vgg"]) == 1
         assert "unknown model" in capsys.readouterr().err
 
+    def test_retired_surrogate_flags_are_refused(self, capsys):
+        # model_guided has one surrogate; its former selectors are gone
+        # from every command that carried them.
+        for command in ("optimize", "submit", "run"):
+            for flag, value in (("--learner", "gp"), ("--acquisition", "ei"),
+                                ("--encoding", "path")):
+                with pytest.raises(SystemExit) as exited:
+                    main([command, flag, value])
+                assert exited.value.code == 2
+                assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestTune:
     def test_json_round_trips_as_result(self, capsys):

@@ -4,22 +4,22 @@ predictor-guided / multi-fidelity search strategies."""
 from __future__ import annotations
 
 import dataclasses
-import os
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.core.acquisition import ACQUISITIONS
 from repro.core.encoding import (
-    ENCODINGS,
     FEATURE_NAMES,
     encode_batch,
     encode_candidate,
     feature_dict,
 )
 from repro.core.engine import EvaluationEngine
-from repro.core.predictor import LEARNERS, LatencyPredictor
+from repro.core.predictor import LatencyPredictor
+from repro.core.program import program_to_dict
 from repro.core.search import UnifiedSearch
 from repro.core.sequences import paper_sequences, predefined_program
 from repro.core.unified_space import UnifiedSpaceConfig
@@ -39,6 +39,16 @@ def _small_model(seed: int = 0) -> nn.Module:
         nn.BasicResidualBlock(8, 16, stride=2, rng=rng),
         nn.BasicResidualBlock(16, 16, rng=rng),
         nn.GlobalAvgPool2d(), nn.Linear(16, 10, rng=rng))
+
+
+def _predict(predictor: LatencyPredictor, shape, program, *,
+             trials: int = 4) -> float:
+    return float(predictor.predict_batch([(shape, program)], trials=trials)[0])
+
+
+def _observe_all(predictor: LatencyPredictor, entries, *, trials: int = 4):
+    for shape, program, seconds in entries:
+        predictor.observe(shape, program, seconds, trials=trials)
 
 
 class TestEncoding:
@@ -97,12 +107,12 @@ class TestLatencyPredictor:
         predictor = LatencyPredictor(min_observations=4)
         assert not predictor.ready
         with pytest.raises(SearchError):
-            predictor.predict(SHAPE, STANDARD)
+            _predict(predictor, SHAPE, STANDARD)
 
     def test_fit_and_predict_recovers_synthetic_latencies(self):
         predictor = LatencyPredictor(min_observations=4, l2=1e-8)
         entries = self._observations()
-        predictor.observe_many(entries, trials=4)
+        _observe_all(predictor, entries)
         assert predictor.fit()
         assert not predictor.fit()  # lazy: nothing new to learn
         predicted = predictor.predict_batch(
@@ -113,9 +123,9 @@ class TestLatencyPredictor:
     def test_mae_tracks_verified_predictions(self):
         predictor = LatencyPredictor(min_observations=4)
         entries = self._observations()
-        predictor.observe_many(entries[:-1], trials=4)
+        _observe_all(predictor, entries[:-1])
         shape, program, latency = entries[-1]
-        predictor.predict(shape, program, trials=4)
+        _predict(predictor, shape, program)
         assert predictor.statistics.verified_predictions == 0
         predictor.observe(shape, program, latency, trials=4)
         assert predictor.statistics.verified_predictions == 1
@@ -133,43 +143,40 @@ class TestLatencyPredictor:
         predictor.set_reference(SHAPE, 2e-4)
         for program, ratio in zip(programs, (0.5, 0.25, 0.75)):
             predictor.observe(SHAPE, program, 2e-4 * ratio, trials=4)
-        predicted = predictor.predict(SHAPE, programs[0], trials=4)
+        predicted = _predict(predictor, SHAPE, programs[0])
         assert 0.0 < predicted < 2e-4
 
-    def test_ensemble_is_deterministic(self):
+    def test_refit_depends_only_on_the_observations(self):
+        """A model refit after more data equals one fit once on all of it,
+        bit for bit: no state carries over from an earlier fit."""
         entries = self._observations()
-        results = []
-        for _ in range(2):
-            predictor = LatencyPredictor(min_observations=4, ensemble_size=3,
-                                         seed=11)
-            predictor.observe_many(entries, trials=4)
-            results.append(predictor.predict_batch(
-                [(shape, program) for shape, program, _ in entries], trials=4))
-        assert np.array_equal(results[0], results[1])
+        pairs = [(shape, program) for shape, program, _ in entries]
+        incremental = LatencyPredictor(min_observations=4)
+        _observe_all(incremental, entries[:6])
+        incremental.predict_batch(pairs, trials=4)
+        _observe_all(incremental, entries[6:])
+        once = LatencyPredictor(min_observations=4)
+        _observe_all(once, entries)
+        assert np.array_equal(incremental.predict_batch(pairs, trials=4),
+                              once.predict_batch(pairs, trials=4))
+        assert incremental.statistics.fits == 2
+        assert once.statistics.fits == 1
 
-    def test_attach_trains_from_engine_tune_results(self):
-        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0)
-        predictor = LatencyPredictor(min_observations=2)
-        predictor.attach(engine)
-        items = [(SHAPE, program) for program in paper_sequences().values()
-                 if program.applicable(SHAPE)]
-        latencies = engine.tune_many(items)
-        assert predictor.statistics.observations == len(items)
-        # Cache hits tune nothing, so nothing new is observed ...
-        engine.tune_many(items)
-        assert predictor.statistics.observations == len(items)
-        # ... and the observed latencies equal the engine's own results.
-        predictor.detach(engine)
-        engine.tune_many([(SHAPE, STANDARD)])
-        assert predictor.statistics.observations == len(items)
-        assert all(latency > 0 for latency in latencies)
+    def test_predict_batch_with_std_reports_zero_spread(self):
+        predictor = LatencyPredictor(min_observations=4)
+        entries = self._observations()
+        _observe_all(predictor, entries)
+        pairs = [(shape, program) for shape, program, _ in entries]
+        mean, std = predictor.predict_batch_with_std(pairs, trials=4)
+        assert np.array_equal(mean, predictor.predict_batch(pairs, trials=4))
+        assert np.array_equal(std, np.zeros(len(pairs)))
 
 
 class TestModelGuidedDeterminism:
     """Same seed ⇒ identical search trajectory across engine modes."""
 
     @staticmethod
-    def _run(strategy: str, parallel: str):
+    def _run(strategy: str, parallel: str, liar: str = "cl_mean"):
         dataset = SyntheticImageDataset.cifar10_like(
             train_size=32, test_size=16, image_size=8, seed=0)
         images, labels = dataset.random_minibatch(4, seed=0)
@@ -178,16 +185,15 @@ class TestModelGuidedDeterminism:
             search = UnifiedSearch(get_platform("cpu"), configurations=16,
                                    strategy=strategy,
                                    space=UnifiedSpaceConfig(seed=0), seed=0,
-                                   engine=engine)
+                                   engine=engine, liar=liar)
             result = search.search(_small_model(), images, labels,
                                    dataset.spec.image_shape)
             return result, tuple(sorted(map(repr, engine.cache_keys())))
 
-    @pytest.mark.parametrize("strategy", ["model_guided", "hyperband"])
-    def test_trajectory_identical_across_engine_modes(self, strategy):
-        reference, reference_keys = self._run(strategy, "serial")
+    def _assert_modes_agree(self, strategy: str, liar: str = "cl_mean"):
+        reference, reference_keys = self._run(strategy, "serial", liar)
         for parallel in ("thread", "process"):
-            result, keys = self._run(strategy, parallel)
+            result, keys = self._run(strategy, parallel, liar)
             assert keys == reference_keys, f"{parallel} tuned different keys"
             assert result.optimized_latency_seconds == \
                 reference.optimized_latency_seconds
@@ -209,6 +215,17 @@ class TestModelGuidedDeterminism:
                 other_stats.pop(volatile)
             assert other_stats == reference_stats
 
+    @pytest.mark.parametrize("strategy", ["model_guided", "hyperband"])
+    def test_trajectory_identical_across_engine_modes(self, strategy):
+        self._assert_modes_agree(strategy)
+
+    @pytest.mark.parametrize("liar", ["cl_min", "cl_max", "none"])
+    def test_liar_trajectory_identical_across_engine_modes(self, liar):
+        """The other liar values (cl_mean is the default above) pick the
+        same batches whether the engine tunes serially, on threads or in
+        worker processes."""
+        self._assert_modes_agree("model_guided", liar)
+
     def test_repeated_runs_identical(self):
         first, first_keys = self._run("model_guided", "serial")
         second, second_keys = self._run("model_guided", "serial")
@@ -216,114 +233,6 @@ class TestModelGuidedDeterminism:
         assert first.optimized_latency_seconds == second.optimized_latency_seconds
         assert {n: c.sequence for n, c in first.choices.items()} == \
             {n: c.sequence for n, c in second.choices.items()}
-
-
-#: The full learner × acquisition × encoding matrix is the CI
-#: ``predictor-matrix`` job's territory (REPRO_PREDICTOR_MATRIX=1);
-#: the default tier-1 run keeps a covering subset — every learner, every
-#: acquisition and every encoding appears at least once.
-FULL_MATRIX = bool(os.environ.get("REPRO_PREDICTOR_MATRIX"))
-PORTFOLIO_COMBOS = ([(learner, acquisition, encoding)
-                     for learner in LEARNERS
-                     for acquisition in ACQUISITIONS
-                     for encoding in ENCODINGS]
-                    if FULL_MATRIX else
-                    [("ridge", "ei", "flat"),
-                     ("ridge", "pi", "flat"),
-                     ("ridge", "lcb", "flat"),
-                     ("ridge", "thompson", "flat"),
-                     ("ridge", "rank", "path"),
-                     ("random_forest", "ei", "flat"),
-                     ("gbrt", "lcb", "flat"),
-                     ("gp", "thompson", "path")])
-CHECKPOINT_COMBOS = (PORTFOLIO_COMBOS if FULL_MATRIX else
-                     [("random_forest", "ei", "flat"),
-                      ("gp", "lcb", "path")])
-
-
-class TestPortfolioDeterminismMatrix:
-    """Same seed ⇒ identical trajectory for every (learner, acquisition,
-    encoding) — across engine modes and through checkpoint/resume."""
-
-    @staticmethod
-    def _run(learner: str, acquisition: str, encoding: str, parallel: str):
-        dataset = SyntheticImageDataset.cifar10_like(
-            train_size=32, test_size=16, image_size=8, seed=0)
-        images, labels = dataset.random_minibatch(4, seed=0)
-        with EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0,
-                              parallel=parallel, max_workers=2) as engine:
-            search = UnifiedSearch(get_platform("cpu"), configurations=16,
-                                   strategy="model_guided",
-                                   space=UnifiedSpaceConfig(seed=0), seed=0,
-                                   engine=engine, learner=learner,
-                                   acquisition=acquisition, encoding=encoding)
-            result = search.search(_small_model(), images, labels,
-                                   dataset.spec.image_shape)
-            return result, tuple(sorted(map(repr, engine.cache_keys())))
-
-    @staticmethod
-    def _fingerprint(result) -> dict:
-        statistics = dataclasses.asdict(result.statistics)
-        for volatile in ("search_seconds", "compile_hits", "compile_misses",
-                         "prefix_depth_saved"):
-            statistics.pop(volatile)
-        return {"latency": result.optimized_latency_seconds,
-                "choices": {name: (choice.sequence, choice.latency_seconds,
-                                   choice.fisher_score)
-                            for name, choice in result.choices.items()},
-                "statistics": statistics}
-
-    @pytest.mark.parametrize("learner,acquisition,encoding",
-                             PORTFOLIO_COMBOS)
-    def test_trajectory_identical_across_engine_modes(self, learner,
-                                                      acquisition, encoding):
-        reference, reference_keys = self._run(learner, acquisition,
-                                              encoding, "serial")
-        modes = ("serial", "thread", "process") if FULL_MATRIX \
-            else ("serial", "thread")
-        for parallel in modes:
-            result, keys = self._run(learner, acquisition, encoding, parallel)
-            assert keys == reference_keys, f"{parallel} tuned different keys"
-            assert self._fingerprint(result) == self._fingerprint(reference), \
-                f"{parallel} diverged for {learner}/{acquisition}/{encoding}"
-
-    @pytest.mark.parametrize("learner,acquisition,encoding",
-                             CHECKPOINT_COMBOS)
-    def test_checkpoint_resume_bit_identical(self, learner, acquisition,
-                                             encoding, tmp_path):
-        import repro
-        from repro.core.checkpoint import read_checkpoint
-
-        from test_faults import stripped
-
-        class AbortAfter:
-            def __init__(self, batches: int):
-                self.remaining = batches
-
-            def __call__(self, event) -> None:
-                if event.kind == "tune_batch":
-                    self.remaining -= 1
-                    if self.remaining <= 0:
-                        raise KeyboardInterrupt("simulated kill")
-
-        kwargs = dict(model="resnet18", platform="cpu",
-                      strategy="model_guided", budget=10, trials=2, seed=3,
-                      image_size=8, fisher_batch=2, learner=learner,
-                      acquisition=acquisition, encoding=encoding)
-        golden = repro.optimize(**kwargs)
-        path = tmp_path / f"{learner}-{acquisition}-{encoding}.ckpt.json"
-        with pytest.raises(KeyboardInterrupt):
-            repro.optimize(**kwargs, checkpoint=path,
-                           observer=AbortAfter(2))
-        checkpoint = read_checkpoint(path)
-        assert not checkpoint.completed
-        # The portfolio selection survives the checkpoint round trip ...
-        assert checkpoint.request_document["learner"] == learner
-        assert checkpoint.request_document["acquisition"] == acquisition
-        assert checkpoint.request_document["encoding"] == encoding
-        # ... and the resumed run continues to the uninterrupted result.
-        resumed = repro.resume_checkpoint(path)
-        assert stripped(resumed) == stripped(golden)
 
 
 class TestStrategyBehaviour:
@@ -441,7 +350,7 @@ class TestConstantLiar:
         assert predictor.statistics.fits == 1
         # A lie dirties the model; the refit it forces is a liar fit.
         predictor.lie(SHAPE, STANDARD, trials=4, strategy="cl_mean")
-        predictor.predict(SHAPE, STANDARD, trials=4)
+        _predict(predictor, SHAPE, STANDARD)
         assert predictor.statistics.fits == 1
         assert predictor.statistics.liar_fits == 1
         # Liar-biased predictions never enter the MAE ledger: tuning the
@@ -451,21 +360,20 @@ class TestConstantLiar:
                           3e-4, trials=4)
         assert predictor.statistics.verified_predictions == 0
         # Real data arrived: the next fit is a real fit again.
-        predictor.predict(SHAPE, STANDARD, trials=4)
+        _predict(predictor, SHAPE, STANDARD)
         assert predictor.statistics.fits == 2
 
     def test_lies_bias_predictions_until_retracted(self):
         predictor = self._warm_predictor()
         program = list(paper_sequences().values())[0]
-        honest = predictor.predict(SHAPE, program, trials=4)
+        honest = _predict(predictor, SHAPE, program)
         lying = self._warm_predictor()
         for _ in range(4):
             lying.lie(SHAPE, program, trials=4, strategy="cl_max")
-        biased = lying.predict(SHAPE, program, trials=4)
+        biased = _predict(lying, SHAPE, program)
         assert biased != honest
         lying.retract_lies()
-        assert lying.predict(SHAPE, program, trials=4) == \
-            pytest.approx(honest)
+        assert _predict(lying, SHAPE, program) == pytest.approx(honest)
 
 
 class TestLiarBatchSearch:
@@ -508,17 +416,15 @@ class TestLiarBatchSearch:
         assert result.speedup >= 0.999
         assert search.predictor.statistics.liar_fits == 0
 
-    @pytest.mark.parametrize("seed", (0, 1, 2))
-    def test_static_ranking_breaks_ties_to_the_first_candidate(self, seed,
-                                                              monkeypatch):
-        """With every prediction tied, each round tunes the first untuned
-        candidate of each shape, whatever sort kernel numpy dispatches to."""
+    def _rounds(self, liar: str, seed: int, monkeypatch, predicted):
+        """Run a search whose surrogate answers ``predicted(items)``; return
+        each ready round's untuned candidates and the batch it tuned."""
         log = []
 
-        def tied(self, items, *, trials=1):
+        def patched(self, items, *, trials=1):
             items = list(items)
             log.append(("predict", items))
-            return np.ones(len(items)), np.zeros(len(items))
+            return predicted(items)
 
         tune_many = EvaluationEngine.tune_many
 
@@ -527,17 +433,75 @@ class TestLiarBatchSearch:
             log.append(("tune", items))
             return tune_many(self, items, *args, **kwargs)
 
-        monkeypatch.setattr(LatencyPredictor, "predict_batch_with_std", tied)
+        monkeypatch.setattr(LatencyPredictor, "predict_batch", patched)
         monkeypatch.setattr(EvaluationEngine, "tune_many", recorded)
-        self._run("none", seed=seed)
-        rounds = [(untuned, batch) for (kind, untuned), (_, batch)
-                  in zip(log, log[1:]) if kind == "predict"]
+        self._run(liar, seed=seed)
+        # A round's first prediction covers every untuned candidate; the
+        # next tune_many call is the round's batch.
+        rounds, untuned = [], None
+        for kind, items in log:
+            if kind == "predict" and untuned is None:
+                untuned = items
+            elif kind == "tune" and untuned is not None:
+                rounds.append((untuned, items))
+                untuned = None
         assert rounds
+        return rounds
+
+    def _assert_ties_go_to_the_first_candidate(self, liar: str, seed: int,
+                                               monkeypatch):
+        rounds = self._rounds(liar, seed, monkeypatch,
+                              lambda items: np.ones(len(items)))
         for untuned, batch in rounds:
             first: dict = {}
             for shape, program in untuned:
                 first.setdefault(shape, (shape, program))
             assert batch and all(pair == first[pair[0]] for pair in batch)
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_static_ranking_breaks_ties_to_the_first_candidate(self, seed,
+                                                              monkeypatch):
+        """With every prediction tied, each round tunes the first untuned
+        candidate of each shape, whatever sort kernel numpy dispatches to."""
+        self._assert_ties_go_to_the_first_candidate("none", seed, monkeypatch)
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_liar_picks_break_ties_to_the_first_candidate(self, seed,
+                                                          monkeypatch):
+        """The constant-liar picks resolve ties the same way."""
+        self._assert_ties_go_to_the_first_candidate("cl_mean", seed,
+                                                    monkeypatch)
+
+    @pytest.mark.parametrize("liar", ("none", "cl_mean"))
+    def test_nan_predictions_are_picked_last(self, liar, monkeypatch):
+        """A NaN prediction loses to every finite one, within its shape
+        and across shapes, in both selection branches."""
+
+        def first_of_each_shape_nan(items):
+            predicted, seen = np.ones(len(items)), set()
+            for index, (shape, _program) in enumerate(items):
+                if shape not in seen:
+                    seen.add(shape)
+                    predicted[index] = np.nan
+            return predicted
+
+        rounds = self._rounds(liar, 0, monkeypatch, first_of_each_shape_nan)
+        contested = 0
+        for untuned, batch in rounds:
+            candidates: dict = {}
+            for pair in untuned:
+                candidates.setdefault(pair[0], []).append(pair)
+            finite = {shape for shape, pairs in candidates.items()
+                      if len(pairs) > 1}
+            for shape, program in batch:
+                # The second candidate is the first finite one of its shape.
+                expected = candidates[shape][1 if shape in finite else 0]
+                assert (shape, program) == expected
+            if any(shape not in finite for shape, _program in batch):
+                # A NaN-only shape was picked: no finite shape was skipped.
+                assert finite <= {shape for shape, _program in batch}
+            contested += len(finite & {shape for shape, _program in batch})
+        assert contested > 0
 
     def test_liar_runs_are_deterministic(self):
         first_search, first, _ = self._run("cl_mean")
@@ -548,3 +512,139 @@ class TestLiarBatchSearch:
             {n: c.sequence for n, c in second.choices.items()}
         assert first_search.predictor.statistics.fits == \
             second_search.predictor.statistics.fits
+
+
+class TestTransfer:
+    """Cross-platform warm start (LatencyPredictor.warm_start_from)."""
+
+    @staticmethod
+    def _trained(ratios):
+        predictor = LatencyPredictor(min_observations=2)
+        predictor.set_reference(SHAPE, 2e-4)
+        programs = [STANDARD, *paper_sequences().values()]
+        for program, ratio in zip(programs, ratios):
+            predictor.observe(SHAPE, program, 2e-4 * ratio, trials=4)
+        return predictor
+
+    def test_transferred_rows_count_toward_ready_not_observations(self):
+        source = self._trained((1.0, 0.5, 0.25, 0.75))
+        destination = LatencyPredictor(min_observations=4)
+        assert not destination.ready
+        assert destination.warm_start_from(source) == 4
+        assert destination.ready
+        assert destination.statistics.observations == 0
+        assert destination.statistics.transferred == 4
+        assert destination.fit()
+        assert _predict(destination, SHAPE, STANDARD) > 0.0
+
+    def test_zscores_map_into_the_destination_distribution(self):
+        source = self._trained((1.0, 0.5, 0.25, 0.75))
+        source_targets = np.array(source._targets)
+        destination = self._trained((1.0, 0.9))
+        destination.warm_start_from(source)
+        native = np.array(destination._targets)
+        mapped = np.array(destination._mapped_transfer_targets())
+        expected = ((source_targets - source_targets.mean())
+                    / source_targets.std() * native.std() + native.mean())
+        np.testing.assert_allclose(mapped, expected, rtol=1e-12, atol=1e-15)
+        assert mapped.mean() == pytest.approx(native.mean())
+        assert mapped.std() == pytest.approx(native.std())
+
+    def test_fewer_than_two_native_targets_pass_zscores_through(self):
+        source = self._trained((1.0, 0.5, 0.25, 0.75))
+        source_targets = np.array(source._targets)
+        destination = LatencyPredictor(min_observations=2)
+        destination.warm_start_from(source)
+        np.testing.assert_allclose(
+            destination._mapped_transfer_targets(),
+            (source_targets - source_targets.mean()) / source_targets.std())
+
+    def test_self_transfer_raises(self):
+        predictor = self._trained((1.0, 0.5))
+        with pytest.raises(SearchError, match="itself"):
+            predictor.warm_start_from(predictor)
+
+    def test_warm_predictor_credits_skipped_cold_start_tunings(self):
+        dataset = SyntheticImageDataset.cifar10_like(
+            train_size=32, test_size=16, image_size=8, seed=0)
+        images, labels = dataset.random_minibatch(4, seed=0)
+
+        def run(platform: str, configurations: int, predictor=None):
+            search = UnifiedSearch(get_platform(platform),
+                                   configurations=configurations,
+                                   tuner_trials=3, strategy="model_guided",
+                                   space=UnifiedSpaceConfig(seed=0), seed=0,
+                                   predictor=predictor)
+            result = search.search(_small_model(), images, labels,
+                                   dataset.spec.image_shape)
+            return search, result
+
+        source, _ = run("cpu", 16)
+        warm = LatencyPredictor()
+        assert warm.warm_start_from(source.predictor) > 0
+        # A one-configuration budget stops after the seeding picks, which
+        # come from the search RNG alone: both runs tune the same pairs, so
+        # the only difference in evaluations_saved is the transfer credit.
+        _, cold = run("mgpu", 1)
+        _, guided = run("mgpu", 1, predictor=warm)
+        assert guided.statistics.full_tunings == cold.statistics.full_tunings
+        credit = warm.min_observations - warm.statistics.observations
+        assert credit > 0
+        assert (guided.statistics.evaluations_saved
+                - cold.statistics.evaluations_saved) == credit
+
+
+#: model_guided's trajectory on the small model, recorded before the
+#: surrogate portfolio was removed: (tune_many items, sha256 prefix of the
+#: ordered tuned pairs and final choices, optimized latency as float.hex).
+MODEL_GUIDED_PINS = {
+    "cpu-cl_mean-0": (22, "6db80504476dc8d4", "0x1.c95de5b989e78p-17"),
+    "cpu-cl_mean-1": (22, "7146ec4d0d62d4ce", "0x1.ddd1035bde36ep-17"),
+    "cpu-cl_mean-2": (22, "03de6b92f7231147", "0x1.d01afb4feaed0p-17"),
+    "cpu-none-0": (22, "6db80504476dc8d4", "0x1.c95de5b989e78p-17"),
+    "cpu-none-1": (22, "6ad57522be01abd2", "0x1.ddd1035bde36ep-17"),
+    "cpu-none-2": (22, "03de6b92f7231147", "0x1.d01afb4feaed0p-17"),
+    "mgpu-cl_mean-0": (22, "e4127c4d9999fef6", "0x1.063b708d38fbdp-13"),
+    "mgpu-cl_mean-1": (22, "8fa8779d67586a1e", "0x1.f814dba78da6ap-14"),
+    "mgpu-cl_mean-2": (22, "ab0ad057dc2ff7b9", "0x1.f814dba78da6ap-14"),
+    "mgpu-none-0": (22, "e4127c4d9999fef6", "0x1.063b708d38fbdp-13"),
+    "mgpu-none-1": (22, "bd183b5459320c1e", "0x1.f814dba78da6ap-14"),
+    "mgpu-none-2": (22, "1c63abc50043b696", "0x1.f814dba78da6ap-14"),
+}
+
+
+class TestModelGuidedPicks:
+    """Every tuned pair, in order, and every final choice stay pinned."""
+
+    @pytest.mark.parametrize("pin", sorted(MODEL_GUIDED_PINS))
+    def test_trajectory_matches_pin(self, pin, monkeypatch):
+        platform, liar, seed = pin.split("-")
+        tuned = []
+        tune_many = EvaluationEngine.tune_many
+
+        def recorded(self, items, *args, **kwargs):
+            items = list(items)
+            tuned.extend(items)
+            return tune_many(self, items, *args, **kwargs)
+
+        monkeypatch.setattr(EvaluationEngine, "tune_many", recorded)
+        dataset = SyntheticImageDataset.cifar10_like(
+            train_size=32, test_size=16, image_size=8, seed=0)
+        images, labels = dataset.random_minibatch(4, seed=0)
+        search = UnifiedSearch(get_platform(platform), configurations=16,
+                               tuner_trials=3, strategy="model_guided",
+                               space=UnifiedSpaceConfig(seed=int(seed)),
+                               seed=int(seed), liar=liar)
+        result = search.search(_small_model(), images, labels,
+                               dataset.spec.image_shape)
+        document = {
+            "tuned": [[list(dataclasses.astuple(shape)),
+                       program_to_dict(program)] for shape, program in tuned],
+            "choices": {name: program_to_dict(choice.sequence)
+                        for name, choice in sorted(result.choices.items())},
+        }
+        digest = hashlib.sha256(json.dumps(document, sort_keys=True)
+                                .encode()).hexdigest()[:16]
+        assert (len(tuned), digest,
+                result.optimized_latency_seconds.hex()) == \
+            MODEL_GUIDED_PINS[pin]

@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
 import repro
 from repro.api import OptimizationRequest
+from repro.core.engine import EvaluationEngine
 from repro.core.events import Observable
+from repro.core.sequences import paper_sequences
 from repro.errors import ReproError, ServiceError
+from repro.hardware import get_platform
+from repro.poly.statement import ConvolutionShape
 from repro.service import Client, JobStore, OptimizationService
 from repro.service import protocol
 from repro.utils import wait_until
@@ -110,6 +115,23 @@ class TestJobStore:
             store.get(job.job_id)
 
 
+class TestWarmFeed:
+    def test_one_observation_per_tuned_miss(self, tmp_path):
+        # The warm per-platform surrogates learn from the engine's
+        # tune_result events: one observation per tuned miss, none for
+        # cache hits.
+        service = OptimizationService(tmp_path / "svc", workers=1)
+        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0)
+        engine.subscribe(lambda event: service._feed_warm("cpu", event))
+        shape = ConvolutionShape(16, 16, 8, 8, 3, 3)
+        items = [(shape, program) for program in paper_sequences().values()
+                 if program.applicable(shape)]
+        engine.tune_many(items)
+        assert service.warm_observations() == {"cpu": len(items)}
+        engine.tune_many(items)
+        assert service.warm_observations() == {"cpu": len(items)}
+
+
 class TestServiceEndToEnd:
     def test_submit_watch_result(self, running_service):
         _service, client = running_service
@@ -193,6 +215,34 @@ class TestServiceEndToEnd:
                           "request": {"model": "resnet18",
                                       "strategy": "psychic"}})
         assert client.jobs() == []
+
+    def test_submit_refuses_unknown_fields_and_retired_surrogates(
+            self, running_service):
+        _service, client = running_service
+        with pytest.raises(ServiceError, match="learner"):
+            client._call({"verb": "submit",
+                          "request": {"model": "resnet18", "learner": "gp"}})
+        with pytest.raises(ServiceError, match="learnr"):
+            client._call({"verb": "submit",
+                          "request": {"model": "resnet18", "learnr": "gp"}})
+        assert client.jobs() == []
+
+    def test_watch_sees_job_finished_before_the_terminal_state(
+            self, running_service, monkeypatch):
+        # Delay the job_finished append: a watcher must still read it,
+        # because the terminal state only becomes visible after the event.
+        log_event = OptimizationService._log_event
+
+        def delayed(self, job_id, kind, data):
+            if kind == "job_finished":
+                time.sleep(0.5)
+            return log_event(self, job_id, kind, data)
+
+        monkeypatch.setattr(OptimizationService, "_log_event", delayed)
+        _service, client = running_service
+        job_id = client.submit(**TINY, seed=11)
+        kinds = [event.get("kind") for event in client.watch(job_id)]
+        assert kinds[-2:] == ["job_finished", "stream_end"]
 
     def test_client_without_daemon_raises(self, tmp_path):
         with pytest.raises(ServiceError, match="no service endpoint"):
