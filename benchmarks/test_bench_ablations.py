@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core.search import UnifiedSearch
-from repro.core.unified_space import UnifiedSpaceConfig
 from repro.experiments.common import cifar_dataset, cifar_model_builders
 from repro.fisher import FisherLegalityChecker, candidate_layer_fisher, fisher_profile
 from repro.hardware import estimate_latency, estimate_roofline_bound, get_platform
@@ -28,8 +27,7 @@ def _search(scale, strategy: str, threshold: float = 1.0, seed: int = 0):
     images, labels = dataset.random_minibatch(scale.pipeline.fisher_batch, seed=seed)
     search = UnifiedSearch(get_platform("cpu"), configurations=scale.pipeline.configurations,
                            tuner_trials=scale.pipeline.tuner_trials, strategy=strategy,
-                           fisher_threshold=threshold, space=UnifiedSpaceConfig(seed=seed),
-                           seed=seed)
+                           fisher_threshold=threshold, seed=seed)
     return search.search(model, images, labels, dataset.spec.image_shape)
 
 

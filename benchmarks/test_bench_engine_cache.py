@@ -55,13 +55,14 @@ def test_bench_engine_parallel_tuning(benchmark, scale):
     start = time.perf_counter()
     serial_engine = EvaluationEngine(platform,
                                      tuner_trials=scale.pipeline.tuner_trials, seed=0)
-    serial = serial_engine.tune_many(unique, parallel="serial")
+    serial = serial_engine.tune_many(unique)
     serial_seconds = time.perf_counter() - start
 
     def parallel_pass():
         engine = EvaluationEngine(platform,
-                                  tuner_trials=scale.pipeline.tuner_trials, seed=0)
-        return engine.tune_many(unique, parallel="process", max_workers=4)
+                                  tuner_trials=scale.pipeline.tuner_trials, seed=0,
+                                  parallel="process", max_workers=4)
+        return engine.tune_many(unique)
 
     parallel = benchmark.pedantic(parallel_pass, rounds=1, iterations=1)
     assert parallel == serial, "parallel tuning must match serial bit-for-bit"

@@ -163,14 +163,14 @@ def _legacy_traffic_batch(nests, cache_bytes):
 
 def test_bench_engine_configurations_per_second(benchmark, scale, monkeypatch,
                                                 perf_record):
-    """Engine batch-tuning rate over a multi-fidelity request stream.
+    """Engine batch-tuning rate over a multi-budget request stream.
 
     The stream models what the searches actually submit: repeated engine
     sessions (the experiment drivers re-run the same pinned-seed search
     when replicating and when resuming), each tuning every
-    (shape, sequence) pair up a hyperband-style trial ladder, so most
-    compiles share a program prefix with an earlier sibling and most
-    tunes revisit an operator at a new fidelity.  The baseline restores
+    (shape, sequence) pair on one engine per rung of a trial ladder, so
+    most compiles share a program prefix with an earlier sibling and most
+    tunes revisit an operator at a new trial budget.  The baseline restores
     main's behaviour — from-scratch ``compile`` per candidate, a fresh
     ``TuningContext`` per tune call and per-candidate traffic evaluation
     — and the fast path must return bit-identical latencies at >= 3x
@@ -189,9 +189,9 @@ def test_bench_engine_configurations_per_second(benchmark, scale, monkeypatch,
     def run_stream():
         results = []
         for _ in range(sessions):
-            with EvaluationEngine(platform, tuner_trials=trials, seed=0) as engine:
-                for rung in ladder:
-                    results.extend(engine.tune_many(items, trials=rung))
+            for rung in ladder:
+                with EvaluationEngine(platform, tuner_trials=rung, seed=0) as engine:
+                    results.extend(engine.tune_many(items))
         return results
 
     baseline_rounds = []

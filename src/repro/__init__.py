@@ -42,7 +42,6 @@ from repro.core.predictor import LatencyPredictor
 from repro.core.program import TransformProgram, step
 from repro.core.search import UnifiedSearch, UnifiedSearchResult
 from repro.core.sequences import predefined_program
-from repro.core.unified_space import UnifiedSpaceConfig
 from repro.errors import (
     CheckpointError,
     DegradedExecutionWarning,
@@ -53,7 +52,7 @@ from repro.hardware.platform import PlatformSpec, get_platform
 from repro.poly.statement import ConvolutionShape
 
 #: Single-source package version (setup.py reads it from this file).
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 #: The supported public surface.  Additions are backwards-compatible;
 #: removals or renames require a major version bump (DESIGN.md §9).
@@ -72,7 +71,6 @@ __all__ = [
     "list_platforms", "list_sequences",
     # the engine/search layer for advanced callers
     "EvaluationEngine", "CacheStore", "UnifiedSearch", "UnifiedSearchResult",
-    "UnifiedSpaceConfig",
     # the predictor-guided search subsystem
     "LatencyPredictor", "encode_candidate", "FEATURE_NAMES",
     # fault tolerance: checkpoint/resume, supervised execution, injection

@@ -4,9 +4,8 @@ The paper's pitch is that NAS and program-transformation exploration are
 *one* search you can point at any model/platform pair.  This module makes
 the repository read that way: instead of hand-wiring an
 :class:`~repro.core.engine.EvaluationEngine`, a
-:class:`~repro.core.unified_space.UnifiedSpaceConfig`, a
 :class:`~repro.core.search.UnifiedSearch`, a platform and a dataset from
-five subpackages, callers say::
+four subpackages, callers say::
 
     import repro
 
@@ -33,6 +32,7 @@ See DESIGN.md §9 for the façade architecture and the stability policy.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,7 +49,6 @@ from repro.core.program import (
 )
 from repro.core.search import SEARCH_STRATEGY_REGISTRY, UnifiedSearch, UnifiedSearchResult
 from repro.core.sequences import SEQUENCE_KINDS, predefined_program
-from repro.core.unified_space import UnifiedSpaceConfig
 from repro.data import SyntheticImageDataset
 from repro.errors import ReproError
 from repro.hardware.platform import PLATFORMS, PlatformSpec, get_platform
@@ -192,6 +191,33 @@ def _require(document: Mapping, keys: Sequence[str], what: str) -> None:
                          f"got keys {sorted(document)}")
 
 
+#: Accepted Python types per annotated request field type.  ``bool`` is
+#: never a number, and a float field also takes an int.
+_FIELD_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"),
+                "float": ((int, float), "a finite number")}
+
+#: Lower bounds of the numeric request fields, as ``(bound, inclusive)``.
+_FIELD_BOUNDS = {"configurations": (1, True), "tuner_trials": (1, True),
+                 "fisher_batch": (1, True), "image_size": (1, True),
+                 "seed": (0, True), "fisher_threshold": (0, True),
+                 "width_multiplier": (0, False)}
+
+
+def _check_field(name: str, annotation: str, value) -> None:
+    """Raise a :class:`ReproError` naming ``name`` if ``value`` is invalid."""
+    types, description = _FIELD_TYPES[annotation]
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or (annotation == "float" and not math.isfinite(value))):
+        raise ReproError(f"request field '{name}' must be {description}, "
+                         f"got {value!r}")
+    if name in _FIELD_BOUNDS:
+        bound, inclusive = _FIELD_BOUNDS[name]
+        if value < bound or (value == bound and not inclusive):
+            raise ReproError(f"request field '{name}' must be "
+                             f"{'>=' if inclusive else '>'} {bound}, "
+                             f"got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # The typed request / result objects
 # ---------------------------------------------------------------------------
@@ -205,7 +231,9 @@ class OptimizationRequest:
     replayed without the original object (:func:`build_model` refuses the
     marker with a clear message).  A request round-trips through
     :meth:`to_dict` / :meth:`from_dict`, so an archived result names the
-    run that produced it.
+    run that produced it.  Construction checks every field's type and
+    range, and a bad value raises a :class:`~repro.errors.ReproError`
+    that names the field.
 
     Example::
 
@@ -238,6 +266,14 @@ class OptimizationRequest:
     def __post_init__(self) -> None:
         from repro.core.predictor import LIAR_STRATEGIES
 
+        for spec in dataclasses.fields(self):
+            _check_field(spec.name, spec.type, getattr(self, spec.name))
+        if (self.model.lower() not in MODEL_BUILDERS
+                and not self.model.startswith("instance:")):
+            raise ReproError(
+                f"unknown model {self.model!r} in request field 'model'; "
+                f"expected one of {sorted(MODEL_BUILDERS)} or an "
+                f"'instance:' marker")
         get_platform(self.platform)  # fail fast on unknown targets
         if self.strategy not in SEARCH_STRATEGY_REGISTRY:
             raise ReproError(
@@ -245,20 +281,14 @@ class OptimizationRequest:
                 f"{sorted(SEARCH_STRATEGY_REGISTRY)}")
         if self.liar not in ("none",) + LIAR_STRATEGIES:
             raise ReproError(
-                f"unknown liar strategy '{self.liar}'; expected one of "
-                f"{('none',) + LIAR_STRATEGIES}")
+                f"request field 'liar' must be one of "
+                f"{('none',) + LIAR_STRATEGIES}, got {self.liar!r}")
         for name, only in (("learner", "ridge"), ("acquisition", "rank"),
                            ("encoding", "flat")):
             if getattr(self, name) != only:
                 raise ReproError(
                     f"request field '{name}' must be '{only}', got "
                     f"{getattr(self, name)!r}")
-        if self.configurations < 1:
-            raise ReproError("the search budget must be at least 1 configuration")
-        if self.tuner_trials < 1:
-            raise ReproError("the tuner needs at least one trial")
-        if self.fisher_batch < 1:
-            raise ReproError("the Fisher profile needs at least one example")
 
     def to_dict(self) -> dict:
         document = dataclasses.asdict(self)
@@ -668,8 +698,7 @@ class OptimizationSession:
         search = UnifiedSearch(
             engine.platform, configurations=request.configurations,
             fisher_threshold=request.fisher_threshold, strategy=request.strategy,
-            space=UnifiedSpaceConfig(seed=request.seed), seed=request.seed,
-            engine=engine, observer=observer or self.observer,
+            seed=request.seed, engine=engine, observer=observer or self.observer,
             liar=request.liar)
         writer = None
         if checkpoint is not None:

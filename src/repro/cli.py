@@ -226,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--image-size", type=int, default=16)
     submit.add_argument("--liar", default="cl_mean",
                         help="pending-point imputation for model_guided "
-                             "batches: cl_min, cl_max, cl_mean or none")
+                             "batches: cl_min, cl_mean or none")
     submit.add_argument("--wait", action="store_true",
                         help="block until the job finishes and print its result")
     submit.add_argument("--json", action="store_true")

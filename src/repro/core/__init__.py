@@ -32,7 +32,6 @@ from repro.core.sequences import (
 from repro.core.unified_space import (
     TABLE1_PRIMITIVES,
     UnifiedSpace,
-    UnifiedSpaceConfig,
     primitive_catalogue,
 )
 from repro.core.workloads import (
@@ -91,7 +90,7 @@ __all__ = [
     "LatencyPredictor", "PredictorStatistics",
     "SEQUENCE_KINDS", "SequenceSpec", "nas_candidate_sequences", "paper_sequences",
     "predefined_program", "random_sequence",
-    "TABLE1_PRIMITIVES", "UnifiedSpace", "UnifiedSpaceConfig", "primitive_catalogue",
+    "TABLE1_PRIMITIVES", "UnifiedSpace", "primitive_catalogue",
     "LayerWorkload", "extract_workloads", "total_macs", "unique_shapes",
     "Observable", "Observer", "ProgressEvent",
     "CacheStore", "ShardInfo", "canonical_key_document", "key_digest",

@@ -76,8 +76,8 @@ from repro.poly.statement import ConvolutionShape
 from repro.tenir.autotune import AutoTuner
 from repro.utils import make_rng
 
-#: Executor choices for :meth:`EvaluationEngine.tune_many`.
-PARALLEL_MODES = ("serial", "thread", "process")
+#: Executor choices for :meth:`EvaluationEngine.tune_many`, fixed per engine.
+PARALLEL_MODES = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class SupervisionPolicy:
     timed-out task can be re-executed without changing any result — the
     policy only bounds how hard the engine tries before giving up.
 
-    * ``task_timeout_seconds`` — per-task watchdog on parallel pools
+    * ``task_timeout_seconds`` — per-task watchdog on the process pool
       (``None`` disables; serial execution cannot preempt a running
       task).  A timed-out pool is recycled, since a stuck worker cannot
       be cancelled.
@@ -288,13 +288,13 @@ class FisherOracle:
 class EvaluationEngine(Observable):
     """Shared latency / Fisher oracles with a persistent cross-search cache.
 
-    The engine owns a persistent executor pool: the first parallel
-    :meth:`tune_many` call creates a ``ThreadPoolExecutor`` /
-    ``ProcessPoolExecutor`` (keyed by mode and worker count) and every
-    later call reuses it, so batch tuning does not pay pool spin-up per
-    generation.  Call :meth:`close` — or use the engine as a context
-    manager — to shut the workers down; a closed engine transparently
-    recreates pools if it is used again.
+    A ``parallel="process"`` engine owns one persistent
+    ``ProcessPoolExecutor``: the first :meth:`tune_many` call that has
+    more than one task to run creates it and every later call reuses it,
+    so batch tuning does not pay pool spin-up per generation.  Call
+    :meth:`close` — or use the engine as a context manager — to shut the
+    workers down; a closed engine transparently recreates the pool if it
+    is used again.
 
     The engine is :class:`~repro.core.events.Observable`: subscribers
     receive one ``tune_batch`` event per :meth:`tune_many` submission —
@@ -335,7 +335,7 @@ class EvaluationEngine(Observable):
         #: keys added since the store was last synchronised (the sharded
         #: backend appends exactly these instead of rewriting everything).
         self._pending: list[LatencyKey] = []
-        self._pools: dict[tuple[str, int | None], object] = {}
+        self._pool = None
         #: set when the sharded store turned out unusable: the engine
         #: keeps running (slower, cold) and stops touching the store.
         self._store_quarantined = False
@@ -416,24 +416,22 @@ class EvaluationEngine(Observable):
                 self._task_failed(exc, failures)
                 time.sleep(self._retry_delay(failures))
 
-    def _heal_pool(self, parallel: str, max_workers: int | None) -> None:
+    def _heal_pool(self) -> None:
         """Evict and tear down a broken/stuck executor so it is rebuilt.
 
-        This is the fix for the dead-pool bug: ``_executor`` keys pools by
-        ``(parallel, max_workers)`` and used to keep serving a pool whose
-        workers had died, failing every later ``tune_many`` on the engine.
-        Healing pops the entry, so the next round lazily creates a fresh
-        pool with live workers.
+        This is the fix for the dead-pool bug: the engine used to keep
+        serving a pool whose workers had died, failing every later
+        ``tune_many`` on it.  Healing drops the pool, so the next round
+        lazily creates a fresh one with live workers.
         """
-        pool = self._pools.pop((parallel, max_workers), None)
+        pool, self._pool = self._pool, None
         if pool is not None:
             try:
                 pool.shutdown(wait=False, cancel_futures=True)
             except Exception:  # pragma: no cover - teardown of a dead pool
                 pass
 
-    def _run_supervised(self, tasks: list, parallel: str,
-                        max_workers: int | None) -> list[tuple[float, int]]:
+    def _run_supervised(self, tasks: list) -> list[tuple[float, int]]:
         """Run ``tasks`` to completion under the supervision policy.
 
         Each round submits every unfinished task to the persistent pool
@@ -453,7 +451,7 @@ class EvaluationEngine(Observable):
         functions of their keys, so a retried task returns exactly what
         the first attempt would have.
         """
-        if parallel == "serial" or len(tasks) == 1:
+        if self.parallel == "serial" or len(tasks) == 1:
             return [self._attempt_serial(task) for task in tasks]
         policy = self.supervision
         results: dict[int, tuple[float, int]] = {}
@@ -461,7 +459,7 @@ class EvaluationEngine(Observable):
         queue = list(range(len(tasks)))
         recoveries = 0
         while queue:
-            pool = self._executor(parallel, max_workers)
+            pool = self._executor()
             futures: dict[int, object] = {}
             requeue: list[int] = []
             pool_broken = False
@@ -513,8 +511,8 @@ class EvaluationEngine(Observable):
             if pool_broken:
                 recoveries += 1
                 self.statistics.pool_recoveries += 1
-                self._heal_pool(parallel, max_workers)
-                self.emit("pool_recovered", parallel=parallel,
+                self._heal_pool()
+                self.emit("pool_recovered", parallel=self.parallel,
                           recoveries=recoveries, requeued=len(requeue))
                 if recoveries > policy.max_pool_recoveries:
                     raise EngineError(
@@ -529,8 +527,8 @@ class EvaluationEngine(Observable):
     # ------------------------------------------------------------------
     # The persistent worker pool
     # ------------------------------------------------------------------
-    def _executor(self, parallel: str, max_workers: int | None):
-        """The persistent executor for ``(parallel, max_workers)``.
+    def _executor(self):
+        """The engine's persistent process pool.
 
         Created lazily on first use and reused across :meth:`tune_many`
         calls until :meth:`close`.
@@ -543,27 +541,22 @@ class EvaluationEngine(Observable):
         Results are unaffected either way (every cache entry equals its
         recomputation); only first-batch wall clock differs.
         """
-        key = (parallel, max_workers)
-        pool = self._pools.get(key)
-        if pool is None:
-            if parallel == "thread":
-                from concurrent.futures import ThreadPoolExecutor as Executor
-            else:
-                from concurrent.futures import ProcessPoolExecutor as Executor
-            pool = Executor(max_workers=max_workers)
-            self._pools[key] = pool
-        return pool
+        if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        return self._pool
 
     def close(self) -> None:
-        """Shut down the persistent executor pools (idempotent).
+        """Shut down the persistent executor pool (idempotent).
 
         Safe from ``__del__`` during interpreter shutdown: an engine whose
-        constructor raised before the pool table existed is a no-op, and
-        repeated calls never double-shutdown a pool.
+        constructor raised before the pool attribute existed is a no-op,
+        and repeated calls never double-shutdown a pool.
         """
-        pools = getattr(self, "_pools", None)
-        self._pools = {}
-        for pool in (pools or {}).values():
+        pool = getattr(self, "_pool", None)
+        self._pool = None
+        if pool is not None:
             pool.shutdown()
 
     def __enter__(self) -> "EvaluationEngine":
@@ -581,21 +574,15 @@ class EvaluationEngine(Observable):
     # ------------------------------------------------------------------
     # Cache keys
     # ------------------------------------------------------------------
-    def latency_key(self, shape: ConvolutionShape, program: TransformProgram,
-                    trials: int | None = None) -> LatencyKey:
-        """The full cache key of one query (``trials`` overrides the default).
-
-        ``trials`` is the fidelity axis the multi-fidelity strategies
-        exploit: a lower trial count is a cheaper, noisier estimate of the
-        same candidate, keyed separately so low-fidelity entries never
-        masquerade as full tunings.
+    def latency_key(self, shape: ConvolutionShape,
+                    program: TransformProgram) -> LatencyKey:
+        """The full cache key of one query.
 
         Example::
 
-            key = engine.latency_key(shape, program, trials=2)
+            key = engine.latency_key(shape, program)
         """
-        return (self.platform.name, shape, program,
-                self.tuner_trials if trials is None else int(trials), self.seed)
+        return (self.platform.name, shape, program, self.tuner_trials, self.seed)
 
     @property
     def cache_size(self) -> int:
@@ -634,15 +621,9 @@ class EvaluationEngine(Observable):
     # The latency oracle
     # ------------------------------------------------------------------
     def tuned_latency(self, shape: ConvolutionShape,
-                      program: TransformProgram,
-                      trials: int | None = None) -> float:
-        """Auto-tuned latency of ``program`` applied to ``shape``, memoised.
-
-        ``trials`` overrides the engine's tuner budget for this query (the
-        fidelity axis); the default is the full-budget tuning every search
-        result is reported at.
-        """
-        key = self.latency_key(shape, program, trials)
+                      program: TransformProgram) -> float:
+        """Auto-tuned latency of ``program`` applied to ``shape``, memoised."""
+        key = self.latency_key(shape, program)
         cached = self._latency_cache.get(key)
         if cached is not None:
             self.statistics.latency_hits += 1
@@ -650,15 +631,14 @@ class EvaluationEngine(Observable):
         self._require_legal(shape, program)
         self.statistics.latency_misses += 1
         seconds, calls = self._attempt_serial((self.platform, shape, program,
-                                               key[3], self.seed))
+                                               self.tuner_trials, self.seed))
         self.statistics.tuner_calls += calls
         self._latency_cache[key] = seconds
         self._pending.append(key)
         return seconds
 
     def cached_latency(self, shape: ConvolutionShape,
-                       program: TransformProgram,
-                       trials: int | None = None) -> float:
+                       program: TransformProgram) -> float:
         """Read a latency expected to be cached, without touching statistics.
 
         The batched search strategies account for their queries once, when
@@ -668,23 +648,20 @@ class EvaluationEngine(Observable):
         :meth:`tuned_latency`.  A genuinely missing key falls back to the
         counting path (and is tuned).
         """
-        value = self._latency_cache.get(self.latency_key(shape, program, trials))
+        value = self._latency_cache.get(self.latency_key(shape, program))
         if value is not None:
             return value
-        return self.tuned_latency(shape, program, trials)
+        return self.tuned_latency(shape, program)
 
-    def tune_many(self, items: Iterable[tuple[ConvolutionShape, TransformProgram]],
-                  parallel: str | None = None,
-                  max_workers: int | None = None,
-                  trials: int | None = None) -> list[float]:
+    def tune_many(self, items: Iterable[tuple[ConvolutionShape, TransformProgram]]
+                  ) -> list[float]:
         """Batch form of :meth:`tuned_latency`.
 
         Deduplicates the requests, tunes only the cache misses — serially
-        or on the engine's persistent thread/process pool — and returns
-        the latencies in request order.  Each miss is an independent pure
+        or on the engine's persistent process pool — and returns the
+        latencies in request order.  Each miss is an independent pure
         function of its key, so the parallel result is bit-for-bit
-        identical to the serial one.  ``trials`` overrides the tuner
-        budget for the whole batch (the fidelity axis).
+        identical to the serial one.
 
         Hits and misses are counted per request against the cache state at
         call entry: a request list naming the same missing key twice
@@ -696,29 +673,21 @@ class EvaluationEngine(Observable):
         JSON-serialisable form, which is how the latency predictor trains
         incrementally from every tuning the engine performs.
         """
-        parallel = parallel or self.parallel
-        if parallel not in PARALLEL_MODES:
-            raise EngineError(
-                f"unknown parallel mode '{parallel}'; expected one of {PARALLEL_MODES}")
         items = list(items)
-        batch_trials = self.tuner_trials if trials is None else int(trials)
-        if batch_trials < 1:
-            raise EngineError("tune_many needs at least one tuner trial")
         started = time.perf_counter()
         hits = 0
         missing: dict[LatencyKey, tuple[ConvolutionShape, TransformProgram]] = {}
         for shape, program in items:
-            key = self.latency_key(shape, program, batch_trials)
+            key = self.latency_key(shape, program)
             if key in self._latency_cache:
                 hits += 1
             elif key not in missing:
                 self._require_legal(shape, program)
                 missing[key] = (shape, program)
         if missing:
-            tasks = [(self.platform, shape, program, batch_trials, self.seed)
+            tasks = [(self.platform, shape, program, self.tuner_trials, self.seed)
                      for shape, program in missing.values()]
-            outcomes = self._run_supervised(
-                tasks, parallel, max_workers or self.max_workers)
+            outcomes = self._run_supervised(tasks)
             for key, (seconds, calls) in zip(missing, outcomes):
                 self._latency_cache[key] = seconds
                 self._pending.append(key)
@@ -732,21 +701,19 @@ class EvaluationEngine(Observable):
 
             from repro.core.program import program_to_dict
 
-            self.emit("tune_result", trials=batch_trials, entries=[
+            self.emit("tune_result", trials=self.tuner_trials, entries=[
                 {"shape": asdict(shape), "program": program_to_dict(program),
-                 "trials": batch_trials,
+                 "trials": self.tuner_trials,
                  "latency_seconds": self._latency_cache[key]}
                 for key, (shape, program) in missing.items()])
-        return [self._latency_cache[self.latency_key(shape, program, batch_trials)]
+        return [self._latency_cache[self.latency_key(shape, program)]
                 for shape, program in items]
 
     def workloads_latency(self, workloads: Iterable[LayerWorkload],
-                          program: TransformProgram | None = None,
-                          parallel: str | None = None) -> float:
+                          program: TransformProgram | None = None) -> float:
         """Summed latency of ``workloads``, each under ``program`` (default standard)."""
         program = program or predefined_program("standard")
-        return sum(self.tune_many([(w.shape, program) for w in workloads],
-                                  parallel=parallel))
+        return sum(self.tune_many([(w.shape, program) for w in workloads]))
 
     # ------------------------------------------------------------------
     # The Fisher oracle

@@ -27,9 +27,6 @@ public surface and covered by ``tests/test_api.py``):
 ``predictor_fitted``
     ``observations``, ``mae`` — the ``model_guided`` strategy refit its
     surrogate on the tunings observed so far
-``fidelity_promotion``
-    ``rung``, ``trials``, ``candidates``, ``survivors`` — one successive
-    halving round of the ``hyperband`` strategy
 ``search_finished``
     ``baseline_latency_seconds``, ``optimized_latency_seconds``,
     ``speedup``, ``configurations_evaluated``, ``search_seconds``

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.core.engine import EvaluationEngine
 from repro.core.search import UnifiedSearch, UnifiedSearchResult
-from repro.core.unified_space import UnifiedSpaceConfig
 from repro.core.workloads import LayerWorkload, extract_workloads
 from repro.data import SyntheticImageDataset
 from repro.errors import ReproError
@@ -174,8 +173,7 @@ def compare_approaches(network: str, model_builder: Callable[[], Module],
     # --- Ours: the unified search.
     ours_model = model_builder()
     search = UnifiedSearch(platform, configurations=scale.configurations,
-                           space=UnifiedSpaceConfig(seed=seed), seed=seed,
-                           engine=engine)
+                           seed=seed, engine=engine)
     search_result = search.search(ours_model, images, labels, input_shape)
     # Non-convolution-layer costs (none here — only convolutions are timed) are
     # identical across approaches, so the comparison uses the conv totals.

@@ -36,7 +36,7 @@ Example::
     if predictor.ready:
         predicted = predictor.predict_batch(candidate_pairs)
 
-See DESIGN.md §10 for the surrogate lifecycle and the fidelity rules.
+See DESIGN.md §10 for the surrogate lifecycle.
 """
 
 from __future__ import annotations
@@ -62,9 +62,8 @@ CandidateKey = tuple[ConvolutionShape, TransformProgram, int]
 #: each picked-but-not-yet-tuned candidate is imputed with a constant
 #: "lie" so later picks in the batch see it as pending work:
 #: ``cl_min`` lies the best (lowest) observed target — optimistic, spreads
-#: the batch out; ``cl_max`` lies the worst — conservative, concentrates
-#: it; ``cl_mean`` lies the mean.
-LIAR_STRATEGIES = ("cl_min", "cl_max", "cl_mean")
+#: the batch out; ``cl_mean`` lies the mean (DESIGN.md §15).
+LIAR_STRATEGIES = ("cl_min", "cl_mean")
 
 
 @dataclass
@@ -258,9 +257,9 @@ class LatencyPredictor:
         Batch selection picks several candidates from one surrogate before
         any of them is actually tuned; to keep later picks aware of the
         pending ones, the candidate is recorded as if it had been observed
-        at a constant target — the best (``cl_min``), worst (``cl_max``)
-        or mean (``cl_mean``) of the *real* targets seen so far (the
-        DeepHyper AMBS liar strategies).  Lies are kept apart from the
+        at a constant target — the best (``cl_min``) or mean
+        (``cl_mean``) of the *real* targets seen so far (the DeepHyper
+        AMBS liar strategies).  Lies are kept apart from the
         real history: they never count towards :attr:`ready` or
         ``statistics.observations``, and :meth:`retract_lies` removes
         them all before the real results arrive.  Returns the imputed
@@ -280,7 +279,6 @@ class LatencyPredictor:
                               "exists to impute from")
         targets = np.array(self._targets)
         lied = {"cl_min": float(targets.min()),
-                "cl_max": float(targets.max()),
                 "cl_mean": float(targets.mean())}[strategy]
         self._lie_features.append(self._encode(shape, program, int(trials)))
         self._lie_targets.append(lied)

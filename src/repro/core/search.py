@@ -21,7 +21,7 @@ Search strategies are pluggable: a strategy is a class implementing
 :data:`SEARCH_STRATEGY_REGISTRY` with the :func:`register_strategy`
 decorator (see DESIGN.md §6).  The paper's random enumeration, a
 latency-greedy construction, a small evolutionary search and a
-first-improvement local search ship by default.
+surrogate-guided search ship by default.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.core.events import Observer, ProgressEvent
 from repro.core.predictor import LIAR_STRATEGIES, LatencyPredictor
 from repro.core.program import TransformProgram
 from repro.core.sequences import predefined_program
-from repro.core.unified_space import UnifiedSpace, UnifiedSpaceConfig
+from repro.core.unified_space import UnifiedSpace
 from repro.core.workloads import LayerWorkload, extract_workloads
 from repro.errors import ModelError, SearchError
 from repro.fisher import FisherLegalityChecker, fisher_profile
@@ -87,12 +87,14 @@ class SearchStatistics:
     #: mean absolute relative error of the latency surrogate's verified
     #: predictions (``model_guided`` only; 0.0 when no surrogate ran)
     predictor_mae: float = 0.0
-    #: candidate evaluations the strategy avoided paying full tuning cost
-    #: for — surrogate-screened pairs (``model_guided``) or assignments
-    #: never promoted to the full-trial rung (``hyperband``)
+    #: candidate pairs ``model_guided``'s surrogate screened instead of
+    #: tuning, plus the cold-start tunings a warm-started surrogate skipped
+    #: (0 for the other strategies)
     evaluations_saved: int = 0
-    #: unique (shape, program) pairs the strategy tuned at the engine's
-    #: full trial budget (excluding the per-layer baselines)
+    #: unique (shape, program) pairs the strategy submitted for tuning,
+    #: excluding the ``standard`` baselines.  Counted at submission, not
+    #: as cache misses, so a warm or resumed run reports the cold run's
+    #: number.
     full_tunings: int = 0
     #: compile-trie traffic during this search (full-program snapshot hits,
     #: compiles that replayed at least one step, and the total steps the
@@ -138,6 +140,11 @@ class _SearchContext:
     standard: TransformProgram
     rng: np.random.Generator
     statistics: "SearchStatistics"
+    #: unique non-``standard`` (shape, program) pairs submitted through
+    #: :meth:`UnifiedSearch._tune`.  A dict, not a set: a set's iteration
+    #: order follows string hashing and would break reproducibility.
+    submitted: dict[tuple[ConvolutionShape, TransformProgram], None] = field(
+        default_factory=dict)
 
 
 @dataclass
@@ -254,9 +261,9 @@ class GreedyStrategy:
         # submit the whole generation as one batch (deduplicated, tuned on
         # the engine's persistent pool when configured) instead of letting
         # the sort pull latencies one at a time.
-        context.engine.tune_many(
-            [(context.shapes[w.name], sequence)
-             for w in context.workloads for sequence in context.candidates[w.name]])
+        search._tune(context, [(context.shapes[w.name], sequence)
+                               for w in context.workloads
+                               for sequence in context.candidates[w.name]])
         for workload in ordered:
             candidates = sorted(
                 context.candidates[workload.name],
@@ -366,55 +373,6 @@ class EvolutionaryStrategy:
             population = population[:population_size]
         best_assignment, best_latency = min(population, key=lambda item: item[1])
         return best_assignment, best_latency
-
-
-@register_strategy("local")
-class LocalSearchStrategy:
-    """First-improvement hill climbing from the program-only configuration.
-
-    The classic NAS local search (cf. the nas-encodings harness): start at
-    the always-legal standard assignment and repeatedly substitute the
-    first single-layer change that is both legal and faster, until the
-    configuration budget is exhausted or no move improves.
-    """
-
-    def run(self, search: "UnifiedSearch", context: _SearchContext):
-        assignment = {w.name: context.standard for w in context.workloads}
-        best_latency = search._assignment_latency(context, assignment)
-        improved = True
-        while (improved
-               and context.statistics.configurations_evaluated < search.configurations):
-            improved = False
-            for workload in context.workloads:
-                # One batched submission per layer sweep: every candidate
-                # move for this layer differs from the incumbent in one
-                # entry, so its latencies are the incumbent's plus this
-                # layer's candidates.  Only moves the budget still allows
-                # are submitted (each costs one legality evaluation), so
-                # speculation beyond the old lazy path is bounded to
-                # Fisher-rejected moves inside the budgeted window.
-                remaining = (search.configurations
-                             - context.statistics.configurations_evaluated)
-                moves = [sequence for sequence in context.candidates[workload.name]
-                         if sequence != assignment[workload.name]]
-                if remaining > 0 and moves:
-                    context.engine.tune_many(
-                        [(context.shapes[workload.name], sequence)
-                         for sequence in moves[:remaining]])
-                for sequence in context.candidates[workload.name]:
-                    if context.statistics.configurations_evaluated >= search.configurations:
-                        return assignment, best_latency
-                    if sequence == assignment[workload.name]:
-                        continue
-                    trial = dict(assignment)
-                    trial[workload.name] = sequence
-                    if not search._assignment_legal(context, trial):
-                        continue
-                    latency = search._assignment_latency(context, trial)
-                    if latency < best_latency:
-                        assignment, best_latency = trial, latency
-                        improved = True
-        return assignment, best_latency
 
 
 def _candidate_pairs(context: _SearchContext
@@ -548,14 +506,10 @@ class ModelGuidedStrategy:
                 context.statistics.configurations_evaluated += 1
                 context.statistics.configurations_rejected += 1
                 context.statistics.record_fisher_rejection(sequence)
-        # Insertion-ordered on purpose: set iteration order would depend
-        # on string hashing and break run-to-run reproducibility.
-        tuned: dict[tuple[ConvolutionShape, TransformProgram], None] = {}
-
         def tune_batch(batch) -> None:
             if not batch:
                 return
-            latencies = context.engine.tune_many(batch)
+            latencies = search._tune(context, batch)
             # Feed the surrogate directly from the batch results, in
             # batch order, rather than through the engine's tune_result
             # events: events fire for cache misses only, so on a warm
@@ -567,11 +521,9 @@ class ModelGuidedStrategy:
             for (shape, program), seconds in zip(batch, latencies):
                 predictor.observe(shape, program, seconds,
                                   trials=context.engine.tuner_trials)
-            tuned.update(dict.fromkeys(batch))
             batch_keys = set(batch)
             untuned[:] = [pair for pair in untuned if pair not in batch_keys]
             context.statistics.configurations_evaluated += len(batch)
-            context.statistics.full_tunings += len(batch)
 
         def spent() -> int:
             # The tuning budget is spent by tunings alone; prefilter and
@@ -622,7 +574,7 @@ class ModelGuidedStrategy:
             tune_batch([untuned[index] for index in sorted(order)])
 
         context.statistics.evaluations_saved += len(untuned)
-        assignment = self._select(search, context, tuned)
+        assignment = self._select(search, context)
         return assignment, search._assignment_latency(context, assignment)
 
     @staticmethod
@@ -678,8 +630,8 @@ class ModelGuidedStrategy:
         return order
 
     @staticmethod
-    def _select(search: "UnifiedSearch", context: _SearchContext,
-                tuned: dict) -> dict[str, TransformProgram]:
+    def _select(search: "UnifiedSearch", context: _SearchContext
+                ) -> dict[str, TransformProgram]:
         """Greedy Fisher-checked selection over *measured* candidates only.
 
         Tuned candidates are pooled per shape: a program proposed (and
@@ -688,7 +640,7 @@ class ModelGuidedStrategy:
         small tuning budget serve the whole network.
         """
         pool: dict[ConvolutionShape, list[TransformProgram]] = {}
-        for shape, sequence in tuned:
+        for shape, sequence in context.submitted:
             pool.setdefault(shape, []).append(sequence)
         assignment = {w.name: context.standard for w in context.workloads}
         replacements: dict[str, float] = {}
@@ -727,85 +679,6 @@ class ModelGuidedStrategy:
         return assignment
 
 
-@register_strategy("hyperband")
-class SuccessiveHalvingStrategy:
-    """Successive halving over the tuner-trial fidelity axis (Hyperband-style).
-
-    The engine's ``trials`` knob is a fidelity: tuning a candidate at a
-    fraction of the trial budget costs proportionally less and still
-    ranks candidates roughly correctly.  Following the asynchronous
-    multi-fidelity schedulers (DeepHyper, Hyperband), the strategy
-    samples a population of legal configurations, evaluates them all at
-    the *lowest* rung of a trial ladder (``trials / eta**r`` up to the
-    engine's full budget), keeps the best ``1/eta`` fraction per rung
-    and promotes only the survivors to the next fidelity — so full-trial
-    tuning is spent on the handful of configurations that earned it.
-    Configurations eliminated below the top rung are counted in
-    ``SearchStatistics.evaluations_saved``.
-
-    Low-fidelity entries are cached under their own ``trials`` key, so
-    they never contaminate full-fidelity results.
-    """
-
-    #: promotion base: keep ``ceil(n / eta)`` configurations per rung.
-    eta = 3
-
-    def run(self, search: "UnifiedSearch", context: _SearchContext):
-        budget = search.configurations
-        full_trials = context.engine.tuner_trials
-        ladder = self._ladder(full_trials)
-        population = max(self.eta, budget // len(ladder))
-        seeds: list[dict[str, TransformProgram]] = []
-        while (len(seeds) < population
-               and context.statistics.configurations_evaluated < budget):
-            assignment = search.space.sample_assignment(
-                context.shapes, context.candidates, context.rng)
-            if search._assignment_legal(context, assignment):
-                seeds.append(assignment)
-        if not seeds:
-            return None, float("inf")
-
-        survivors = seeds
-        for rung, trials in enumerate(ladder):
-            items = [(context.shapes[w.name], assignment[w.name])
-                     for assignment in survivors for w in context.workloads]
-            context.engine.tune_many(items, trials=trials)
-            if trials == full_trials:
-                context.statistics.full_tunings += len(
-                    {(shape, program) for shape, program in items
-                     if program != context.standard})
-            scored = sorted(
-                (sum(context.engine.cached_latency(context.shapes[w.name],
-                                                   assignment[w.name],
-                                                   trials=trials)
-                     for w in context.workloads), index)
-                for index, assignment in enumerate(survivors))
-            keep = (len(survivors) if trials == full_trials
-                    else max(1, -(-len(survivors) // self.eta)))
-            search._emit("fidelity_promotion", rung=rung, trials=trials,
-                         candidates=len(survivors), survivors=keep)
-            survivors = [survivors[index] for _, index in scored[:keep]]
-        context.statistics.evaluations_saved += len(seeds) - len(survivors)
-
-        best_assignment, best_latency = None, float("inf")
-        for assignment in survivors:
-            latency = search._assignment_latency(context, assignment)
-            if latency < best_latency:
-                best_assignment, best_latency = assignment, latency
-        return best_assignment, best_latency
-
-    def _ladder(self, full_trials: int) -> list[int]:
-        """Ascending trial rungs ending at the engine's full budget.
-
-        The promotion rule documented in DESIGN.md §10: rung ``r`` (from
-        the top) runs at ``ceil(full / eta**r)`` trials, duplicates are
-        collapsed, and the top rung is always the full budget.
-        """
-        rungs = sorted({max(1, -(-full_trials // self.eta ** power))
-                        for power in range(2, -1, -1)} | {full_trials})
-        return [trials for trials in rungs if trials <= full_trials]
-
-
 #: Names of the built-in strategies (kept for backwards compatibility and
 #: test parametrisation; the registry is the source of truth).
 SEARCH_STRATEGIES = tuple(SEARCH_STRATEGY_REGISTRY)
@@ -824,8 +697,7 @@ class UnifiedSearch:
 
     def __init__(self, platform: PlatformSpec, *, configurations: int = 100,
                  tuner_trials: int = 8, fisher_threshold: float = 1.0,
-                 strategy: str = "greedy",
-                 space: UnifiedSpaceConfig | None = None, seed: int | None = None,
+                 strategy: str = "greedy", seed: int | None = None,
                  engine: EvaluationEngine | None = None,
                  observer: Observer | None = None,
                  predictor: LatencyPredictor | None = None,
@@ -845,7 +717,7 @@ class UnifiedSearch:
         self.configurations = configurations
         self.fisher_threshold = fisher_threshold
         self.strategy = strategy
-        self.space = UnifiedSpace(space or UnifiedSpaceConfig())
+        self.space = UnifiedSpace(0 if seed is None else seed)
         self.seed = seed
         # The observer receives the search's lifecycle/generation events and
         # is subscribed to the engine's tune_batch events for the duration of
@@ -910,7 +782,7 @@ class UnifiedSearch:
         per_layer_candidates: dict[str, list[TransformProgram]] = {}
         shapes: dict[str, ConvolutionShape] = {}
         structural_rejections: dict[str, int] = {}
-        # Candidate generation restarts from the space seed on every run, so
+        # Candidate generation restarts from the search seed on every run, so
         # a repeated search proposes identical programs and the warm engine
         # answers every latency query from cache.  Structurally illegal
         # candidates die here (staged legality, stage 1) and are counted
@@ -1010,6 +882,22 @@ class UnifiedSearch:
         return sum(self._layer_latency(context, w.name, assignment[w.name])
                    for w in context.workloads)
 
+    def _tune(self, context: _SearchContext,
+              items: list[tuple[ConvolutionShape, TransformProgram]]) -> list[float]:
+        """Submit one batch to the engine; every strategy tunes through here.
+
+        One ``tune_many`` call per batch.  The unique non-``standard``
+        pairs are recorded in ``context.submitted``, and
+        ``SearchStatistics.full_tunings`` is set from that record, so the
+        count is the same whether the engine was cold or warm.
+        """
+        latencies = context.engine.tune_many(items)
+        for pair in dict.fromkeys(items):  # dedupe before the program compare
+            if pair[1] != context.standard:
+                context.submitted[pair] = None
+        context.statistics.full_tunings = len(context.submitted)
+        return latencies
+
     def _prefetch_latencies(self, context: _SearchContext,
                             assignments: list[dict[str, TransformProgram]]) -> None:
         """Submit every (shape, program) pair of ``assignments`` as one batch.
@@ -1023,9 +911,9 @@ class UnifiedSearch:
         if not assignments:
             return
         self._emit("generation", assignments=len(assignments))
-        context.engine.tune_many(
-            [(context.shapes[w.name], assignment[w.name])
-             for assignment in assignments for w in context.workloads])
+        self._tune(context, [(context.shapes[w.name], assignment[w.name])
+                             for assignment in assignments
+                             for w in context.workloads])
 
     def _prefetch_fisher(self, context: _SearchContext,
                          assignments: list[dict[str, TransformProgram]]) -> None:

@@ -13,8 +13,6 @@ die, not just how many.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.program import TransformProgram, random_composition
@@ -58,54 +56,49 @@ def primitive_catalogue() -> list[tuple[str, str, str]]:
     return rows
 
 
-@dataclass(frozen=True)
-class UnifiedSpaceConfig:
-    """Candidate-generation policy for the unified search.
+# The candidate-generation policy of the unified search (DESIGN.md §7).
+# Every layer is offered the ``standard`` program, the three named §7.3
+# sequences and the classic NAS candidate operators, plus random draws.
 
-    Example::
-
-        search = UnifiedSearch(platform, space=UnifiedSpaceConfig(
-            neural_probability=0.5, random_compositions_per_layer=4, seed=7))
-    """
-
-    #: probability of proposing a neural sequence (vs program-only) per layer
-    neural_probability: float = 0.75
-    #: include the three named §7.3 sequences among the candidates
-    include_paper_sequences: bool = True
-    #: include the classic NAS candidate operators expressed as sequences
-    include_nas_candidates: bool = True
-    #: number of additional random named sequences proposed per layer
-    random_sequences_per_layer: int = 4
-    #: number of random primitive compositions sampled per layer from the
-    #: open IR (programs outside the predefined catalogue)
-    random_compositions_per_layer: int = 2
-    #: maximum primitive applications per sampled composition
-    max_composition_steps: int = 4
-    seed: int = 0
+#: probability of proposing a neural sequence (vs program-only) per layer
+NEURAL_PROBABILITY = 0.75
+#: number of additional random named sequences proposed per layer
+RANDOM_SEQUENCES_PER_LAYER = 4
+#: number of random primitive compositions sampled per layer from the open
+#: IR (programs outside the predefined catalogue)
+RANDOM_COMPOSITIONS_PER_LAYER = 2
+#: maximum primitive applications per sampled composition
+MAX_COMPOSITION_STEPS = 4
 
 
 class UnifiedSpace:
-    """Generates candidate transform programs for convolution layers."""
+    """Generates candidate transform programs for convolution layers.
 
-    def __init__(self, config: UnifiedSpaceConfig | None = None):
-        self.config = config or UnifiedSpaceConfig()
-        self._rng = make_rng(self.config.seed)
+    Example::
+
+        space = UnifiedSpace(seed=7)
+        programs = space.candidate_sequences(shape, rng=space.fresh_rng())
+    """
+
+    def __init__(self, seed: int = 0):
+        self.seed = seed
+        self._rng = make_rng(seed)
 
     def fresh_rng(self) -> np.random.Generator:
-        """An RNG restarted from the configured seed.
+        """An RNG restarted from the space's seed.
 
         One per search run makes candidate generation a pure function of
-        the space configuration, so repeated searches propose identical
-        programs and hit the evaluation engine's cache instead of tuning.
+        the seed, so repeated searches propose identical programs and hit
+        the evaluation engine's cache instead of tuning.
         """
-        return make_rng(self.config.seed)
+        return make_rng(self.seed)
 
     def random_composition(self, shape: ConvolutionShape,
                            rng: np.random.Generator | None = None,
                            ) -> TransformProgram | None:
         """Sample one random primitive composition legal for ``shape``."""
         return random_composition(shape, self._rng if rng is None else rng,
-                                  max_steps=self.config.max_composition_steps)
+                                  max_steps=MAX_COMPOSITION_STEPS)
 
     def candidate_sequences(self, shape: ConvolutionShape,
                             rng: np.random.Generator | None = None,
@@ -122,14 +115,12 @@ class UnifiedSpace:
         rng = self._rng if rng is None else rng
         candidates: dict[str, TransformProgram] = {
             "standard": predefined_program("standard")}
-        if self.config.include_paper_sequences:
-            candidates.update(paper_sequences())
-        if self.config.include_nas_candidates:
-            candidates.update(nas_candidate_sequences())
-        for index in range(self.config.random_sequences_per_layer):
+        candidates.update(paper_sequences())
+        candidates.update(nas_candidate_sequences())
+        for index in range(RANDOM_SEQUENCES_PER_LAYER):
             program = random_sequence(rng)
             candidates.setdefault(f"random_{index}_{program.name}", program)
-        for index in range(self.config.random_compositions_per_layer):
+        for index in range(RANDOM_COMPOSITIONS_PER_LAYER):
             program = self.random_composition(shape, rng)
             if program is not None:
                 candidates.setdefault(f"composition_{index}", program)
@@ -153,7 +144,7 @@ class UnifiedSpace:
         for layer, candidates in per_layer_candidates.items():
             neural = [c for c in candidates if c.is_neural]
             standard = [c for c in candidates if not c.is_neural]
-            if neural and rng.random() < self.config.neural_probability:
+            if neural and rng.random() < NEURAL_PROBABILITY:
                 assignment[layer] = neural[int(rng.integers(0, len(neural)))]
             elif standard:
                 assignment[layer] = standard[int(rng.integers(0, len(standard)))]

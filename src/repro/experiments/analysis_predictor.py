@@ -6,9 +6,10 @@ for the same search quality.  This driver measures that trade-off inside
 the unified space: every registered strategy runs the same search on the
 same network/platform pair — each against its own fresh engine, so tuning
 work is attributable — and the table reports, per strategy, the achieved
-latency next to the *full-trial tunings* it paid for, plus the surrogate's
-verified prediction error (``model_guided``) and the evaluations the
-multi-fidelity ladder skipped (``hyperband``).
+latency next to the candidate tunings it paid for, plus the surrogate's
+verified prediction error and the evaluations it screened
+(``model_guided``).  ``tools/strategy_study.py`` runs the same comparison
+over many seeds, models and platforms.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.search import UnifiedSearch, UnifiedSearchResult
-from repro.core.unified_space import UnifiedSpaceConfig
 from repro.experiments.common import (
     ExperimentScale,
     cifar_dataset,
@@ -32,18 +32,19 @@ from repro.experiments.registry import (
 )
 from repro.hardware import get_platform
 
-#: Strategies compared by default: the paper's procedure, the strongest
-#: classic baseline, and the two predictor/fidelity-guided newcomers.
-DEFAULT_STRATEGIES = ("random", "evolutionary", "model_guided", "hyperband")
+#: Strategies compared by default: the paper's procedure, the classic
+#: evolutionary baseline, and the surrogate-guided search.
+DEFAULT_STRATEGIES = ("random", "evolutionary", "model_guided")
 
 
 def full_trial_tunings(engine) -> int:
-    """Unique candidate pairs ``engine`` tuned at its full trial budget.
+    """Unique candidate pairs ``engine`` tuned at its trial budget.
 
-    Counts distinct full-fidelity cache entries whose program is not the
-    ``standard`` baseline (which every strategy tunes once per shape), so
-    the number is the per-strategy *candidate* evaluation bill — the cost
-    axis the predictor/fidelity guidance is supposed to shrink.
+    Counts distinct cache entries at the engine's ``tuner_trials`` whose
+    program is not the ``standard`` baseline (which every strategy tunes
+    once per shape), so the number is the per-strategy *candidate*
+    evaluation bill — the cost axis the surrogate is supposed to shrink.
+    On a fresh engine it equals the search's ``full_tunings``.
     """
     from repro.core.sequences import predefined_program
 
@@ -61,8 +62,8 @@ class StrategyRow:
     optimized_latency_seconds: float
     speedup: float
     configurations_evaluated: int
-    #: unique (shape, program) pairs tuned at the engine's full trial
-    #: budget — the cost axis the predictor/fidelity guidance reduces
+    #: unique (shape, program) pairs tuned at the engine's trial budget —
+    #: the cost axis the surrogate reduces
     tuned_evaluations: int
     tuner_calls: int
     predictor_mae: float
@@ -112,8 +113,7 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0,
         source_engine = evaluation_engine(source, scale, seed=seed)
         source_search = UnifiedSearch(
             source, configurations=scale.pipeline.configurations,
-            strategy="model_guided", space=UnifiedSpaceConfig(seed=seed),
-            seed=seed, engine=source_engine)
+            strategy="model_guided", seed=seed, engine=source_engine)
         source_search.search(builder(), images, labels,
                              dataset.spec.image_shape)
         warm = source_search.predictor
@@ -129,8 +129,7 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0,
             predictor = LatencyPredictor()
             predictor.warm_start_from(warm)
         search = UnifiedSearch(plat, configurations=scale.pipeline.configurations,
-                               strategy=strategy,
-                               space=UnifiedSpaceConfig(seed=seed), seed=seed,
+                               strategy=strategy, seed=seed,
                                engine=engine, predictor=predictor)
         outcome = search.search(builder(), images, labels,
                                 dataset.spec.image_shape)

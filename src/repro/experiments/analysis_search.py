@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.search import UnifiedSearch
-from repro.core.unified_space import UnifiedSpaceConfig
 from repro.data import test_loader, train_loader
 from repro.experiments.common import (
     ExperimentScale,
@@ -70,8 +69,7 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0,
 
     search_model = builder()
     search = UnifiedSearch(plat, configurations=scale.pipeline.configurations,
-                           strategy=strategy,
-                           space=UnifiedSpaceConfig(seed=seed), seed=seed,
+                           strategy=strategy, seed=seed,
                            engine=evaluation_engine(plat, scale, seed=seed))
     outcome = search.search(search_model, images, labels, dataset.spec.image_shape)
     optimized = search.materialize(builder(), outcome, seed=seed)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.search import UnifiedSearch
-from repro.core.unified_space import UnifiedSpaceConfig
 from repro.experiments.common import (
     CIFAR_NETWORKS,
     ExperimentScale,
@@ -59,7 +58,7 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0,
         search = UnifiedSearch(get_platform(platform),
                                configurations=scale.pipeline.configurations,
                                tuner_trials=scale.pipeline.tuner_trials,
-                               space=UnifiedSpaceConfig(seed=seed), seed=seed)
+                               seed=seed)
         outcome = search.search(model, images, labels, dataset.spec.image_shape)
         result.frequencies[network] = dict(outcome.primitive_frequency())
         result.neural_layer_counts[network] = sum(

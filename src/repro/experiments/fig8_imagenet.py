@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.search import UnifiedSearch
-from repro.core.unified_space import UnifiedSpaceConfig
 from repro.core.pipeline import network_latency
 from repro.data import test_loader, train_loader
 from repro.experiments.common import (
@@ -89,8 +88,7 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0, platform: str = "cpu
 
         search_model = builder()
         search = UnifiedSearch(plat, configurations=scale.pipeline.configurations,
-                               space=UnifiedSpaceConfig(seed=seed), seed=seed,
-                               engine=engine)
+                               seed=seed, engine=engine)
         outcome = search.search(search_model, images, labels, dataset.spec.image_shape)
         optimized = search.materialize(builder(), outcome, seed=seed)
         # Latency accounting mirrors Figure 4: the compiled network consists of

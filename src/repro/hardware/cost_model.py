@@ -61,8 +61,8 @@ class _BatchWorkspace(threading.local):
     """Growable per-thread scratch buffers reused across batch calls.
 
     ``threading.local`` because ``estimate_latency_batch`` runs
-    concurrently on the engine's thread pools; each thread keeps its own
-    buffers and no call ever sees another call's scratch state.
+    concurrently in the optimization service's worker threads; each thread
+    keeps its own buffers and no call sees another call's scratch state.
     """
 
     def __init__(self) -> None:

@@ -381,10 +381,10 @@ def shared_tuning_context(computation: Computation,
     and hashable), so a cache hit hands back a context whose ``computation``
     compares equal to the request — every downstream artefact (stage and
     nest names included) is exactly what a freshly built context would
-    produce.  The win is that re-tunes of the same operator — hyperband's
-    fidelity ladder, multi-seed replications, repeated engine sessions —
-    reuse the template analysis plus the per-``schedule_key`` structural
-    and lowering caches the earlier tunes already paid for.
+    produce.  The win is that re-tunes of the same operator — other trial
+    budgets, multi-seed replications, repeated engine sessions — reuse the
+    template analysis plus the per-``schedule_key`` structural and lowering
+    caches the earlier tunes already paid for.
 
     Thread-safe: contexts may be built twice under a race, but only one is
     kept, and the per-context caches are deterministic read-through tables,

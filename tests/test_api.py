@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +113,52 @@ class TestRequest:
         with pytest.raises(ReproError):
             OptimizationRequest(**bad)
 
+    #: one wrong type, then one out-of-range or unregistered value, per field
+    BAD_VALUES = {
+        "model": (7, "unet"), "platform": (None, "tpu"),
+        "strategy": (1, "hyperband"), "configurations": ("60", 0),
+        "tuner_trials": (2.5, 0), "fisher_threshold": ("x", -0.5),
+        "seed": ("0", -1), "width_multiplier": (True, -1.0),
+        "image_size": (None, -3), "fisher_batch": (4.0, 0),
+        "liar": (None, "cl_max"), "learner": (0, "gp"),
+        "acquisition": ([], "ei"), "encoding": (b"flat", "path"),
+    }
+
+    def test_bad_values_cover_every_field(self):
+        fields = {spec.name for spec in dataclasses.fields(OptimizationRequest)}
+        assert set(self.BAD_VALUES) == fields
+
+    @pytest.mark.parametrize("field,value", [
+        (field, value) for field, values in BAD_VALUES.items()
+        for value in values], ids=repr)
+    def test_every_field_rejects_bad_values_by_name(self, field, value):
+        with pytest.raises(ReproError, match=field):
+            OptimizationRequest.from_dict({field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("fisher_threshold", float("nan")), ("width_multiplier", float("inf")),
+        ("width_multiplier", 0), ("seed", False),
+    ])
+    def test_numbers_must_be_finite_and_not_bool(self, field, value):
+        with pytest.raises(ReproError, match=field):
+            OptimizationRequest(**{field: value})
+
+    def test_float_fields_accept_integers(self):
+        request = OptimizationRequest(fisher_threshold=0, width_multiplier=1)
+        assert OptimizationRequest.from_dict(request.to_dict()) == request
+
+    def test_perfbench_panels_and_the_parent_checkpoint_still_load(self):
+        from repro.core.checkpoint import read_checkpoint
+
+        root = Path(__file__).resolve().parents[1]
+        workloads = json.loads((root / "perfbench" / "workloads.json").read_text())
+        for spec in workloads.values():
+            for seed in spec["panel"]:
+                OptimizationRequest(**spec["request"], seed=seed)
+        checkpoint = read_checkpoint(
+            root / "tests" / "data" / "model_guided_parent.ckpt.json")
+        OptimizationRequest.from_dict(checkpoint.request_document)
+
 
 class TestResultDocuments:
     def test_json_round_trip(self, tiny_result):
@@ -182,16 +230,17 @@ class TestSessionLifecycle:
 
     def test_close_on_exception_saves_cache_and_stops_pools(self, tmp_path):
         with pytest.raises(RuntimeError, match="boom"):
-            with OptimizationSession("cpu", tuner_trials=3,
-                                     cache_dir=tmp_path) as session:
+            with OptimizationSession("cpu", tuner_trials=3, cache_dir=tmp_path,
+                                     parallel="process",
+                                     max_workers=2) as session:
                 session.tune((8, 8, 6, 6, 3, 3), "standard")
                 engine = session.engine()
-                engine.tune_many([], parallel="thread")  # spin a pool up
+                engine._executor()  # spin the pool up
                 raise RuntimeError("boom")
         assert session.closed
         shards = list(tmp_path.glob("shard-*.rcs"))
         assert len(shards) == 1
-        assert not engine._pools  # worker pools shut down
+        assert engine._pool is None  # worker pool shut down
 
     def test_cache_warm_start_across_sessions(self, tmp_path):
         with OptimizationSession("cpu", tuner_trials=3, cache_dir=tmp_path) as first:
@@ -206,13 +255,15 @@ class TestSessionLifecycle:
             raise OSError("disk full")
 
         with pytest.raises(RuntimeError, match="body failed"):
-            with OptimizationSession("cpu", tuner_trials=3,
-                                     cache_dir=tmp_path) as session:
+            with OptimizationSession("cpu", tuner_trials=3, cache_dir=tmp_path,
+                                     parallel="process",
+                                     max_workers=2) as session:
                 engine = session.engine()
+                engine._executor()  # spin the pool up
                 session.tune((8, 8, 6, 6, 3, 3), "standard")
                 monkeypatch.setattr(engine, "save_cache", fail)
                 raise RuntimeError("body failed")
-        assert not engine._pools  # still torn down
+        assert engine._pool is None  # still torn down
 
     def test_clean_exit_propagates_cache_failure(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import SequenceSpec, UnifiedSpaceConfig, compare_approaches
+from repro.core import SequenceSpec, compare_approaches
 from repro.core import engine as engine_module
 from repro.core.engine import EvaluationEngine
 from repro.core.pipeline import PipelineScale
@@ -108,12 +108,22 @@ class TestEngineCache:
         assert engine.statistics.latency_hits == 1
         assert engine.statistics.latency_misses == 1
 
+    def test_more_tuner_trials_never_report_a_worse_latency(self):
+        shape = ConvolutionShape(16, 16, 8, 8, 3, 3)
+        standard = predefined_program("standard")
+        full = EvaluationEngine(get_platform("cpu"), tuner_trials=8,
+                                seed=0).tuned_latency(shape, standard)
+        low = EvaluationEngine(get_platform("cpu"), tuner_trials=2,
+                               seed=0).tuned_latency(shape, standard)
+        # More trials can only improve (or match) the tuned schedule.
+        assert full <= low
+
     def test_second_search_on_warm_engine_does_zero_tuner_calls(
             self, dataset, minibatch, tune_counter):
         images, labels = minibatch
         engine = EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0)
         search = UnifiedSearch(get_platform("cpu"), configurations=10,
-                               space=UnifiedSpaceConfig(seed=0), seed=0, engine=engine)
+                               seed=0, engine=engine)
         first = search.search(_small_model(), images, labels, dataset.spec.image_shape)
         warm = tune_counter["count"]
         assert warm > 0
@@ -124,10 +134,10 @@ class TestEngineCache:
     def test_tune_many_parallel_matches_serial_bit_for_bit(self):
         platform = get_platform("cpu")
         serial = EvaluationEngine(platform, tuner_trials=3, seed=0)
-        reference = serial.tune_many(_items(), parallel="serial")
-        for mode in ("thread", "process"):
-            engine = EvaluationEngine(platform, tuner_trials=3, seed=0)
-            assert engine.tune_many(_items(), parallel=mode, max_workers=2) == reference
+        reference = serial.tune_many(_items())
+        with EvaluationEngine(platform, tuner_trials=3, seed=0,
+                              parallel="process", max_workers=2) as engine:
+            assert engine.tune_many(_items()) == reference
 
     def test_tune_many_deduplicates_and_orders(self, tune_counter):
         engine = EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0)
@@ -151,11 +161,9 @@ class TestEngineCache:
     def test_rejects_bad_configuration(self):
         with pytest.raises(EngineError):
             EvaluationEngine(get_platform("cpu"), tuner_trials=0)
-        with pytest.raises(EngineError):
-            EvaluationEngine(get_platform("cpu"), parallel="gpu")
-        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2)
-        with pytest.raises(EngineError):
-            engine.tune_many(_items(2), parallel="gpu")
+        for mode in ("gpu", "thread"):
+            with pytest.raises(EngineError):
+                EvaluationEngine(get_platform("cpu"), parallel=mode)
 
 
 class TestFisherOracle:
@@ -240,7 +248,7 @@ class TestStrategyRegistry:
             get_strategy("does-not-exist")
 
     def test_builtin_strategies_registered(self):
-        for name in ("greedy", "random", "evolutionary", "local"):
+        for name in ("greedy", "random", "evolutionary", "model_guided"):
             assert name in SEARCH_STRATEGY_REGISTRY
             assert get_strategy(name).name == name
 

@@ -1,5 +1,5 @@
 """Tests for the candidate encoding, the latency surrogate and the
-predictor-guided / multi-fidelity search strategies."""
+predictor-guided search strategy."""
 
 from __future__ import annotations
 
@@ -18,13 +18,13 @@ from repro.core.encoding import (
     feature_dict,
 )
 from repro.core.engine import EvaluationEngine
-from repro.core.predictor import LatencyPredictor
+from repro.core.predictor import LIAR_STRATEGIES, LatencyPredictor
 from repro.core.program import program_to_dict
 from repro.core.search import UnifiedSearch
 from repro.core.sequences import paper_sequences, predefined_program
-from repro.core.unified_space import UnifiedSpaceConfig
 from repro.data import SyntheticImageDataset
 from repro.errors import SearchError
+from repro.experiments.analysis_predictor import full_trial_tunings
 from repro.hardware import get_platform
 from repro.poly.statement import ConvolutionShape
 
@@ -176,59 +176,49 @@ class TestModelGuidedDeterminism:
     """Same seed ⇒ identical search trajectory across engine modes."""
 
     @staticmethod
-    def _run(strategy: str, parallel: str, liar: str = "cl_mean"):
+    def _run(parallel: str, liar: str = "cl_mean"):
         dataset = SyntheticImageDataset.cifar10_like(
             train_size=32, test_size=16, image_size=8, seed=0)
         images, labels = dataset.random_minibatch(4, seed=0)
         with EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0,
                               parallel=parallel, max_workers=2) as engine:
             search = UnifiedSearch(get_platform("cpu"), configurations=16,
-                                   strategy=strategy,
-                                   space=UnifiedSpaceConfig(seed=0), seed=0,
+                                   strategy="model_guided", seed=0,
                                    engine=engine, liar=liar)
             result = search.search(_small_model(), images, labels,
                                    dataset.spec.image_shape)
             return result, tuple(sorted(map(repr, engine.cache_keys())))
 
-    def _assert_modes_agree(self, strategy: str, liar: str = "cl_mean"):
-        reference, reference_keys = self._run(strategy, "serial", liar)
-        for parallel in ("thread", "process"):
-            result, keys = self._run(strategy, parallel, liar)
-            assert keys == reference_keys, f"{parallel} tuned different keys"
-            assert result.optimized_latency_seconds == \
-                reference.optimized_latency_seconds
-            assert set(result.choices) == set(reference.choices)
-            for name, choice in reference.choices.items():
-                other = result.choices[name]
-                assert other.sequence == choice.sequence, (parallel, name)
-                assert other.latency_seconds == choice.latency_seconds
-                assert other.fisher_score == choice.fisher_score
-            reference_stats = dataclasses.asdict(reference.statistics)
-            other_stats = dataclasses.asdict(result.statistics)
-            # Wall clock and compile-trie telemetry are observability, not
-            # search state: the trie is process-global (warm from earlier
-            # runs, per-worker under process pools), so its counters are
-            # mode- and history-dependent by design.
-            for volatile in ("search_seconds", "compile_hits",
-                             "compile_misses", "prefix_depth_saved"):
-                reference_stats.pop(volatile)
-                other_stats.pop(volatile)
-            assert other_stats == reference_stats
-
-    @pytest.mark.parametrize("strategy", ["model_guided", "hyperband"])
-    def test_trajectory_identical_across_engine_modes(self, strategy):
-        self._assert_modes_agree(strategy)
-
-    @pytest.mark.parametrize("liar", ["cl_min", "cl_max", "none"])
-    def test_liar_trajectory_identical_across_engine_modes(self, liar):
-        """The other liar values (cl_mean is the default above) pick the
-        same batches whether the engine tunes serially, on threads or in
-        worker processes."""
-        self._assert_modes_agree("model_guided", liar)
+    @pytest.mark.parametrize("liar", ("none",) + LIAR_STRATEGIES)
+    def test_trajectory_identical_across_engine_modes(self, liar):
+        """Every liar value picks the same batches whether the engine
+        tunes serially or in worker processes."""
+        reference, reference_keys = self._run("serial", liar)
+        result, keys = self._run("process", liar)
+        assert keys == reference_keys, "process tuned different keys"
+        assert result.optimized_latency_seconds == \
+            reference.optimized_latency_seconds
+        assert set(result.choices) == set(reference.choices)
+        for name, choice in reference.choices.items():
+            other = result.choices[name]
+            assert other.sequence == choice.sequence, name
+            assert other.latency_seconds == choice.latency_seconds
+            assert other.fisher_score == choice.fisher_score
+        reference_stats = dataclasses.asdict(reference.statistics)
+        other_stats = dataclasses.asdict(result.statistics)
+        # Wall clock and compile-trie telemetry are observability, not
+        # search state: the trie is process-global (warm from earlier
+        # runs, per-worker under process pools), so its counters are
+        # mode- and history-dependent by design.
+        for volatile in ("search_seconds", "compile_hits",
+                         "compile_misses", "prefix_depth_saved"):
+            reference_stats.pop(volatile)
+            other_stats.pop(volatile)
+        assert other_stats == reference_stats
 
     def test_repeated_runs_identical(self):
-        first, first_keys = self._run("model_guided", "serial")
-        second, second_keys = self._run("model_guided", "serial")
+        first, first_keys = self._run("serial")
+        second, second_keys = self._run("serial")
         assert first_keys == second_keys
         assert first.optimized_latency_seconds == second.optimized_latency_seconds
         assert {n: c.sequence for n, c in first.choices.items()} == \
@@ -245,8 +235,7 @@ class TestStrategyBehaviour:
     def test_model_guided_saves_evaluations(self, minibatch):
         dataset, (images, labels) = minibatch
         search = UnifiedSearch(get_platform("cpu"), configurations=16,
-                               tuner_trials=3, strategy="model_guided",
-                               space=UnifiedSpaceConfig(seed=0), seed=0)
+                               tuner_trials=3, strategy="model_guided", seed=0)
         result = search.search(_small_model(), images, labels,
                                dataset.spec.image_shape)
         stats = result.statistics
@@ -258,20 +247,28 @@ class TestStrategyBehaviour:
         assert search.predictor is not None
         assert search.predictor.statistics.observations > 0
 
-    def test_hyperband_uses_lower_fidelities(self, minibatch):
+    @pytest.mark.parametrize("strategy",
+                             ["greedy", "random", "evolutionary", "model_guided"])
+    def test_full_tunings_counts_the_fresh_engines_candidate_keys(
+            self, minibatch, strategy):
         dataset, (images, labels) = minibatch
-        with EvaluationEngine(get_platform("cpu"), tuner_trials=6,
+        with EvaluationEngine(get_platform("cpu"), tuner_trials=3,
                               seed=0) as engine:
-            search = UnifiedSearch(get_platform("cpu"), configurations=16,
-                                   strategy="hyperband",
-                                   space=UnifiedSpaceConfig(seed=0), seed=0,
-                                   engine=engine)
-            result = search.search(_small_model(), images, labels,
-                                   dataset.spec.image_shape)
-            fidelities = {key[3] for key in engine.cache_keys()}
-            assert result.speedup >= 0.999
-            assert min(fidelities) < engine.tuner_trials
-            assert engine.tuner_trials in fidelities
+            def run():
+                search = UnifiedSearch(get_platform("cpu"), configurations=16,
+                                       strategy=strategy, seed=0, engine=engine)
+                return search.search(_small_model(), images, labels,
+                                     dataset.spec.image_shape)
+
+            result = run()
+            assert result.statistics.full_tunings > 0
+            assert result.statistics.full_tunings == full_trial_tunings(engine)
+            # A second search on the now-warm engine tunes nothing, and
+            # still reports the pairs it submitted.
+            calls = engine.statistics.tuner_calls
+            again = run()
+            assert engine.statistics.tuner_calls == calls
+            assert again.statistics.full_tunings == result.statistics.full_tunings
 
     def test_facade_accepts_model_guided(self):
         import repro
@@ -295,19 +292,9 @@ class TestStrategyBehaviour:
         assert restored.search_statistics["evaluations_saved"] == \
             statistics["evaluations_saved"]
 
-    def test_engine_trials_override_keys_fidelity_separately(self):
-        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=8, seed=0)
-        full = engine.tuned_latency(SHAPE, STANDARD)
-        low = engine.tuned_latency(SHAPE, STANDARD, trials=2)
-        assert engine.latency_key(SHAPE, STANDARD)[3] == 8
-        assert engine.latency_key(SHAPE, STANDARD, trials=2)[3] == 2
-        assert engine.cache_size == 2
-        # More trials can only improve (or match) the tuned schedule.
-        assert full <= low
-
 
 class TestConstantLiar:
-    """Pending-point imputation (cl_min/cl_max/cl_mean) on the surrogate."""
+    """Pending-point imputation (cl_min/cl_mean) on the surrogate."""
 
     def _warm_predictor(self) -> LatencyPredictor:
         predictor = LatencyPredictor(min_observations=4, l2=1e-8)
@@ -320,12 +307,14 @@ class TestConstantLiar:
 
     def test_lie_values_follow_their_strategy(self):
         values = {}
-        for strategy in ("cl_min", "cl_max", "cl_mean"):
+        for strategy in ("cl_min", "cl_mean"):
             predictor = self._warm_predictor()
             values[strategy] = predictor.lie(SHAPE, STANDARD, trials=4,
                                              strategy=strategy)
-        assert values["cl_min"] <= values["cl_mean"] <= values["cl_max"]
-        assert values["cl_min"] < values["cl_max"]
+        assert values["cl_min"] < values["cl_mean"]
+        with pytest.raises(SearchError, match="cl_max"):
+            self._warm_predictor().lie(SHAPE, STANDARD, trials=4,
+                                       strategy="cl_max")
 
     def test_lies_are_not_observations(self):
         predictor = self._warm_predictor()
@@ -369,7 +358,7 @@ class TestConstantLiar:
         honest = _predict(predictor, SHAPE, program)
         lying = self._warm_predictor()
         for _ in range(4):
-            lying.lie(SHAPE, program, trials=4, strategy="cl_max")
+            lying.lie(SHAPE, program, trials=4, strategy="cl_min")
         biased = _predict(lying, SHAPE, program)
         assert biased != honest
         lying.retract_lies()
@@ -386,8 +375,7 @@ class TestLiarBatchSearch:
         images, labels = dataset.random_minibatch(4, seed=0)
         events = []
         search = UnifiedSearch(get_platform("cpu"), configurations=16,
-                               tuner_trials=3, strategy="model_guided",
-                               space=UnifiedSpaceConfig(seed=seed), seed=seed,
+                               tuner_trials=3, strategy="model_guided", seed=seed,
                                observer=lambda event: events.append(event.kind),
                                liar=liar)
         result = search.search(_small_model(), images, labels,
@@ -573,8 +561,7 @@ class TestTransfer:
             search = UnifiedSearch(get_platform(platform),
                                    configurations=configurations,
                                    tuner_trials=3, strategy="model_guided",
-                                   space=UnifiedSpaceConfig(seed=0), seed=0,
-                                   predictor=predictor)
+                                   seed=0, predictor=predictor)
             result = search.search(_small_model(), images, labels,
                                    dataset.spec.image_shape)
             return search, result
@@ -633,7 +620,6 @@ class TestModelGuidedPicks:
         images, labels = dataset.random_minibatch(4, seed=0)
         search = UnifiedSearch(get_platform(platform), configurations=16,
                                tuner_trials=3, strategy="model_guided",
-                               space=UnifiedSpaceConfig(seed=int(seed)),
                                seed=int(seed), liar=liar)
         result = search.search(_small_model(), images, labels,
                                dataset.spec.image_shape)

@@ -388,7 +388,7 @@ class TestEnginePrescreen:
 class TestSearchRejectionAccounting:
     def test_impossible_threshold_attributes_rejections_to_primitives(self):
         from repro import nn
-        from repro.core import UnifiedSearch, UnifiedSpaceConfig
+        from repro.core import UnifiedSearch
         from repro.data import SyntheticImageDataset
 
         dataset = SyntheticImageDataset.cifar10_like(train_size=32, test_size=16,
@@ -399,8 +399,7 @@ class TestSearchRejectionAccounting:
             nn.ConvBNReLU(3, 8, 3, rng=rng),
             nn.GlobalAvgPool2d(), nn.Linear(8, 10, rng=rng))
         search = UnifiedSearch(get_platform("cpu"), configurations=10, tuner_trials=3,
-                               fisher_threshold=10.0,
-                               space=UnifiedSpaceConfig(seed=0), seed=0)
+                               fisher_threshold=10.0, seed=0)
         result = search.search(model, images, labels, dataset.spec.image_shape)
         stats = result.statistics
         assert stats.configurations_rejected > 0

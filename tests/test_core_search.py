@@ -10,7 +10,6 @@ from repro.core import (
     PipelineScale,
     SequenceSpec,
     UnifiedSearch,
-    UnifiedSpaceConfig,
     compare_approaches,
     extract_workloads,
     network_latency,
@@ -78,7 +77,7 @@ class TestUnifiedSearch:
         model = _small_model()
         images, labels = minibatch
         search = UnifiedSearch(get_platform("cpu"), configurations=20, tuner_trials=3,
-                               strategy=strategy, space=UnifiedSpaceConfig(seed=0), seed=0)
+                               strategy=strategy, seed=0)
         result = search.search(model, images, labels, dataset.spec.image_shape)
         assert result.optimized_latency_seconds <= result.baseline_latency_seconds * 1.001
         assert result.speedup >= 0.999

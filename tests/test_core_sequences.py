@@ -11,13 +11,13 @@ from repro.core import (
     TABLE1_PRIMITIVES,
     TransformProgram,
     UnifiedSpace,
-    UnifiedSpaceConfig,
     nas_candidate_sequences,
     paper_sequences,
     predefined_program,
     primitive_catalogue,
     random_sequence,
 )
+from repro.core import unified_space
 from repro.errors import TransformError
 from repro.poly import ConvolutionShape
 from repro.utils import make_rng
@@ -123,25 +123,26 @@ class TestUnifiedSpace:
         assert len(primitive_catalogue()) == 11
 
     def test_candidates_always_include_standard(self, shape):
-        space = UnifiedSpace(UnifiedSpaceConfig(seed=0))
+        space = UnifiedSpace(seed=0)
         candidates = space.candidate_sequences(shape)
         assert any(not c.is_neural for c in candidates)
         assert all(c.applicable(shape) for c in candidates)
 
     def test_candidates_include_paper_sequences(self, shape):
-        space = UnifiedSpace(UnifiedSpaceConfig(seed=0))
+        space = UnifiedSpace(seed=0)
         kinds = {c.kind for c in space.candidate_sequences(shape)}
         assert {"seq1", "seq2", "seq3"} <= kinds
 
-    def test_candidates_include_random_compositions(self, shape):
-        space = UnifiedSpace(UnifiedSpaceConfig(seed=0, random_compositions_per_layer=4))
+    def test_candidates_include_random_compositions(self, shape, monkeypatch):
+        monkeypatch.setattr(unified_space, "RANDOM_COMPOSITIONS_PER_LAYER", 4)
+        space = UnifiedSpace(seed=0)
         kinds = {c.kind for c in space.candidate_sequences(shape)}
         assert any(kind.startswith("compose[") for kind in kinds)
 
     def test_structural_rejections_attributed_to_primitives(self):
         # Odd channel counts: grouping and channel bottlenecking cannot divide.
         awkward = ConvolutionShape(c_out=15, c_in=15, h_out=8, w_out=8, k_h=3, k_w=3)
-        space = UnifiedSpace(UnifiedSpaceConfig(seed=0))
+        space = UnifiedSpace(seed=0)
         rejections: dict[str, int] = {}
         space.candidate_sequences(awkward, rejections=rejections)
         assert rejections
@@ -150,13 +151,13 @@ class TestUnifiedSpace:
         assert rejections.get("group", 0) > 0
 
     def test_sample_assignment_covers_all_layers(self, shape):
-        space = UnifiedSpace(UnifiedSpaceConfig(seed=0))
+        space = UnifiedSpace(seed=0)
         shapes = {"a": shape, "b": shape}
         candidates = {name: space.candidate_sequences(shape) for name in shapes}
         assignment = space.sample_assignment(shapes, candidates, make_rng(1))
         assert set(assignment) == {"a", "b"}
 
     def test_space_cardinality(self, shape):
-        space = UnifiedSpace(UnifiedSpaceConfig(seed=0))
+        space = UnifiedSpace(seed=0)
         candidates = {"a": space.candidate_sequences(shape)}
         assert space.space_cardinality(candidates) == len(candidates["a"])

@@ -144,18 +144,24 @@ class TestSupervisedSerial:
 
 
 class TestSupervisedParallel:
-    def test_thread_timeout_recycles_the_pool(self):
+    def test_timeout_recycles_the_process_pool(self, monkeypatch):
         golden = EvaluationEngine(get_platform("cpu"), tuner_trials=2,
                                   seed=0).tune_many(_items())
+        # seed 2 hangs every worker's second task and never its first:
+        # each fresh pool finishes at least one task per worker, and the
+        # straggler the parent waits on times out and recycles the pool.
+        monkeypatch.setenv(faults.FAULTS_ENV, "tune_timeout:0.4")
+        monkeypatch.setenv(faults.FAULTS_SEED_ENV, "2")
+        monkeypatch.setenv(faults.FAULTS_HANG_ENV, "1.0")
         engine = EvaluationEngine(
-            get_platform("cpu"), tuner_trials=2, seed=0,
-            supervision=SupervisionPolicy(task_timeout_seconds=0.05,
+            get_platform("cpu"), tuner_trials=2, seed=0, parallel="process",
+            max_workers=2,
+            supervision=SupervisionPolicy(task_timeout_seconds=0.2,
                                           backoff_seconds=0.001))
         events = []
         engine.subscribe(events.append)
-        with engine, faults.inject(tune_timeout=0.4, seed=0, hang_seconds=0.3):
-            assert engine.tune_many(_items(), parallel="thread",
-                                    max_workers=2) == golden
+        with engine:
+            assert engine.tune_many(_items()) == golden
         assert engine.statistics.pool_recoveries >= 1
         assert any(e.kind == "pool_recovered" for e in events)
         assert any(e.kind == "task_failed" for e in events)
@@ -170,36 +176,37 @@ class TestSupervisedParallel:
         monkeypatch.setenv(faults.FAULTS_ENV, "worker_exit:0.5")
         monkeypatch.setenv(faults.FAULTS_SEED_ENV, "7")
         engine = EvaluationEngine(
-            get_platform("cpu"), tuner_trials=2, seed=0,
-            supervision=SupervisionPolicy(backoff_seconds=0.001))
+            get_platform("cpu"), tuner_trials=2, seed=0, parallel="process",
+            max_workers=2, supervision=SupervisionPolicy(backoff_seconds=0.001))
         with engine, faults.suppressed():
             pass  # prove suppression is per-process state, not env mutation
         with engine:
-            assert engine.tune_many(_items(), parallel="process",
-                                    max_workers=2) == golden
+            assert engine.tune_many(_items()) == golden
             assert engine.statistics.pool_recoveries >= 1
             # the healed pool must be live: a fault-free batch reuses it
             monkeypatch.delenv(faults.FAULTS_ENV)
             extra = [(ConvolutionShape(24, 8, 6, 6, 3, 3),
                       predefined_program("standard"))] * 2
-            assert engine.tune_many(extra, parallel="process",
-                                    max_workers=2)
+            assert engine.tune_many(extra)
 
     def test_unbounded_pool_breakage_aborts(self, monkeypatch):
         monkeypatch.setenv(faults.FAULTS_ENV, "worker_exit:1.0")
         engine = EvaluationEngine(
-            get_platform("cpu"), tuner_trials=2, seed=0,
+            get_platform("cpu"), tuner_trials=2, seed=0, parallel="process",
+            max_workers=2,
             supervision=SupervisionPolicy(max_pool_recoveries=2,
                                           backoff_seconds=0.001))
         with engine, pytest.raises(EngineError, match="max_pool_recoveries"):
-            engine.tune_many(_items(), parallel="process", max_workers=2)
+            engine.tune_many(_items())
 
     def test_heal_pool_evicts_the_dead_executor(self):
-        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0)
+        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0,
+                                  parallel="process", max_workers=2)
         with engine:
-            first = engine._executor("thread", 2)
-            engine._heal_pool("thread", 2)
-            second = engine._executor("thread", 2)
+            first = engine._executor()
+            engine._heal_pool()
+            assert engine._pool is None
+            second = engine._executor()
             assert second is not first
 
 

@@ -216,6 +216,24 @@ class TestServiceEndToEnd:
                                       "strategy": "psychic"}})
         assert client.jobs() == []
 
+    def test_raw_submit_of_a_mistyped_field_gets_an_error_reply(
+            self, running_service):
+        # Straight onto the socket, past the client's own validation: the
+        # daemon must answer, not drop the connection.
+        _service, client = running_service
+        host, port = client.endpoint()
+        sock = protocol.connect(host, port)
+        try:
+            sock.sendall(protocol.encode_message(
+                {"verb": "submit", "request": {"configurations": "60"}}))
+            with sock.makefile("rb") as reader:
+                reply = protocol.read_message(reader)
+        finally:
+            sock.close()
+        assert reply["ok"] is False
+        assert "configurations" in reply["error"]
+        assert client.jobs() == []
+
     def test_submit_refuses_unknown_fields_and_retired_surrogates(
             self, running_service):
         _service, client = running_service

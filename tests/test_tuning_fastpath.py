@@ -195,16 +195,15 @@ class TestEngineFastPath:
         shapes = SHAPES[:3]
         standard = SequenceSpec(kind="standard")
         grouped = SequenceSpec(kind="group", group=2)
-        with EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0) as engine:
-            engine.tune_many([(s, standard) for s in shapes], parallel="thread",
-                             max_workers=2)
-            first = engine._pools.get(("thread", 2))
+        with EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0,
+                              parallel="process", max_workers=2) as engine:
+            engine.tune_many([(s, standard) for s in shapes])
+            first = engine._pool
             assert first is not None
-            engine.tune_many([(s, grouped) for s in shapes], parallel="thread",
-                             max_workers=2)
-            assert engine._pools.get(("thread", 2)) is first, (
+            engine.tune_many([(s, grouped) for s in shapes])
+            assert engine._pool is first, (
                 "the executor must be reused across tune_many calls")
-        assert engine._pools == {}
+        assert engine._pool is None
         # close() is idempotent and a closed engine still works (serially
         # or by recreating a pool on demand).
         engine.close()
@@ -215,13 +214,13 @@ class TestEngineFastPath:
         items = [(shape, SequenceSpec(kind="standard")) for shape in SHAPES[:4]]
         platform = get_platform("cpu")
         reference = EvaluationEngine(platform, tuner_trials=3, seed=0).tune_many(items)
-        for mode in ("thread", "process"):
-            with EvaluationEngine(platform, tuner_trials=3, seed=0) as engine:
-                # Two batches through the same persistent pool.
-                half = len(items) // 2
-                first = engine.tune_many(items[:half], parallel=mode, max_workers=2)
-                second = engine.tune_many(items[half:], parallel=mode, max_workers=2)
-                assert first + second == reference
+        with EvaluationEngine(platform, tuner_trials=3, seed=0,
+                              parallel="process", max_workers=2) as engine:
+            # Two batches through the same persistent pool.
+            half = len(items) // 2
+            first = engine.tune_many(items[:half])
+            second = engine.tune_many(items[half:])
+            assert first + second == reference
 
 
 class TestDivisorsMemoisation:
