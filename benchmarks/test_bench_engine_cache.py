@@ -11,7 +11,8 @@ from __future__ import annotations
 import time
 
 from repro.core.engine import EvaluationEngine
-from repro.core.sequences import SequenceSpec, nas_candidate_sequences, paper_sequences
+from repro.core.sequences import (nas_candidate_sequences, paper_sequences,
+                                  predefined_program)
 from repro.core.workloads import extract_workloads
 from repro.hardware import get_platform
 from repro.models import resnet34
@@ -22,7 +23,7 @@ def _workload_stream(scale):
     model = resnet34(width_multiplier=scale.pipeline.width_multiplier)
     workloads = extract_workloads(model, (3, scale.pipeline.image_size,
                                           scale.pipeline.image_size))
-    sequences = [SequenceSpec(kind="standard")]
+    sequences = [predefined_program("standard")]
     sequences += list(paper_sequences().values())
     sequences += list(nas_candidate_sequences().values())
     return [(w.shape, s) for w in workloads for s in sequences if s.applicable(w.shape)]

@@ -29,7 +29,7 @@ import repro.tenir.autotune as autotune_module
 from repro.core import compile_cache
 from repro.core.engine import EvaluationEngine
 from repro.core.program import TransformProgram
-from repro.core.sequences import SequenceSpec, paper_sequences
+from repro.core.sequences import paper_sequences, predefined_program
 from repro.hardware import get_platform
 from repro.poly.affine import AffineExpr, AffineMap
 from repro.poly.statement import ConvolutionShape
@@ -179,7 +179,7 @@ def test_bench_engine_configurations_per_second(benchmark, scale, monkeypatch,
     platform = get_platform("cpu")
     shapes = [ConvolutionShape(16 * (1 + i % 3), 16, 6 + 2 * (i % 4), 6 + 2 * (i % 4), 3, 3)
               for i in range(8)]
-    sequences = [SequenceSpec(kind="standard")] + list(paper_sequences().values())
+    sequences = [predefined_program("standard")] + list(paper_sequences().values())
     items = [(shape, sequence) for shape in shapes for sequence in sequences
              if sequence.applicable(shape)]
     trials = scale.pipeline.tuner_trials

@@ -10,5 +10,5 @@ import sys
 import repro
 
 result = repro.optimize("resnet34", platform=sys.argv[1] if len(sys.argv) > 1 else "cpu",
-                        budget=60, trials=4, seed=0)
+                        configurations=60, tuner_trials=4, seed=0)
 print(result.summary())

@@ -9,7 +9,7 @@ Quick start::
 
     import repro
 
-    result = repro.optimize("resnet34", platform="cpu", budget=60)
+    result = repro.optimize("resnet34", platform="cpu", configurations=60)
     print(f"{result.speedup:.2f}x over the tuned TVM-style baseline")
 
 The same surface is reachable from a shell: ``python -m repro --help``
@@ -52,7 +52,7 @@ from repro.hardware.platform import PlatformSpec, get_platform
 from repro.poly.statement import ConvolutionShape
 
 #: Single-source package version (setup.py reads it from this file).
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 #: The supported public surface.  Additions are backwards-compatible;
 #: removals or renames require a major version bump (DESIGN.md §9).

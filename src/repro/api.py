@@ -9,7 +9,7 @@ four subpackages, callers say::
 
     import repro
 
-    result = repro.optimize("resnet34", platform="cpu", budget=60)
+    result = repro.optimize("resnet34", platform="cpu", configurations=60)
     print(result.speedup, result.programs())
 
 or, when several searches should share one engine, one cache directory and
@@ -633,22 +633,17 @@ class OptimizationSession:
     # ------------------------------------------------------------------
     def optimize(self, model: Module | str | None = None, *,
                  request: OptimizationRequest | None = None,
-                 platform: str | None = None, strategy: str | None = None,
-                 budget: int | None = None, configurations: int | None = None,
-                 tuner_trials: int | None = None,
-                 fisher_threshold: float | None = None,
-                 seed: int | None = None, width_multiplier: float | None = None,
-                 image_size: int | None = None, fisher_batch: int | None = None,
-                 liar: str | None = None,
                  observer: Observer | None = None,
                  checkpoint: str | Path | None = None,
-                 checkpoint_interval: float = 0.0) -> OptimizationResult:
+                 checkpoint_interval: float = 0.0,
+                 **fields) -> OptimizationResult:
         """Run the unified search for one model on one platform.
 
-        Either pass a prebuilt ``request`` (every knob as data), or the
-        individual keywords — ``budget`` is the number of configurations
-        the search may evaluate.  Keywords passed alongside a ``request``
-        override the corresponding request fields (re-validated).
+        ``fields`` are :class:`OptimizationRequest` fields, by their own
+        names; they override the fields of ``request``, or of the
+        session's ``platform``/``tuner_trials``/``seed`` defaults when no
+        request is given, and the merged document is validated like any
+        request (an unknown name raises a :class:`ReproError` naming it).
         ``model`` may be a zoo name or a live
         :class:`~repro.nn.module.Module`.
 
@@ -658,32 +653,20 @@ class OptimizationSession:
         with :func:`resume_checkpoint` / ``repro resume`` to the
         bit-identical result an uninterrupted run would have produced.
         """
-        if budget is not None and configurations is not None and budget != configurations:
-            raise ReproError("pass either budget or configurations, not both")
-        if configurations is None:
-            configurations = budget
         instance: Module | None = model if isinstance(model, Module) else None
-        overrides = {key: value for key, value in (
-            ("platform", None if platform is None else get_platform(platform).name),
-            ("strategy", strategy), ("configurations", configurations),
-            ("tuner_trials", tuner_trials), ("fisher_threshold", fisher_threshold),
-            ("seed", seed), ("width_multiplier", width_multiplier),
-            ("image_size", image_size), ("fisher_batch", fisher_batch),
-            ("liar", liar),
-        ) if value is not None}
-        if isinstance(model, str):
-            overrides["model"] = model
-        elif instance is not None:
+        if instance is not None:
             # A live module has no zoo name; the marker keeps the archived
             # request honest (build_model refuses it with a clear message).
-            overrides["model"] = f"instance:{type(instance).__name__}"
-        if request is None:
-            request = OptimizationRequest(**{
-                "platform": get_platform(self.platform).name,
-                "tuner_trials": self.tuner_trials, "seed": self.seed,
-                **overrides})
-        elif overrides:
-            request = dataclasses.replace(request, **overrides)
+            fields["model"] = f"instance:{type(instance).__name__}"
+        elif model is not None:
+            fields["model"] = model
+        document = request.to_dict() if request is not None else {
+            "platform": self.platform, "tuner_trials": self.tuner_trials,
+            "seed": self.seed}
+        request = OptimizationRequest.from_dict({**document, **fields})
+        platform = get_platform(request.platform).name
+        if platform != request.platform:
+            request = dataclasses.replace(request, platform=platform)
         if instance is None:
             instance = build_model(request.model,
                                    width_multiplier=request.width_multiplier)
@@ -803,35 +786,34 @@ class OptimizationSession:
 # ---------------------------------------------------------------------------
 # One-call helpers
 # ---------------------------------------------------------------------------
-def optimize(model: Module | str = "resnet34", *, platform: str = "cpu",
-             strategy: str = "greedy", budget: int = 60, trials: int = 4,
-             seed: int = 0, fisher_threshold: float = 1.0,
-             width: float = 0.25, image_size: int = 16, fisher_batch: int = 4,
+def optimize(model: Module | str = "resnet34", *,
              cache_dir: str | Path | None = None,
              observer: Observer | None = None,
              checkpoint: str | Path | None = None,
-             checkpoint_interval: float = 0.0) -> OptimizationResult:
+             checkpoint_interval: float = 0.0,
+             **fields) -> OptimizationResult:
     """One-call façade over the unified search (the README example).
 
-    Builds a session for the call, runs the search, and guarantees the
-    engine teardown (cache write-back, pool shutdown) before returning.
-    With ``checkpoint=``, the search persists its resume point after
-    every tuning batch, so a killed run continues bit-identically with
-    :func:`resume_checkpoint`.
+    ``fields`` are :class:`OptimizationRequest` fields, by their own
+    names, and take the request's defaults; an unknown name raises a
+    :class:`ReproError` naming it.  Builds a session for the call, runs
+    the search, and guarantees the engine teardown (cache write-back,
+    pool shutdown) before returning.  With ``checkpoint=``, the search
+    persists its resume point after every tuning batch, so a killed run
+    continues bit-identically with :func:`resume_checkpoint`.
 
     Example::
 
         result = repro.optimize("resnet34", platform="cpu",
-                                strategy="model_guided", budget=60)
+                                strategy="model_guided", configurations=60)
         print(f"{result.speedup:.2f}x")
     """
-    with OptimizationSession(platform, tuner_trials=trials, seed=seed,
-                             cache_dir=cache_dir, observer=observer) as session:
-        return session.optimize(model, strategy=strategy, budget=budget,
-                                fisher_threshold=fisher_threshold,
-                                width_multiplier=width, image_size=image_size,
-                                fisher_batch=fisher_batch,
-                                checkpoint=checkpoint,
+    request = OptimizationRequest.from_dict(fields)
+    with OptimizationSession(request.platform,
+                             tuner_trials=request.tuner_trials,
+                             seed=request.seed, cache_dir=cache_dir,
+                             observer=observer) as session:
+        return session.optimize(model, request=request, checkpoint=checkpoint,
                                 checkpoint_interval=checkpoint_interval)
 
 
@@ -875,7 +857,7 @@ def resume_checkpoint(path: str | Path, *,
 
 def tune(shape: ConvolutionShape | Sequence[int],
          program: TransformProgram | str = "standard", *, platform: str = "cpu",
-         trials: int = 8, seed: int = 0,
+         tuner_trials: int = 8, seed: int = 0,
          cache_dir: str | Path | None = None) -> TuningResult:
     """One-call façade over the auto-tuner for a single convolution.
 
@@ -883,7 +865,7 @@ def tune(shape: ConvolutionShape | Sequence[int],
 
         tuned = repro.tune((64, 64, 16, 16, 3, 3), "seq1", platform="mgpu")
     """
-    with OptimizationSession(platform, tuner_trials=trials, seed=seed,
+    with OptimizationSession(platform, tuner_trials=tuner_trials, seed=seed,
                              cache_dir=cache_dir) as session:
         return session.tune(shape, program)
 

@@ -17,8 +17,11 @@ reachable from a shell::
     repro status job-000001 | result | cancel | jobs
 
 Every subcommand honours ``--json`` (machine-readable documents built from
-the typed result objects), and the search/tune commands honour
-``--platform --scale --seed --trials --cache-dir`` uniformly.
+the typed result objects).  A search knob has one spelling: its
+:class:`~repro.api.OptimizationRequest` field name with dashes
+(``--configurations``, ``--tuner-trials``, ``--width-multiplier``), the
+same on ``optimize``, ``submit`` and ``tune``, and no flag is ever
+accepted abbreviated.
 
 Exit codes are stable: 0 success, 1 generic library error, 2 usage, 130
 interrupted, and a distinct code per error family (see ``EXIT_CODES``) so
@@ -74,8 +77,46 @@ def exit_code_for(error: ReproError) -> int:
     return 1
 
 
+#: The request fields ``optimize`` and ``submit`` set from flags.
+REQUEST_FLAGS = ("model", "platform", "strategy", "configurations",
+                 "tuner_trials", "seed", "width_multiplier", "image_size",
+                 "liar")
+
+_REQUEST_FLAG_HELP = {
+    "model": "model-zoo network (see repro.MODEL_BUILDERS)",
+    "configurations": "configurations the search may evaluate",
+    "tuner_trials": "auto-tuner trials per loop nest",
+    "width_multiplier": "width multiplier for the zoo network",
+    "liar": "pending-point imputation for model_guided batches: "
+            "cl_min, cl_mean or none",
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that accepts each flag only by its full name."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
+def _add_request_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per :data:`REQUEST_FLAGS` field, typed and defaulted by
+    :class:`~repro.api.OptimizationRequest`."""
+    from repro.api import OptimizationRequest
+
+    defaults = OptimizationRequest()
+    for name in REQUEST_FLAGS:
+        default = getattr(defaults, name)
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default),
+                            default=default, help=_REQUEST_FLAG_HELP.get(name))
+
+
+def _request_fields(args) -> dict:
+    return {name: getattr(args, name) for name in REQUEST_FLAGS}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="NAS as program transformation exploration — unified "
                     "optimisation of neural networks for deployment targets.")
@@ -120,18 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     optimize = commands.add_parser(
         "optimize", help="optimise one network for one platform")
-    optimize.add_argument("--model", default="resnet34",
-                          help="model-zoo network (see repro.MODEL_BUILDERS)")
-    optimize.add_argument("--platform", default="cpu")
-    optimize.add_argument("--strategy", default="greedy")
-    optimize.add_argument("--budget", type=int, default=60,
-                          help="configurations the search may evaluate")
-    optimize.add_argument("--trials", type=int, default=4,
-                          help="auto-tuner trials per loop nest")
-    optimize.add_argument("--seed", type=int, default=0)
-    optimize.add_argument("--width", type=float, default=0.25,
-                          help="width multiplier for the zoo network")
-    optimize.add_argument("--image-size", type=int, default=16)
+    _add_request_flags(optimize)
     optimize.add_argument("--cache-dir", default=None,
                           help="persist engine caches under this directory "
                                "(default: $REPRO_CACHE_DIR when set)")
@@ -164,7 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--program", default="standard",
                       help="named sequence kind (see 'repro.list_sequences()')")
     tune.add_argument("--platform", default="cpu")
-    tune.add_argument("--trials", type=int, default=8)
+    tune.add_argument("--tuner-trials", type=int, default=8,
+                      help="auto-tuner trials per loop nest")
     tune.add_argument("--seed", type=int, default=0)
     tune.add_argument("--cache-dir", default=None)
     tune.add_argument("--json", action="store_true")
@@ -215,18 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     submit = commands.add_parser(
         "submit", help="queue one optimisation on the daemon")
     state_dir_flag(submit)
-    submit.add_argument("--model", default="resnet34")
-    submit.add_argument("--platform", default="cpu")
-    submit.add_argument("--strategy", default="greedy")
-    submit.add_argument("--budget", type=int, default=60,
-                        help="configurations the search may evaluate")
-    submit.add_argument("--trials", type=int, default=4)
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument("--width", type=float, default=0.25)
-    submit.add_argument("--image-size", type=int, default=16)
-    submit.add_argument("--liar", default="cl_mean",
-                        help="pending-point imputation for model_guided "
-                             "batches: cl_min, cl_mean or none")
+    _add_request_flags(submit)
     submit.add_argument("--wait", action="store_true",
                         help="block until the job finishes and print its result")
     submit.add_argument("--json", action="store_true")
@@ -315,13 +335,7 @@ def _cmd_run(args) -> int:
 
 def _print_progress(event) -> None:
     def render(value) -> str:
-        if isinstance(value, float):
-            return f"{value:.4g}"
-        if isinstance(value, (list, tuple)):
-            # tune_result events carry one serialised record per tuned
-            # candidate; the progress stream only needs the count.
-            return f"<{len(value)} entries>"
-        return str(value)
+        return f"{value:.4g}" if isinstance(value, float) else str(value)
 
     data = ", ".join(f"{key}={render(value)}"
                      for key, value in event.data.items())
@@ -358,9 +372,7 @@ def _cmd_optimize(args) -> int:
     restore = _interruptible_checkpointing(args.checkpoint)
     try:
         result = repro.optimize(
-            args.model, platform=args.platform, strategy=args.strategy,
-            budget=args.budget, trials=args.trials, seed=args.seed,
-            width=args.width, image_size=args.image_size,
+            **_request_fields(args),
             cache_dir=args.cache_dir or env_cache_dir(),
             observer=_print_progress if args.progress else None,
             checkpoint=args.checkpoint,
@@ -409,7 +421,7 @@ def _cmd_tune(args) -> int:
     from repro.api import env_cache_dir
 
     result = repro.tune(_parse_shape(args.shape), args.program,
-                        platform=args.platform, trials=args.trials,
+                        platform=args.platform, tuner_trials=args.tuner_trials,
                         seed=args.seed, cache_dir=args.cache_dir or env_cache_dir())
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
@@ -581,15 +593,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    from repro.api import OptimizationRequest
-
-    request = OptimizationRequest(
-        model=args.model, platform=args.platform, strategy=args.strategy,
-        configurations=args.budget, tuner_trials=args.trials, seed=args.seed,
-        width_multiplier=args.width, image_size=args.image_size,
-        liar=args.liar)
     client = _service_client(args)
-    job_id = client.submit(request)
+    job_id = client.submit(**_request_fields(args))
     if not args.wait:
         if args.json:
             print(json.dumps({"job_id": job_id, "state": "queued"}))

@@ -23,7 +23,6 @@ from repro.core.predictor import (
 )
 from repro.core.sequences import (
     SEQUENCE_KINDS,
-    SequenceSpec,
     nas_candidate_sequences,
     paper_sequences,
     predefined_program,
@@ -58,7 +57,6 @@ from repro.core.engine import (
     FisherOracle,
 )
 from repro.core.search import (
-    SEARCH_STRATEGIES,
     SEARCH_STRATEGY_REGISTRY,
     LayerChoice,
     SearchStatistics,
@@ -88,7 +86,7 @@ __all__ = [
     "random_composition", "register_primitive", "step",
     "FEATURE_NAMES", "encode_batch", "encode_candidate",
     "LatencyPredictor", "PredictorStatistics",
-    "SEQUENCE_KINDS", "SequenceSpec", "nas_candidate_sequences", "paper_sequences",
+    "SEQUENCE_KINDS", "nas_candidate_sequences", "paper_sequences",
     "predefined_program", "random_sequence",
     "TABLE1_PRIMITIVES", "UnifiedSpace", "primitive_catalogue",
     "LayerWorkload", "extract_workloads", "total_macs", "unique_shapes",
@@ -96,7 +94,7 @@ __all__ = [
     "CacheStore", "ShardInfo", "canonical_key_document", "key_digest",
     "key_from_document",
     "EngineStatistics", "EvaluationEngine", "FisherOracle",
-    "SEARCH_STRATEGIES", "SEARCH_STRATEGY_REGISTRY", "SearchStrategy",
+    "SEARCH_STRATEGY_REGISTRY", "SearchStrategy",
     "get_strategy", "register_strategy",
     "LayerChoice", "SearchStatistics", "UnifiedSearch", "UnifiedSearchResult",
     "ApproachMeasurement", "ComparisonResult", "PipelineScale", "compare_approaches",

@@ -31,7 +31,7 @@ stream and persists after every tuning batch (rate-limited by
 
 Example::
 
-    result = repro.optimize("resnet18", budget=12,
+    result = repro.optimize("resnet18", configurations=12,
                             checkpoint="run.ckpt.json")
     # ... the process is SIGKILLed mid-search ...
     result = repro.resume_checkpoint("run.ckpt.json")   # same answer

@@ -47,14 +47,13 @@ import time
 import warnings
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as PoolTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from repro.core.cache_store import CacheStore, LatencyKey
-from repro.core.compile_cache import COMPILE_CACHE, CompileCacheStatistics
 from repro.core.events import Observable
 from repro.core.faults import FAULTS
 from repro.core.program import LegalityReport, TransformProgram
@@ -140,11 +139,6 @@ class EngineStatistics:
     #: retried, and executor pools recycled after a break or timeout
     task_retries: int = 0
     pool_recoveries: int = 0
-    #: compile-trie counters when these statistics were created; the
-    #: ``compile_*`` properties report increments since then, scoping the
-    #: process-global trie's traffic to this engine's lifetime.
-    compile_baseline: CompileCacheStatistics = field(
-        default_factory=lambda: COMPILE_CACHE.statistics.snapshot(), repr=False)
 
     @property
     def latency_queries(self) -> int:
@@ -159,27 +153,6 @@ class EngineStatistics:
     def fisher_hit_rate(self) -> float:
         queries = self.fisher_hits + self.fisher_misses
         return self.fisher_hits / queries if queries else 0.0
-
-    # -- compile-trie traffic since these statistics were created --------
-    @property
-    def _compile_delta(self) -> CompileCacheStatistics:
-        return COMPILE_CACHE.statistics.delta(self.compile_baseline)
-
-    @property
-    def compile_hits(self) -> int:
-        return max(0, self._compile_delta.compile_hits)
-
-    @property
-    def compile_misses(self) -> int:
-        return max(0, self._compile_delta.compile_misses)
-
-    @property
-    def prefix_depth_saved(self) -> int:
-        return max(0, self._compile_delta.prefix_depth_saved)
-
-    @property
-    def compile_cache_size(self) -> int:
-        return len(COMPILE_CACHE)
 
 
 def _tune_entry(args: tuple[PlatformSpec, ConvolutionShape, TransformProgram, int, int],
@@ -297,10 +270,8 @@ class EvaluationEngine(Observable):
     is used again.
 
     The engine is :class:`~repro.core.events.Observable`: subscribers
-    receive one ``tune_batch`` event per :meth:`tune_many` submission —
-    plus one ``tune_result`` event carrying the tuned entries, the
-    latency predictor's training feed — so long searches can stream
-    tuning progress (see ``repro.api``).
+    receive one ``tune_batch`` event per :meth:`tune_many` submission,
+    so long searches can stream tuning progress (see ``repro.api``).
 
     Example::
 
@@ -667,11 +638,7 @@ class EvaluationEngine(Observable):
         call entry: a request list naming the same missing key twice
         records two misses (the work is still done once).
 
-        Observers receive one ``tune_batch`` event per call, and — when
-        any misses were tuned — one ``tune_result`` event whose entries
-        carry the tuned (shape, program, trials, latency) tuples in
-        JSON-serialisable form, which is how the latency predictor trains
-        incrementally from every tuning the engine performs.
+        Observers receive one ``tune_batch`` event per call.
         """
         items = list(items)
         started = time.perf_counter()
@@ -696,16 +663,6 @@ class EvaluationEngine(Observable):
         self.statistics.latency_hits += hits
         self.emit("tune_batch", requested=len(items), hits=hits,
                   tuned=len(missing), seconds=time.perf_counter() - started)
-        if missing and self.has_observers:
-            from dataclasses import asdict
-
-            from repro.core.program import program_to_dict
-
-            self.emit("tune_result", trials=self.tuner_trials, entries=[
-                {"shape": asdict(shape), "program": program_to_dict(program),
-                 "trials": self.tuner_trials,
-                 "latency_seconds": self._latency_cache[key]}
-                for key, (shape, program) in missing.items()])
         return [self._latency_cache[self.latency_key(shape, program)]
                 for shape, program in items]
 

@@ -19,11 +19,6 @@ public surface and covered by ``tests/test_api.py``):
     ``assignments`` (configurations submitted as one batch)
 ``tune_batch``
     ``requested``, ``hits``, ``tuned`` (unique misses), ``seconds``
-``tune_result``
-    ``trials`` and ``entries`` — one serialised ``{shape, program,
-    trials, latency_seconds}`` record per tuned cache miss of a
-    ``tune_many`` call.  The optimization service trains its warm
-    per-platform latency predictors on this feed.
 ``predictor_fitted``
     ``observations``, ``mae`` — the ``model_guided`` strategy refit its
     surrogate on the tunings observed so far
@@ -91,7 +86,7 @@ class Observable:
     Example::
 
         engine.subscribe(lambda event: print(event.kind, event.data))
-        engine.tune_many(items)   # observers see tune_batch / tune_result
+        engine.tune_many(items)   # observers see one tune_batch event
     """
 
     def __init__(self) -> None:
@@ -114,16 +109,6 @@ class Observable:
             except ValueError:
                 return
             self._observers = tuple(observers)
-
-    @property
-    def has_observers(self) -> bool:
-        """True when at least one observer is subscribed.
-
-        Emitters building expensive event payloads (e.g. the engine's
-        serialised ``tune_result`` entries) check this first so the hot
-        path pays nothing when nobody listens.
-        """
-        return bool(self._observers)
 
     def emit(self, kind: str, **data) -> None:
         """Deliver ``ProgressEvent(kind, data)`` to every observer."""

@@ -355,7 +355,7 @@ def suppressed():
     Example::
 
         with suppressed():
-            golden = repro.optimize("resnet18", budget=8)
+            golden = repro.optimize("resnet18", configurations=8)
     """
     previous, was_overridden = FAULTS._installed, FAULTS._overridden
     FAULTS.install(FaultPlan(rates={}))

@@ -721,8 +721,7 @@ def program_to_dict(program: TransformProgram) -> dict:
     """Serialise a transform program to plain JSON types.
 
     The inverse of :func:`program_from_dict`; the façade's typed
-    documents and the engine's ``tune_result`` events both speak this
-    format.
+    documents and the cache store's entry records both speak this format.
 
     Example::
 

@@ -414,8 +414,7 @@ class ModelGuidedStrategy:
     *predict* the latency of every still-untuned candidate pair from its
     encoding, *tune* only the ``top_k`` pairs with the best predicted
     speedup over their layer's baseline, *observe* the real latencies
-    (streamed back through the engine's ``tune_result`` events) and
-    refit.  Until the predictor's cold-start threshold is met the
+    and refit.  Until the predictor's cold-start threshold is met the
     selection falls back to random candidates — the surrogate guides the
     search as soon as it is trustworthy, never before.
 
@@ -510,14 +509,11 @@ class ModelGuidedStrategy:
             if not batch:
                 return
             latencies = search._tune(context, batch)
-            # Feed the surrogate directly from the batch results, in
-            # batch order, rather than through the engine's tune_result
-            # events: events fire for cache misses only, so on a warm
-            # engine (repeated seeds, shared sessions, REPRO_CACHE_DIR)
-            # the direct path keeps the observation stream — and hence
-            # the whole trajectory — identical to the cold run.  The
-            # event stream is how the service's per-platform predictors
-            # learn across jobs.
+            # Feed the surrogate every batch result, hits included, in
+            # batch order: on a warm engine (repeated seeds, shared
+            # sessions, REPRO_CACHE_DIR) this keeps the observation
+            # stream — and hence the whole trajectory — identical to the
+            # cold run.
             for (shape, program), seconds in zip(batch, latencies):
                 predictor.observe(shape, program, seconds,
                                   trials=context.engine.tuner_trials)
@@ -677,11 +673,6 @@ class ModelGuidedStrategy:
                 context.statistics.configurations_rejected += 1
                 context.statistics.record_rejection("fisher")
         return assignment
-
-
-#: Names of the built-in strategies (kept for backwards compatibility and
-#: test parametrisation; the registry is the source of truth).
-SEARCH_STRATEGIES = tuple(SEARCH_STRATEGY_REGISTRY)
 
 
 class UnifiedSearch:

@@ -9,10 +9,8 @@ stage-building code.  Each is a predefined
 Table-1 primitive applications compiled through the IR's single lowering
 path.  Golden-equivalence tests pin that the predefined programs produce
 exactly the stages and latencies of the legacy per-kind builders.
-
-:func:`SequenceSpec` survives as the parameterised constructor for these
-named programs, so call sites read as before while every consumer now
-speaks :class:`TransformProgram`.
+:func:`predefined_program` is the parameterised constructor for these
+named programs.
 """
 
 from __future__ import annotations
@@ -85,11 +83,6 @@ def predefined_program(kind: str = "standard", *, group: int = 2,
                  step("group", factor=group_second, nest=1),
                  step("reorder", front=("g",)))
     return TransformProgram(name=kind, steps=steps)
-
-
-#: Legacy constructor name: ``SequenceSpec(kind="group", group=4)`` now
-#: returns the predefined :class:`TransformProgram` for that kind.
-SequenceSpec = predefined_program
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,9 @@ class Client:
         """Queue one optimisation; returns the job id immediately.
 
         Pass a prebuilt :class:`~repro.api.OptimizationRequest` (or its
-        document), or the request fields as keywords.
+        document), or the request fields as keywords by their own names
+        (an unknown name raises a :class:`~repro.errors.ReproError`
+        naming it).
 
         Example::
 
@@ -94,7 +96,7 @@ class Client:
                                    configurations=12, seed=3)
         """
         if request is None:
-            request = OptimizationRequest(**fields)
+            request = OptimizationRequest.from_dict(fields)
         elif fields:
             raise ServiceError("pass a request or keyword fields, not both")
         if isinstance(request, OptimizationRequest):
@@ -150,7 +152,7 @@ class Client:
 
         Example::
 
-            print(client.info()["warm_observations"])
+            print(client.info()["cache_entries"])
         """
         return self._call({"verb": "info"})
 

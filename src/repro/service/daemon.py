@@ -9,12 +9,6 @@ directory.  The daemon owns:
   across jobs changes how *fast* a job finishes, never *what* it
   returns — a daemon job's result is bit-identical to a serial
   ``repro.optimize()`` with the same request.
-* **One warm surrogate per platform** — a service-level
-  :class:`~repro.core.predictor.LatencyPredictor` fed from every job's
-  ``tune_result`` events under a lock.  Jobs themselves search with
-  fresh per-job predictors (determinism again); the warm ones answer
-  ``info`` queries and give operators a cross-job view of what the
-  fleet has learned.
 * **A bounded worker pool** (``workers`` threads) draining a FIFO of
   ``queued`` job ids.
 * **Durable progress**: every running job streams its
@@ -46,7 +40,6 @@ from repro.api import OptimizationRequest, OptimizationSession
 from repro.core.cache_store import CacheStore
 from repro.core.checkpoint import read_checkpoint
 from repro.core.events import ProgressEvent
-from repro.core.predictor import LatencyPredictor
 from repro.errors import CheckpointError, ReproError, ServiceError
 from repro.service import protocol
 from repro.service.jobs import Job, JobStore
@@ -101,8 +94,6 @@ class OptimizationService:
         self._cancelled: set[str] = set()
         self._cancel_lock = threading.Lock()
         self._stopping = threading.Event()
-        self._warm: dict[str, LatencyPredictor] = {}
-        self._warm_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
         self._server: socketserver.ThreadingTCPServer | None = None
         self._started = False
@@ -192,36 +183,6 @@ class OptimizationService:
             protocol.endpoint_path(self.state_dir).unlink()
         self._started = False
 
-    # -- the warm per-platform surrogates -------------------------------
-    def _feed_warm(self, platform: str, event: ProgressEvent) -> None:
-        if event.kind != "tune_result":
-            return
-        with self._warm_lock:
-            predictor = self._warm.get(platform)
-            if predictor is None:
-                predictor = self._warm[platform] = LatencyPredictor()
-            from repro.core.program import program_from_dict
-            from repro.poly.statement import ConvolutionShape
-
-            for entry in event.data.get("entries", ()):
-                predictor.observe(
-                    ConvolutionShape(**{key: int(value) for key, value
-                                        in entry["shape"].items()}),
-                    program_from_dict(entry["program"]),
-                    float(entry["latency_seconds"]),
-                    trials=int(entry["trials"]))
-
-    def warm_observations(self) -> dict[str, int]:
-        """Observations absorbed per platform across every job so far.
-
-        Example::
-
-            counts = service.warm_observations()
-        """
-        with self._warm_lock:
-            return {platform: predictor.statistics.observations
-                    for platform, predictor in sorted(self._warm.items())}
-
     # -- the worker side ------------------------------------------------
     def _worker_loop(self) -> None:
         while True:
@@ -286,8 +247,6 @@ class OptimizationService:
                 raise _JobAborted(requeue=True)
 
         session = None
-        warm_feed = None
-        engine = None
         try:
             request = OptimizationRequest.from_dict(job.request)
             session = OptimizationSession(
@@ -296,12 +255,6 @@ class OptimizationService:
             engine = session.engine(request.platform,
                                     tuner_trials=request.tuner_trials,
                                     seed=request.seed)
-            platform_name = engine.platform.name
-
-            def warm_feed(event: ProgressEvent) -> None:
-                self._feed_warm(platform_name, event)
-
-            engine.subscribe(warm_feed)
             checkpoint = self.checkpoint_path(job_id)
             if checkpoint.exists():
                 try:
@@ -326,8 +279,6 @@ class OptimizationService:
             self._finish(job, "failed",
                          error=f"{type(exc).__name__}: {exc}")
         finally:
-            if engine is not None and warm_feed is not None:
-                engine.unsubscribe(warm_feed)
             if session is not None:
                 with contextlib.suppress(Exception):
                     session.close()
@@ -392,7 +343,6 @@ class OptimizationService:
             return {"ok": True, "version": __version__,
                     "protocol": protocol.PROTOCOL_VERSION,
                     "workers": self.workers, "jobs": states,
-                    "warm_observations": self.warm_observations(),
                     "cache_entries": len(self.cache_store)}
         raise ServiceError(f"unknown verb {verb!r}; expected submit, status, "
                            f"result, cancel, watch, jobs or info")

@@ -28,7 +28,8 @@ from repro.nn.convs import DerivedConv2d
 from repro.tensor import Tensor, ops
 
 #: Small settings shared by every search-running test in this module.
-TINY = dict(budget=6, trials=3, width=0.125, image_size=8)
+TINY = dict(configurations=6, tuner_trials=3, width_multiplier=0.125,
+            image_size=8)
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +194,7 @@ class TestResultDocuments:
         assert "speedup" in tiny_result.summary() or "x speedup" in tiny_result.summary()
 
     def test_apply_to_materialises_derived_operators(self, tiny_result):
-        model = build_model("resnet34", width_multiplier=TINY["width"])
+        model = build_model("resnet34", width_multiplier=TINY["width_multiplier"])
         document = json.loads(json.dumps(tiny_result.to_dict()))
         restored = OptimizationResult.from_dict(document)
         restored.apply_to(model, seed=0)
@@ -201,22 +202,88 @@ class TestResultDocuments:
         assert len(derived) > 0
         assert len(derived) <= len(restored.neural_layers())
 
+    def test_engine_statistics_are_this_engines_counters(self, tiny_result):
+        from repro.core.engine import EngineStatistics
+
+        statistics = tiny_result.engine_statistics
+        assert set(statistics) == {spec.name for spec in dataclasses.fields(
+            EngineStatistics)} | {"latency_hit_rate"}
+        assert all(isinstance(value, (int, float))
+                   for value in statistics.values()), statistics
+
+
+class TestOneSpelling:
+    """Every entry point spells a search knob as its request field."""
+
+    #: every request field, at a value other than its default wherever the
+    #: field accepts more than one value
+    FIELDS = dict(model="resnet18", platform="mgpu", strategy="random",
+                  configurations=5, tuner_trials=2, fisher_threshold=0.5,
+                  seed=1, width_multiplier=0.125, image_size=8,
+                  fisher_batch=2, liar="none", learner="ridge",
+                  acquisition="rank", encoding="flat")
+
+    def test_fields_cover_the_request(self):
+        assert set(self.FIELDS) == {
+            spec.name for spec in dataclasses.fields(OptimizationRequest)}
+
+    def test_optimize_records_every_field(self):
+        result = repro.optimize(**self.FIELDS)
+        assert result.request == OptimizationRequest(**self.FIELDS)
+
+    def test_session_optimize_records_every_field(self):
+        with OptimizationSession() as session:
+            result = session.optimize(**self.FIELDS)
+            assert result.request == OptimizationRequest(**self.FIELDS)
+            # Fields passed beside a request override it.
+            again = session.optimize(request=result.request, seed=2)
+        assert again.request == OptimizationRequest(**{**self.FIELDS,
+                                                      "seed": 2})
+
+    def test_client_submit_sends_every_field(self, monkeypatch):
+        from repro.service import Client
+
+        sent = []
+        client = Client(host="127.0.0.1", port=1)
+        monkeypatch.setattr(client, "_call", lambda message: (
+            sent.append(message) or {"job_id": "job-000001"}))
+        assert client.submit(**self.FIELDS) == "job-000001"
+        assert sent[0]["request"] == OptimizationRequest(**self.FIELDS).to_dict()
+
+    @pytest.mark.parametrize("name,value", [
+        ("budget", 12), ("trials", 2), ("width", 0.125)])
+    def test_other_spellings_raise_naming_the_keyword(self, name, value):
+        from repro.service import Client
+
+        client = Client(host="127.0.0.1", port=1)
+        with OptimizationSession() as session:
+            for call in (repro.optimize, session.optimize, client.submit):
+                with pytest.raises(ReproError, match=name):
+                    call(**{name: value})
+
+    def test_none_is_a_value_not_an_omission(self):
+        with OptimizationSession() as session:
+            with pytest.raises(ReproError, match="platform"):
+                session.optimize("resnet18", platform=None)
+
 
 class TestTune:
     def test_tune_round_trip(self):
-        result = repro.tune((16, 16, 8, 8, 3, 3), "group", platform="mgpu", trials=3)
+        result = repro.tune((16, 16, 8, 8, 3, 3), "group", platform="mgpu",
+                            tuner_trials=3)
         assert result.latency_seconds > 0
         document = json.loads(json.dumps(result.to_dict()))
         assert TuningResult.from_dict(document) == result
 
     def test_tune_accepts_program_objects(self):
         program = predefined_program("bottleneck", bottleneck=2)
-        result = repro.tune((16, 16, 8, 8, 3, 3), program, platform="cpu", trials=3)
+        result = repro.tune((16, 16, 8, 8, 3, 3), program, platform="cpu",
+                            tuner_trials=3)
         assert result.program == program
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ReproError, match="convolution shape"):
-            repro.tune((16, 16), "standard", trials=3)
+            repro.tune((16, 16), "standard", tuner_trials=3)
 
 
 class TestSessionLifecycle:
@@ -297,8 +364,9 @@ class TestObserver:
         events = []
         with OptimizationSession("cpu", tuner_trials=3,
                                  observer=events.append) as session:
-            session.optimize("resnet18", budget=TINY["budget"],
-                             width_multiplier=TINY["width"],
+            session.optimize("resnet18",
+                             configurations=TINY["configurations"],
+                             width_multiplier=TINY["width_multiplier"],
                              image_size=TINY["image_size"])
             engine = session.engine()
             assert not engine._observers  # detached after the search
@@ -332,9 +400,9 @@ class TestModelZoo:
             build_model("alexnet")
 
     def test_live_module_accepted(self):
-        model = build_model("resnet18", width_multiplier=TINY["width"])
+        model = build_model("resnet18", width_multiplier=TINY["width_multiplier"])
         with OptimizationSession("cpu", tuner_trials=3) as session:
-            result = session.optimize(model, budget=4,
+            result = session.optimize(model, configurations=4,
                                       image_size=TINY["image_size"])
         assert result.request.model == "instance:ResNet"
         assert result.speedup >= 1.0
@@ -345,7 +413,7 @@ class TestModelZoo:
     def test_optimize_leaves_the_caller_model_unchanged(self):
         """A search reads the model: BN running statistics and the
         parameters' gradients come back as they went in."""
-        model = build_model("resnet18", width_multiplier=TINY["width"])
+        model = build_model("resnet18", width_multiplier=TINY["width_multiplier"])
         rng = np.random.default_rng(0)
         images, labels = rng.normal(size=(2, 3, 8, 8)), rng.integers(0, 10, size=2)
         ops.cross_entropy(model(Tensor(images)), labels).backward()

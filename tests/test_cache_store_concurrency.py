@@ -140,8 +140,8 @@ class TestMultiProcessStress:
 class TestConcurrentSessions:
     """Many OptimizationSessions over one store path (the service layout)."""
 
-    SESSION_ARGS = dict(model="resnet18", strategy="greedy", budget=5,
-                        image_size=8)
+    SESSION_ARGS = dict(model="resnet18", strategy="greedy",
+                        configurations=5, image_size=8)
 
     def test_threaded_sessions_share_one_store_object(self, tmp_path):
         # The daemon's exact shape: one CacheStore *object* shared by
@@ -162,7 +162,7 @@ class TestConcurrentSessions:
                 with OptimizationSession("cpu", tuner_trials=2, seed=seed,
                                          cache_store=store) as session:
                     outcomes[seed] = session.optimize(
-                        "resnet18", strategy="greedy", budget=5,
+                        "resnet18", strategy="greedy", configurations=5,
                         image_size=8, seed=seed)
             except BaseException as exc:  # pragma: no cover - the assertion
                 failures.append(exc)
@@ -176,8 +176,9 @@ class TestConcurrentSessions:
         assert not failures
         assert sorted(outcomes) == [1, 2, 3, 4]
         for seed, result in outcomes.items():
-            serial = repro.optimize("resnet18", strategy="greedy", budget=5,
-                                    image_size=8, trials=2, seed=seed)
+            serial = repro.optimize("resnet18", strategy="greedy",
+                                    configurations=5, image_size=8,
+                                    tuner_trials=2, seed=seed)
             assert result.optimized_latency_seconds == \
                 serial.optimized_latency_seconds, seed
             assert {d.layer: d.program for d in result.layers} == \
@@ -199,7 +200,8 @@ class TestConcurrentSessions:
             with OptimizationSession("cpu", tuner_trials=2, seed=seed,
                                      cache_dir=directory) as session:
                 result = session.optimize("resnet18", strategy="greedy",
-                                          budget=5, image_size=8, seed=seed)
+                                          configurations=5, image_size=8,
+                                          seed=seed)
             print(f"{result.optimized_latency_seconds:.17g}")
         """)
         processes = [_spawn(script, str(tmp_path / "store"), str(seed))
@@ -212,8 +214,9 @@ class TestConcurrentSessions:
         import repro
 
         for seed, latency in latencies.items():
-            serial = repro.optimize("resnet18", strategy="greedy", budget=5,
-                                    image_size=8, trials=2, seed=seed)
+            serial = repro.optimize("resnet18", strategy="greedy",
+                                    configurations=5, image_size=8,
+                                    tuner_trials=2, seed=seed)
             assert latency == serial.optimized_latency_seconds, seed
         store = CacheStore(tmp_path / "store")
         (shard,) = store.info()

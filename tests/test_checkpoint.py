@@ -23,7 +23,7 @@ from repro.core.checkpoint import (
     write_checkpoint,
 )
 from repro.core.engine import EvaluationEngine
-from repro.core.search import SEARCH_STRATEGIES
+from repro.core.search import SEARCH_STRATEGY_REGISTRY
 from repro.core.sequences import predefined_program
 from repro.errors import CheckpointError
 from repro.hardware import get_platform
@@ -169,10 +169,11 @@ class _AbortAfter:
                 raise KeyboardInterrupt("simulated kill")
 
 
-@pytest.mark.parametrize("strategy", sorted(SEARCH_STRATEGIES))
+@pytest.mark.parametrize("strategy", sorted(SEARCH_STRATEGY_REGISTRY))
 def test_resume_is_bit_identical(strategy, tmp_path):
     kwargs = dict(model="resnet18", platform="cpu", strategy=strategy,
-                  budget=4, trials=2, seed=3, image_size=8, fisher_batch=2)
+                  configurations=4, tuner_trials=2, seed=3, image_size=8,
+                  fisher_batch=2)
     golden = repro.optimize(**kwargs)
     path = tmp_path / f"{strategy}.ckpt.json"
 
@@ -211,8 +212,8 @@ def test_model_guided_resume_is_bit_identical_for_every_liar(liar, tmp_path):
                 "cpu", tuner_trials=2, seed=3,
                 observer=kwargs.pop("observer", None)) as session:
             return session.optimize("resnet18", strategy="model_guided",
-                                    budget=16, image_size=8, fisher_batch=2,
-                                    liar=liar, **kwargs)
+                                    configurations=16, image_size=8,
+                                    fisher_batch=2, liar=liar, **kwargs)
 
     golden = run()
     assert golden.optimized_latency_seconds.hex() == LIAR_LATENCY_HEX[liar]
@@ -230,8 +231,8 @@ def test_resume_checkpoint_can_relocate_the_checkpoint(tmp_path):
     source = tmp_path / "a.ckpt.json"
     moved = tmp_path / "b.ckpt.json"
     repro.optimize(model="resnet18", platform="cpu", strategy="random",
-                   budget=4, trials=2, seed=0, image_size=8, fisher_batch=2,
-                   checkpoint=source)
+                   configurations=4, tuner_trials=2, seed=0, image_size=8,
+                   fisher_batch=2, checkpoint=source)
     golden = repro.resume_checkpoint(source)
     relocated = repro.resume_checkpoint(source, checkpoint=moved)
     assert stripped(relocated) == stripped(golden)
@@ -252,8 +253,9 @@ def test_checkpoint_from_0_9_resumes_bit_identically(tmp_path):
     assert (request["learner"], request["acquisition"],
             request["encoding"]) == ("ridge", "rank", "flat")
     golden = repro.optimize(model="resnet18", platform="cpu",
-                            strategy="model_guided", budget=10, trials=2,
-                            seed=3, image_size=8, fisher_batch=2)
+                            strategy="model_guided", configurations=10,
+                            tuner_trials=2, seed=3, image_size=8,
+                            fisher_batch=2)
     resumed = repro.resume_checkpoint(path)
     assert stripped(resumed) == stripped(golden)
     assert resumed.optimized_latency_seconds.hex() == PARENT_LATENCY_HEX

@@ -6,13 +6,13 @@ import json
 
 import pytest
 
-from repro.api import OptimizationResult, TuningResult
-from repro.cli import main
+from repro.api import OptimizationRequest, OptimizationResult, TuningResult
+from repro.cli import REQUEST_FLAGS, _build_parser, _request_fields, main
 from repro.errors import DegradedExecutionWarning
 
 #: Small search settings shared by the CLI runs in this module.
-TINY_OPTIMIZE = ["--budget", "6", "--trials", "3", "--width", "0.125",
-                 "--image-size", "8"]
+TINY_OPTIMIZE = ["--configurations", "6", "--tuner-trials", "3",
+                 "--width-multiplier", "0.125", "--image-size", "8"]
 
 
 def run_cli(capsys, *argv: str) -> str:
@@ -163,18 +163,61 @@ class TestOptimize:
                 assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestRequestFlags:
+    """``optimize`` and ``submit`` spell each knob as its request field."""
+
+    @pytest.mark.parametrize("command", ["optimize", "submit"])
+    def test_flags_take_the_request_defaults_and_names(self, command):
+        defaults = _request_fields(_build_parser().parse_args([command]))
+        assert defaults == {name: getattr(OptimizationRequest(), name)
+                            for name in REQUEST_FLAGS}
+        args = _build_parser().parse_args([
+            command, "--configurations", "7", "--tuner-trials", "3",
+            "--width-multiplier", "0.5", "--image-size", "12",
+            "--liar", "none"])
+        assert (args.configurations, args.tuner_trials, args.width_multiplier,
+                args.image_size, args.liar) == (7, 3, 0.5, 12, "none")
+
+    @pytest.mark.parametrize("command", ["optimize", "submit", "tune"])
+    @pytest.mark.parametrize("flag", ["--budget", "--trials", "--width",
+                                      "--wid", "--image", "--bud", "--tuner"])
+    def test_other_and_abbreviated_flags_exit_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exited:
+            main([command, flag, "8"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_optimize_matches_the_library_call(self, capsys, monkeypatch):
+        import repro
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        fields = dict(configurations=6, tuner_trials=3, width_multiplier=0.125,
+                      image_size=8)
+        cli = json.loads(run_cli(
+            capsys, "optimize", "--configurations", "6", "--tuner-trials",
+            "3", "--width-multiplier", "0.125", "--image-size", "8", "--json"))
+        library = json.loads(json.dumps(repro.optimize(**fields).to_dict()))
+        for document in (cli, library):
+            # wall clock and the process-wide compile trie's warmth
+            for volatile in ("search_seconds", "compile_hits",
+                             "compile_misses", "prefix_depth_saved"):
+                document["search_statistics"].pop(volatile)
+        assert cli == library
+
+
 class TestTune:
     def test_json_round_trips_as_result(self, capsys):
         out = run_cli(capsys, "tune", "--shape", "16x16x8x8x3x3",
                       "--program", "seq2", "--platform", "mgpu",
-                      "--trials", "3", "--json")
+                      "--tuner-trials", "3", "--json")
         result = TuningResult.from_dict(json.loads(out))
         assert result.platform == "mgpu"
         assert result.latency_seconds > 0
         assert result.program.kind == "seq2"
 
     def test_text_output(self, capsys):
-        out = run_cli(capsys, "tune", "--shape", "16,16,8,8,3,3", "--trials", "3")
+        out = run_cli(capsys, "tune", "--shape", "16,16,8,8,3,3",
+                      "--tuner-trials", "3")
         assert "ms" in out
 
     def test_bad_shape_fails(self, capsys):
@@ -207,7 +250,7 @@ class TestCache:
             capsys, "cache", "info", "--cache-dir", str(tmp_path))
 
     def test_info_json_schema(self, capsys, tmp_path):
-        run_cli(capsys, "tune", "--shape", "8x8x6x6x3x3", "--trials", "2",
+        run_cli(capsys, "tune", "--shape", "8x8x6x6x3x3", "--tuner-trials", "2",
                 "--cache-dir", str(tmp_path))
         payload = json.loads(run_cli(capsys, "cache", "info",
                                      "--cache-dir", str(tmp_path), "--json"))
@@ -223,7 +266,8 @@ class TestCache:
         blocker.write_text("in the way")
         with pytest.warns(DegradedExecutionWarning, match="quarantined"):
             out = run_cli(capsys, "tune", "--shape", "8x8x6x6x3x3",
-                          "--trials", "2", "--cache-dir", str(blocker / "store"))
+                          "--tuner-trials", "2",
+                          "--cache-dir", str(blocker / "store"))
         assert "ms" in out
 
     def test_clear_rejects_a_file_as_cache_dir(self, capsys, tmp_path):
@@ -241,7 +285,7 @@ class TestCache:
 
     def test_import_rejects_a_file_as_cache_dir(self, capsys, tmp_path):
         source, envelope = tmp_path / "source", tmp_path / "warm.jsonl"
-        run_cli(capsys, "tune", "--shape", "8x8x6x6x3x3", "--trials", "2",
+        run_cli(capsys, "tune", "--shape", "8x8x6x6x3x3", "--tuner-trials", "2",
                 "--cache-dir", str(source))
         run_cli(capsys, "cache", "export", str(envelope), "--cache-dir", str(source))
         blocker = tmp_path / "blocker"
@@ -256,7 +300,7 @@ class TestCache:
 
     def test_env_var_is_the_default_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        run_cli(capsys, "tune", "--shape", "8x8x6x6x3x3", "--trials", "3")
+        run_cli(capsys, "tune", "--shape", "8x8x6x6x3x3", "--tuner-trials", "3")
         assert list(tmp_path.glob("shard-*.rcs"))
         # `cache info` inspects the same default location.
         assert "shard-cpu" in run_cli(capsys, "cache", "info")
@@ -319,7 +363,7 @@ class TestSignalledOptimize:
         from repro import cli
 
         args = ["--model", "resnet18", "--strategy", "evolutionary",
-                "--budget", "8", "--trials", "2", "--seed", "3",
+                "--configurations", "8", "--tuner-trials", "2", "--seed", "3",
                 "--image-size", "8", "--json"]
         golden = json.loads(run_cli(capsys, "optimize", *args))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import SequenceSpec, compare_approaches
+from repro.core import compare_approaches
 from repro.core import engine as engine_module
 from repro.core.engine import EvaluationEngine
 from repro.core.pipeline import PipelineScale
@@ -89,10 +89,10 @@ def _fisher_oracle(minibatch):
     return oracle, {w.name: w for w in extract_workloads(model, images.shape[1:])}
 
 
-def _items(n: int = 6) -> list[tuple[ConvolutionShape, SequenceSpec]]:
+def _items(n: int = 6) -> list[tuple[ConvolutionShape, TransformProgram]]:
     shapes = [ConvolutionShape(8 * (1 + i % 2), 8, 4 + 2 * (i % 3), 4 + 2 * (i % 3), 3, 3)
               for i in range(n)]
-    sequences = [SequenceSpec(kind="standard"), SequenceSpec(kind="group", group=2)]
+    sequences = [predefined_program("standard"), predefined_program("group", group=2)]
     return [(shape, sequences[i % 2]) for i, shape in enumerate(shapes)]
 
 
@@ -100,9 +100,9 @@ class TestEngineCache:
     def test_tuned_latency_is_memoised(self, tune_counter):
         engine = EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0)
         shape = ConvolutionShape(8, 8, 6, 6, 3, 3)
-        first = engine.tuned_latency(shape, SequenceSpec(kind="standard"))
+        first = engine.tuned_latency(shape, predefined_program("standard"))
         calls = tune_counter["count"]
-        second = engine.tuned_latency(shape, SequenceSpec(kind="standard"))
+        second = engine.tuned_latency(shape, predefined_program("standard"))
         assert first == second
         assert tune_counter["count"] == calls
         assert engine.statistics.latency_hits == 1
@@ -142,7 +142,7 @@ class TestEngineCache:
     def test_tune_many_deduplicates_and_orders(self, tune_counter):
         engine = EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0)
         shape = ConvolutionShape(8, 8, 6, 6, 3, 3)
-        standard = SequenceSpec(kind="standard")
+        standard = predefined_program("standard")
         results = engine.tune_many([(shape, standard)] * 4)
         assert len(results) == 4 and len(set(results)) == 1
         assert tune_counter["count"] == 1
@@ -153,7 +153,7 @@ class TestEngineCache:
         engine_a = EvaluationEngine(platform, tuner_trials=4, seed=0)
         engine_b = EvaluationEngine(platform, tuner_trials=4, seed=7)
         shape = ConvolutionShape(16, 16, 8, 8, 3, 3)
-        standard = SequenceSpec(kind="standard")
+        standard = predefined_program("standard")
         engine_a.tuned_latency(shape, standard)
         engine_b.tuned_latency(shape, standard)
         assert engine_a.cache_keys() != engine_b.cache_keys()

@@ -274,8 +274,9 @@ class TestStrategyBehaviour:
         import repro
 
         result = repro.optimize("resnet18", platform="cpu",
-                                strategy="model_guided", budget=10, trials=2,
-                                width=0.125, image_size=8)
+                                strategy="model_guided", configurations=10,
+                                tuner_trials=2, width_multiplier=0.125,
+                                image_size=8)
         assert result.strategy == "model_guided"
         assert result.speedup >= 0.999
         statistics = result.search_statistics

@@ -8,7 +8,6 @@ import pytest
 from repro import nn
 from repro.core import (
     PipelineScale,
-    SequenceSpec,
     UnifiedSearch,
     compare_approaches,
     extract_workloads,
@@ -16,7 +15,7 @@ from repro.core import (
     total_macs,
     unique_shapes,
 )
-from repro.core.search import SEARCH_STRATEGIES
+from repro.core.search import SEARCH_STRATEGY_REGISTRY
 from repro.data import SyntheticImageDataset
 from repro.errors import SearchError
 from repro.hardware import get_platform
@@ -72,7 +71,7 @@ class TestWorkloadExtraction:
 
 
 class TestUnifiedSearch:
-    @pytest.mark.parametrize("strategy", SEARCH_STRATEGIES)
+    @pytest.mark.parametrize("strategy", sorted(SEARCH_STRATEGY_REGISTRY))
     def test_strategies_never_regress_below_baseline(self, dataset, minibatch, strategy):
         model = _small_model()
         images, labels = minibatch

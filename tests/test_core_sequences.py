@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import (
     SEQUENCE_KINDS,
-    SequenceSpec,
     TABLE1_PRIMITIVES,
     TransformProgram,
     UnifiedSpace,
@@ -31,28 +30,28 @@ def shape():
 class TestPredefinedPrograms:
     def test_unknown_kind_rejected(self):
         with pytest.raises(TransformError):
-            SequenceSpec(kind="winograd")
+            predefined_program("winograd")
 
     def test_predefined_programs_are_transform_programs(self):
         for kind in SEQUENCE_KINDS:
             assert isinstance(predefined_program(kind), TransformProgram)
 
     def test_standard_sequence_is_not_neural(self):
-        assert not SequenceSpec(kind="standard").is_neural
+        assert not predefined_program("standard").is_neural
 
     @pytest.mark.parametrize("kind", [k for k in SEQUENCE_KINDS if k != "standard"])
     def test_neural_kinds_flagged(self, kind):
-        assert SequenceSpec(kind=kind).is_neural
+        assert predefined_program(kind).is_neural
 
     @pytest.mark.parametrize("kind", SEQUENCE_KINDS)
     def test_applicable_sequences_build(self, kind, shape):
-        spec = SequenceSpec(kind=kind)
+        spec = predefined_program(kind)
         if spec.applicable(shape):
             computations = spec.build_computations(shape)
             assert computations and all(c.macs > 0 for c in computations)
 
     def test_not_applicable_raises_on_build(self):
-        spec = SequenceSpec(kind="depthwise")
+        spec = predefined_program("depthwise")
         asymmetric = ConvolutionShape(8, 16, 4, 4, 3, 3)
         assert not spec.applicable(asymmetric)
         with pytest.raises(TransformError):
@@ -60,8 +59,8 @@ class TestPredefinedPrograms:
 
     def test_grouped_input_shapes_only_allow_standard(self):
         grouped = ConvolutionShape(16, 16, 8, 8, 3, 3, groups=2)
-        assert SequenceSpec(kind="standard").applicable(grouped)
-        assert not SequenceSpec(kind="group").applicable(grouped)
+        assert predefined_program("standard").applicable(grouped)
+        assert not predefined_program("group").applicable(grouped)
 
     def test_paper_sequence_notation_matches_section_7_3(self):
         sequences = paper_sequences()
@@ -84,28 +83,28 @@ class TestPredefinedPrograms:
 
 class TestSequenceReductions:
     def test_group_reduction_matches_factor(self, shape):
-        spec = SequenceSpec(kind="group", group=4)
+        spec = predefined_program("group", group=4)
         assert spec.compute_reduction(shape) == pytest.approx(4.0)
 
     def test_bottleneck_reduction_matches_factor(self, shape):
-        spec = SequenceSpec(kind="bottleneck", bottleneck=2)
+        spec = predefined_program("bottleneck", bottleneck=2)
         assert spec.compute_reduction(shape) == pytest.approx(2.0)
 
     def test_spatial_bottleneck_reduction_is_squared(self, shape):
-        spec = SequenceSpec(kind="spatial_bottleneck", spatial=2)
+        spec = predefined_program("spatial_bottleneck", spatial=2)
         assert spec.compute_reduction(shape) == pytest.approx(4.0)
 
     def test_seq3_reduction_is_harmonic_mean_of_groups(self, shape):
-        spec = SequenceSpec(kind="seq3", group=2, group_second=4)
+        spec = predefined_program("seq3", group=2, group_second=4)
         assert spec.compute_reduction(shape) == pytest.approx(2 / (1 / 2 + 1 / 4))
 
     def test_seq3_produces_two_nests(self, shape):
-        assert len(SequenceSpec(kind="seq3").build_computations(shape)) == 2
+        assert len(predefined_program("seq3").build_computations(shape)) == 2
 
     def test_conv_config_reduction_consistent_with_loop_reduction(self, shape):
         """The network-level operator reduces MACs like the loop nest does."""
         for kind in ("group", "bottleneck", "spatial_bottleneck", "seq3"):
-            spec = SequenceSpec(kind=kind)
+            spec = predefined_program(kind)
             config = spec.conv_config(shape)
             loop_reduction = spec.compute_reduction(shape)
             # The module-level reduction ignores the small 1x1 expansion of
@@ -113,8 +112,8 @@ class TestSequenceReductions:
             assert config.compute_reduction() == pytest.approx(loop_reduction, rel=0.35)
 
     def test_describe_mentions_parameters(self):
-        assert "factor=4" in SequenceSpec(kind="group", group=4).describe()
-        assert "factor=2" in SequenceSpec(kind="bottleneck", bottleneck=2).describe()
+        assert "factor=4" in predefined_program("group", group=4).describe()
+        assert "factor=2" in predefined_program("bottleneck", bottleneck=2).describe()
 
 
 class TestUnifiedSpace:

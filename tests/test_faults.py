@@ -20,7 +20,7 @@ from repro.core import faults
 from repro.core.compile_cache import COMPILE_CACHE, configure
 from repro.core.engine import EvaluationEngine, SupervisionPolicy
 from repro.core.faults import FAULTS, FaultPlan, InjectedFault
-from repro.core.search import SEARCH_STRATEGIES
+from repro.core.search import SEARCH_STRATEGY_REGISTRY
 from repro.core.sequences import predefined_program
 from repro.errors import (
     DegradedExecutionWarning,
@@ -34,8 +34,7 @@ from repro.poly.statement import ConvolutionShape
 #: search_statistics keys that depend on wall clock or on the process-global
 #: compile trie's warmth, not on the search's decisions.
 VOLATILE_STATISTICS = (
-    "search_seconds", "compile_hits", "compile_misses", "prefix_hits",
-    "prefix_depth_saved", "steps_replayed", "evictions", "invalidations",
+    "search_seconds", "compile_hits", "compile_misses", "prefix_depth_saved",
 )
 
 
@@ -303,11 +302,11 @@ class TestDegradation:
 MATRIX_SEEDS = (0, 1, 2) if os.environ.get("REPRO_FAULT_MATRIX") else (0,)
 
 
-@pytest.mark.parametrize("strategy", sorted(SEARCH_STRATEGIES))
+@pytest.mark.parametrize("strategy", sorted(SEARCH_STRATEGY_REGISTRY))
 def test_faulty_search_is_bit_identical(strategy):
     for seed in MATRIX_SEEDS:
         kwargs = dict(model="resnet18", platform="cpu", strategy=strategy,
-                      budget=4, trials=2, seed=seed, image_size=8,
+                      configurations=4, tuner_trials=2, seed=seed, image_size=8,
                       fisher_batch=2)
         with faults.suppressed():
             golden = repro.optimize(**kwargs)

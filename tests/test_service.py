@@ -9,6 +9,7 @@ its checkpoint to the identical result.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 import time
@@ -17,12 +18,8 @@ import pytest
 
 import repro
 from repro.api import OptimizationRequest
-from repro.core.engine import EvaluationEngine
 from repro.core.events import Observable
-from repro.core.sequences import paper_sequences
 from repro.errors import ReproError, ServiceError
-from repro.hardware import get_platform
-from repro.poly.statement import ConvolutionShape
 from repro.service import Client, JobStore, OptimizationService
 from repro.service import protocol
 from repro.utils import wait_until
@@ -34,8 +31,7 @@ TINY = dict(model="resnet18", strategy="greedy", configurations=6,
 #: result-document keys that vary with wall clock or cache warmth, never
 #: with the search's decisions (mirrors tools/kill_resume_smoke.py)
 VOLATILE_STATISTICS = (
-    "search_seconds", "compile_hits", "compile_misses", "prefix_hits",
-    "prefix_depth_saved", "steps_replayed", "evictions", "invalidations",
+    "search_seconds", "compile_hits", "compile_misses", "prefix_depth_saved",
 )
 
 
@@ -51,12 +47,7 @@ def stripped(document: dict) -> dict:
 
 def serial_golden(request: OptimizationRequest) -> dict:
     """What ``repro.optimize`` returns for ``request``, fresh and serial."""
-    result = repro.optimize(
-        request.model, platform=request.platform, strategy=request.strategy,
-        budget=request.configurations, trials=request.tuner_trials,
-        seed=request.seed, width=request.width_multiplier,
-        image_size=request.image_size, fisher_batch=request.fisher_batch)
-    return stripped(result.to_dict())
+    return stripped(repro.optimize(**dataclasses.asdict(request)).to_dict())
 
 
 @pytest.fixture
@@ -115,23 +106,6 @@ class TestJobStore:
             store.get(job.job_id)
 
 
-class TestWarmFeed:
-    def test_one_observation_per_tuned_miss(self, tmp_path):
-        # The warm per-platform surrogates learn from the engine's
-        # tune_result events: one observation per tuned miss, none for
-        # cache hits.
-        service = OptimizationService(tmp_path / "svc", workers=1)
-        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0)
-        engine.subscribe(lambda event: service._feed_warm("cpu", event))
-        shape = ConvolutionShape(16, 16, 8, 8, 3, 3)
-        items = [(shape, program) for program in paper_sequences().values()
-                 if program.applicable(shape)]
-        engine.tune_many(items)
-        assert service.warm_observations() == {"cpu": len(items)}
-        engine.tune_many(items)
-        assert service.warm_observations() == {"cpu": len(items)}
-
-
 class TestServiceEndToEnd:
     def test_submit_watch_result(self, running_service):
         _service, client = running_service
@@ -171,8 +145,6 @@ class TestServiceEndToEnd:
         assert info["version"] == repro.__version__
         assert info["workers"] == 4
         assert info["jobs"] == {"done": 1}
-        # The warm per-platform surrogate absorbed the job's tunings.
-        assert info["warm_observations"].get("cpu", 0) > 0
         assert info["cache_entries"] > 0
 
     def test_cancel_queued_job(self, tmp_path):

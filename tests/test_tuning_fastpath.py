@@ -21,8 +21,8 @@ import pytest
 import repro.hardware.cost_model as cost_model
 import repro.tenir.autotune as autotune_module
 import tuning_oracle
-from repro.core import SequenceSpec
 from repro.core.engine import EvaluationEngine
+from repro.core.sequences import predefined_program
 from repro.hardware import estimate_latency_batch, get_platform
 from repro.poly.statement import ConvolutionShape
 from repro.tenir import (
@@ -167,7 +167,7 @@ class TestEngineFastPath:
         """Per-request accounting against the pre-call cache state."""
         engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0)
         shape = ConvolutionShape(8, 8, 6, 6, 3, 3)
-        standard = SequenceSpec(kind="standard")
+        standard = predefined_program("standard")
         engine.tune_many([(shape, standard), (shape, standard)])
         assert engine.statistics.latency_misses == 2
         assert engine.statistics.latency_hits == 0
@@ -180,21 +180,21 @@ class TestEngineFastPath:
         """Strategy read-backs after a batched submission leave stats alone."""
         engine = EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0)
         shape = ConvolutionShape(8, 8, 6, 6, 3, 3)
-        standard = SequenceSpec(kind="standard")
+        standard = predefined_program("standard")
         tuned = engine.tune_many([(shape, standard)])
         before = (engine.statistics.latency_hits, engine.statistics.latency_misses)
         assert engine.cached_latency(shape, standard) == tuned[0]
         assert (engine.statistics.latency_hits,
                 engine.statistics.latency_misses) == before
         # A genuine miss falls back to the counting (and tuning) path.
-        grouped = SequenceSpec(kind="group", group=2)
+        grouped = predefined_program("group", group=2)
         assert engine.cached_latency(shape, grouped) > 0
         assert engine.statistics.latency_misses == before[1] + 1
 
     def test_persistent_pool_reused_and_closed(self):
         shapes = SHAPES[:3]
-        standard = SequenceSpec(kind="standard")
-        grouped = SequenceSpec(kind="group", group=2)
+        standard = predefined_program("standard")
+        grouped = predefined_program("group", group=2)
         with EvaluationEngine(get_platform("cpu"), tuner_trials=2, seed=0,
                               parallel="process", max_workers=2) as engine:
             engine.tune_many([(s, standard) for s in shapes])
@@ -211,7 +211,7 @@ class TestEngineFastPath:
         assert extra[0] > 0
 
     def test_parallel_modes_identical_through_persistent_pool(self):
-        items = [(shape, SequenceSpec(kind="standard")) for shape in SHAPES[:4]]
+        items = [(shape, predefined_program("standard")) for shape in SHAPES[:4]]
         platform = get_platform("cpu")
         reference = EvaluationEngine(platform, tuner_trials=3, seed=0).tune_many(items)
         with EvaluationEngine(platform, tuner_trials=3, seed=0,

@@ -30,12 +30,11 @@ from pathlib import Path
 #: result-document keys that vary with wall clock or compile-trie warmth,
 #: never with the search's decisions (mirrors tests/test_faults.py)
 VOLATILE_STATISTICS = (
-    "search_seconds", "compile_hits", "compile_misses", "prefix_hits",
-    "prefix_depth_saved", "steps_replayed", "evictions", "invalidations",
+    "search_seconds", "compile_hits", "compile_misses", "prefix_depth_saved",
 )
 
 SEARCH_ARGS = ["--model", "resnet18", "--strategy", "evolutionary",
-               "--budget", "8", "--trials", "2", "--seed", "3",
+               "--configurations", "8", "--tuner-trials", "2", "--seed", "3",
                "--image-size", "8", "--json"]
 
 #: give slow CI machines time, but never hang the job

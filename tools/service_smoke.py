@@ -32,16 +32,16 @@ from repro.utils import wait_until
 #: result-document keys that vary with wall clock or cache warmth, never
 #: with the search's decisions (mirrors tools/kill_resume_smoke.py)
 VOLATILE_STATISTICS = (
-    "search_seconds", "compile_hits", "compile_misses", "prefix_hits",
-    "prefix_depth_saved", "steps_replayed", "evictions", "invalidations",
+    "search_seconds", "compile_hits", "compile_misses", "prefix_depth_saved",
 )
 
 #: The two jobs: slow enough to be mid-flight when the SIGKILL lands.
 JOBS = [
-    ["--model", "resnet18", "--strategy", "evolutionary", "--budget", "8",
-     "--trials", "2", "--seed", "3", "--image-size", "8"],
-    ["--model", "resnet18", "--strategy", "greedy", "--budget", "8",
-     "--trials", "2", "--seed", "4", "--image-size", "8"],
+    ["--model", "resnet18", "--strategy", "evolutionary",
+     "--configurations", "8", "--tuner-trials", "2", "--seed", "3",
+     "--image-size", "8"],
+    ["--model", "resnet18", "--strategy", "greedy", "--configurations", "8",
+     "--tuner-trials", "2", "--seed", "4", "--image-size", "8"],
 ]
 
 DEADLINE_SECONDS = 300.0

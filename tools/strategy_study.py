@@ -29,8 +29,8 @@ Usage::
 
     PYTHONPATH=src python tools/strategy_study.py              # the full study
     PYTHONPATH=src python tools/strategy_study.py --models resnet18 \\
-        --scales ci=8 --platforms cpu --seeds 0 --width 0.125 \\
-        --image-size 8 --trials 2 --json study.json
+        --scales ci=8 --platforms cpu --seeds 0 --width-multiplier 0.125 \\
+        --image-size 8 --tuner-trials 2 --json study.json
 
 Point ``PYTHONPATH`` at another checkout's ``src`` to run the same study
 against that version.  Runs are deterministic: the same arguments give the
@@ -76,13 +76,18 @@ def bill(engine) -> int:
                for _platform, shape, program, trials, _seed in engine.cache_keys())
 
 
-def run_one(model: str, budget: int, platform: str, seed: int, strategy: str,
-            *, width: float, image_size: int, trials: int) -> dict:
+def run_one(model: str, configurations: int, platform: str, seed: int,
+            strategy: str, *, width_multiplier: float, image_size: int,
+            tuner_trials: int) -> dict:
     started = time.perf_counter()
-    with OptimizationSession(platform, tuner_trials=trials, seed=seed) as session:
-        result = session.optimize(model, strategy=strategy, budget=budget,
-                                  width_multiplier=width, image_size=image_size)
-        spent = bill(session.engine(platform, tuner_trials=trials, seed=seed))
+    with OptimizationSession(platform, tuner_trials=tuner_trials,
+                             seed=seed) as session:
+        result = session.optimize(model, strategy=strategy,
+                                  configurations=configurations,
+                                  width_multiplier=width_multiplier,
+                                  image_size=image_size)
+        spent = bill(session.engine(platform, tuner_trials=tuner_trials,
+                                    seed=seed))
     return {
         "baseline_latency_seconds": result.baseline_latency_seconds,
         "optimized_latency_seconds": result.optimized_latency_seconds,
@@ -171,31 +176,33 @@ def _seeds(text: str) -> list[int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                     allow_abbrev=False)
     parser.add_argument("--models", default="resnet34,densenet161")
     parser.add_argument("--scales", default="bench=60,b120=120",
                         help="comma-separated name=configurations pairs")
     parser.add_argument("--platforms", default="cpu,gpu,mcpu,mgpu")
     parser.add_argument("--seeds", default="0-7", help="a range 'a-b' or a list")
-    parser.add_argument("--width", type=float, default=0.25)
+    parser.add_argument("--width-multiplier", type=float, default=0.25)
     parser.add_argument("--image-size", type=int, default=16)
-    parser.add_argument("--trials", type=int, default=4)
+    parser.add_argument("--tuner-trials", type=int, default=4)
     parser.add_argument("--json", default=None,
                         help="also write every run's record to this file")
     args = parser.parse_args(argv)
     strategies = list(SEARCH_STRATEGY_REGISTRY)
-    scales = [(name, int(budget)) for name, budget in
+    scales = [(name, int(configurations)) for name, configurations in
               (item.split("=") for item in _csv(args.scales))]
     runs = []
     for model in _csv(args.models):
-        for scale, budget in scales:
+        for scale, configurations in scales:
             for platform in _csv(args.platforms):
                 for seed in _seeds(args.seeds):
                     for strategy in strategies:
-                        record = run_one(model, budget, platform, seed, strategy,
-                                         width=args.width,
+                        record = run_one(model, configurations, platform, seed,
+                                         strategy,
+                                         width_multiplier=args.width_multiplier,
                                          image_size=args.image_size,
-                                         trials=args.trials)
+                                         tuner_trials=args.tuner_trials)
                         record.update(model=model, scale=scale, platform=platform,
                                       seed=seed, strategy=strategy)
                         runs.append(record)
