@@ -9,8 +9,8 @@ reachable from a shell::
     repro resume run.ckpt.json             # continue a killed search
     repro tune --shape 64x64x16x16x3x3 --program seq1 --platform mgpu
     repro platforms                        # the four deployment targets
-    repro cache info | clear               # manage the sharded tuning cache
-    repro cache export out.jsonl           # ship a warm cache to another host
+    repro cache info | clear               # manage the tuning and Fisher cache
+    repro cache export out.jsonl           # ship warm latencies to another host
     repro serve --state-dir svc            # run the optimization daemon
     repro submit --model resnet18          # queue a job on the daemon
     repro watch job-000001                 # stream a job's progress (NDJSON)
@@ -210,15 +210,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cache = commands.add_parser("cache",
                                 help="manage the persisted tuning-cache store")
-    cache_commands = cache.add_subparsers(dest="cache_command", metavar="action")
-    info = cache_commands.add_parser("info", help="show the sharded store")
+    cache_commands = cache.add_subparsers(dest="cache_command", metavar="action",
+                                          required=True)
+    info = cache_commands.add_parser(
+        "info", help="show the sharded store and its Fisher segment")
     info.add_argument("--cache-dir", default=None)
     info.add_argument("--json", action="store_true")
     clear = cache_commands.add_parser(
         "clear", help="delete recognised cache-store files, and nothing else")
     clear.add_argument("--cache-dir", default=None)
     export = cache_commands.add_parser(
-        "export", help="write every cached entry to a portable JSON-lines file")
+        "export", help="write every latency entry to a portable JSON-lines file")
     export.add_argument("path", help="destination file (e.g. warm-cache.jsonl)")
     export.add_argument("--cache-dir", default=None)
     import_ = cache_commands.add_parser(
@@ -492,9 +494,9 @@ def _cache_verb(args, directory: Path) -> int:
     from repro.core.cache_store import CacheStore, is_store_file
 
     if args.cache_command == "clear":
-        # Delete only files this tool recognises as its own — shard
-        # segments (checked by magic) and their lock/scratch files — and
-        # report everything it left alone.
+        # Delete only files this tool recognises as its own — shard and
+        # Fisher segments (checked by magic) and their lock/scratch files —
+        # and report everything it left alone.
         candidates = sorted(directory.iterdir()) if directory.exists() else []
         removed, skipped = [], []
         for path in candidates:
@@ -513,10 +515,11 @@ def _cache_verb(args, directory: Path) -> int:
 
         store = CacheStore(directory)
         rows = [shard.to_dict() for shard in store.info()]
+        fisher = store.fisher_info()
         compile_info = COMPILE_CACHE.info()
         if getattr(args, "json", False):
-            print(json.dumps({"stores": rows, "compile_cache": compile_info},
-                             indent=2))
+            print(json.dumps({"stores": rows, "fisher": fisher,
+                              "compile_cache": compile_info}, indent=2))
             return 0
         if not rows:
             print("no engine cache stores found")
@@ -528,6 +531,13 @@ def _cache_verb(args, directory: Path) -> int:
                           f"({row['dead_records']} dead records)")
             print(f"{row['path']}  {row['bytes']} bytes  {detail}  "
                   f"(store v{row['format_version']})")
+        if fisher is not None:
+            if fisher["error"]:
+                detail = f"unreadable: {fisher['error']}"
+            else:
+                detail = (f"{fisher['rows']} Fisher rows ({fisher['profiles']} "
+                          f"profiles, {fisher['scores']} operator scores)")
+            print(f"{fisher['path']}  {fisher['bytes']} bytes  {detail}")
         print(f"compile cache (this process): "
               f"{compile_info['entries']}/{compile_info['max_entries']} entries  "
               f"{compile_info['compile_hits']} hits  "
@@ -539,14 +549,10 @@ def _cache_verb(args, directory: Path) -> int:
         target = store.export(args.path)
         print(f"exported {len(store)} entries to {target}")
         return 0
-    if args.cache_command == "import":
-        store = CacheStore(directory)
-        new = store.import_(args.path)
-        print(f"imported {new} new entries from {args.path}")
-        return 0
-    print("usage: repro cache {info,clear,export,import} [--cache-dir DIR]",
-          file=sys.stderr)
-    return 2
+    store = CacheStore(directory)  # "import": argparse admits no other action
+    new = store.import_(args.path)
+    print(f"imported {new} new entries from {args.path}")
+    return 0
 
 
 # ---------------------------------------------------------------------------

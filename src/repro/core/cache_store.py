@@ -1,4 +1,4 @@
-"""Sharded, content-addressed persistence for the engine's latency cache.
+"""Content-addressed persistence for the engine's latencies and Fisher scores.
 
 This module is the only code that decides how a latency entry reaches
 disk: the binary shard records below, and one JSON form of an entry
@@ -30,8 +30,14 @@ one warm ``cache_dir``, so the store is append-only and shard-per-platform:
   :meth:`CacheStore.export` and :meth:`CacheStore.import_` move entries
   between stores and hosts as a portable JSON-lines envelope, deduped by
   digest on arrival.
+* **Fisher scores** — the store also persists the search's Fisher
+  scores in one platform-independent segment beside the shards, keyed by
+  the sha1 of everything a score depends on (:func:`fisher_profile_digest`,
+  :func:`fisher_score_digest`).  It shares the shards' framing, CRC
+  checks, lock-free scan, sidecar lock and torn-tail healing; merges,
+  exports and imports stay latency-only.
 
-Shard layout (format version 1)::
+Segment layout (format version 1)::
 
     shard-<platform>.rcs
       header:  magic "REPROCS1" | u32 version | u16 len | platform utf-8
@@ -40,6 +46,12 @@ Shard layout (format version 1)::
         type 2  shape:   u32 id | 8 x i32 (c_out..stride)
         type 3  batch:   u32 n  | n x (sha1[20] | u32 program | u32 shape
                                        | i32 trials | i64 seed | f64 latency)
+
+    fisher.rcs
+      header:  magic "REPROCS1" | u32 version | u16 len | "fisher"
+      records: framed as above
+        type 4  profile: sha1[20] | u32 n | n x f64 score | layer names JSON
+        type 5  scores:  u32 n | n x (sha1[20] | f64 score)
 
 See DESIGN.md §12 for the full locking discipline.
 """
@@ -55,7 +67,7 @@ import re
 import struct
 import threading
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 from zlib import crc32
 
 import numpy as np
@@ -64,6 +76,9 @@ from repro.core.faults import FAULTS
 from repro.core.program import TransformProgram, program_from_dict, program_to_dict
 from repro.errors import CacheStoreError, ReproError
 from repro.poly.statement import ConvolutionShape
+
+if TYPE_CHECKING:
+    from repro.nn.convs import ConvTransformConfig
 
 try:  # the per-shard write lock; readers never need it
     import fcntl
@@ -84,6 +99,14 @@ STORE_FORMAT_VERSION = 1
 SHARD_PREFIX = "shard-"
 SHARD_SUFFIX = ".rcs"
 
+#: The Fisher-score segment file under the store root, and the name its
+#: header carries where a shard's header carries its platform.
+FISHER_SEGMENT = "fisher" + SHARD_SUFFIX
+_FISHER_HEADER_NAME = "fisher"
+
+#: A Fisher profile key: ``(criterion, network digest, minibatch digest)``.
+FisherProfileKey = tuple[str, str, str]
+
 #: Schema tag of the portable JSON-lines export envelope.
 EXPORT_SCHEMA = "repro.cache-export/1"
 
@@ -100,6 +123,11 @@ _ENTRY = struct.Struct("<20sIIiqd")  # digest, program, shape, trials, seed, val
 _ENTRY_DTYPE = np.dtype([("digest", "V20"), ("program", "<u4"), ("shape", "<u4"),
                          ("trials", "<i4"), ("seed", "<i8"), ("latency", "<f8")])
 assert _ENTRY.size == _ENTRY_DTYPE.itemsize == 48
+_FISHER_PROFILE_RECORD, _FISHER_SCORE_RECORD = 4, 5
+_PROFILE_HEAD = struct.Struct("<20sI")  # digest, layer count
+_SCORE_ROW = struct.Struct("<20sd")     # digest, score
+_SCORE_DTYPE = np.dtype([("digest", "V20"), ("score", "<f8")])
+assert _SCORE_ROW.size == _SCORE_DTYPE.itemsize == 28
 
 #: Sanity bound while scanning possibly-corrupt files: a framed length
 #: beyond this is treated as a torn tail, not an allocation request.
@@ -203,22 +231,73 @@ def key_digest(key: LatencyKey) -> bytes:
     return hashlib.sha1(_canonical_json(document).encode("utf-8")).digest()
 
 
+def _profile_document(key: FisherProfileKey) -> dict:
+    criterion, network, minibatch = key
+    return {"criterion": str(criterion), "network": str(network),
+            "minibatch": str(minibatch)}
+
+
+def fisher_profile_digest(key: FisherProfileKey) -> bytes:
+    """The 20-byte content address of one network's per-layer Fisher scores.
+
+    The key names the scoring criterion, the network (weights, buffers
+    and structure) and the minibatch; the platform and tuner settings are
+    not part of it, since no score depends on them.
+
+    Example::
+
+        digest = fisher_profile_digest(("local", network, minibatch))
+    """
+    return hashlib.sha1(
+        _canonical_json(_profile_document(key)).encode("utf-8")).digest()
+
+
+def fisher_score_digest(key: FisherProfileKey, layer: str,
+                        config: ConvTransformConfig, seed: int) -> bytes:
+    """The 20-byte content address of one derived operator's Fisher score.
+
+    The operator is the ``ConvTransformConfig`` substituted for ``layer``
+    of the network ``key`` profiles, built from a fresh RNG seeded with
+    the engine ``seed``.
+
+    Example::
+
+        digest = fisher_score_digest(key, "layer1.0.conv1", config, 0)
+    """
+    document = _profile_document(key)
+    document.update(layer=str(layer), seed=int(seed), config=[
+        int(config.bottleneck_out), int(config.bottleneck_in),
+        int(config.spatial_bottleneck),
+        [int(factor) for factor in config.group_factors]])
+    return hashlib.sha1(_canonical_json(document).encode("utf-8")).digest()
+
+
 # ---------------------------------------------------------------------------
-# Shard scan state
+# Segment scan state
 # ---------------------------------------------------------------------------
 @dataclasses.dataclass
-class _ShardState:
-    """Everything one process knows about one shard's valid prefix."""
+class _SegmentState:
+    """Everything one process knows about one segment file's valid prefix."""
 
-    platform: str
+    name: str                           # the header's name: platform or "fisher"
+    valid_offset: int = 0
+    stamp: tuple | None = None          # (st_ino, st_dev, st_size) last scanned
+
+    def absorb(self, record_type: int, body: bytes) -> bool:
+        """Take one CRC-checked record; ``False`` stops the scan there."""
+        raise NotImplementedError
+
+
+@dataclasses.dataclass
+class _ShardState(_SegmentState):
+    """A platform shard: interned programs and shapes, latency batches."""
+
     programs: list[TransformProgram] = dataclasses.field(default_factory=list)
     program_ids: dict[str, int] = dataclasses.field(default_factory=dict)
     shapes: list[ConvolutionShape] = dataclasses.field(default_factory=list)
     shape_ids: dict[tuple, int] = dataclasses.field(default_factory=dict)
     batches: list[np.ndarray] = dataclasses.field(default_factory=list)
-    valid_offset: int = 0
     entry_records: int = 0
-    stamp: tuple | None = None          # (st_ino, st_dev, st_size) last scanned
     digest_set: set[bytes] | None = None  # built lazily by writers
 
     def add_batch(self, array: np.ndarray) -> None:
@@ -227,10 +306,91 @@ class _ShardState:
         if self.digest_set is not None:
             self.digest_set.update(_batch_digests(array))
 
+    def absorb(self, record_type: int, body: bytes) -> bool:
+        if record_type == _BATCH_RECORD:
+            if len(body) < _BATCH_COUNT.size:
+                return False
+            (count,) = _BATCH_COUNT.unpack_from(body)
+            if len(body) != _BATCH_COUNT.size + count * _ENTRY.size:
+                return False
+            self.add_batch(np.frombuffer(body, dtype=_ENTRY_DTYPE,
+                                         count=count, offset=_BATCH_COUNT.size))
+            return True
+        if record_type == _PROGRAM_RECORD:
+            if len(body) < _PROGRAM_ID.size:
+                return False
+            (program_id,) = _PROGRAM_ID.unpack_from(body)
+            if program_id != len(self.programs):
+                return False  # ids are dense append-order; anything else is rot
+            try:
+                document = json.loads(body[_PROGRAM_ID.size:])
+                program = program_from_dict(document)
+            except Exception:
+                return False
+            self.programs.append(program)
+            self.program_ids[_canonical_json(document)] = program_id
+            return True
+        if record_type == _SHAPE_RECORD:
+            if len(body) != _SHAPE_BODY.size:
+                return False
+            shape_id, *fields = _SHAPE_BODY.unpack(body)
+            if shape_id != len(self.shapes):
+                return False
+            self.shapes.append(ConvolutionShape(*fields))
+            self.shape_ids[tuple(fields)] = shape_id
+            return True
+        return False  # unknown record type: treat as torn tail
+
+
+@dataclasses.dataclass
+class _FisherState(_SegmentState):
+    """The Fisher segment: per-layer profiles and operator scores by digest."""
+
+    profiles: dict[bytes, tuple[tuple[str, float], ...]] = dataclasses.field(
+        default_factory=dict)
+    scores: dict[bytes, float] = dataclasses.field(default_factory=dict)
+
+    def absorb(self, record_type: int, body: bytes) -> bool:
+        if record_type == _FISHER_SCORE_RECORD:
+            if len(body) < _BATCH_COUNT.size:
+                return False
+            (count,) = _BATCH_COUNT.unpack_from(body)
+            if len(body) != _BATCH_COUNT.size + count * _SCORE_ROW.size:
+                return False
+            rows = np.frombuffer(body, dtype=_SCORE_DTYPE, count=count,
+                                 offset=_BATCH_COUNT.size)
+            self.scores.update(zip(_batch_digests(rows),
+                                   rows["score"].tolist()))
+            return True
+        if record_type == _FISHER_PROFILE_RECORD:
+            if len(body) < _PROFILE_HEAD.size:
+                return False
+            digest, count = _PROFILE_HEAD.unpack_from(body)
+            names_at = _PROFILE_HEAD.size + 8 * count
+            try:
+                names = json.loads(body[names_at:])
+            except ValueError:
+                return False
+            if (not isinstance(names, list) or len(names) != count
+                    or not all(isinstance(name, str) for name in names)):
+                return False
+            scores = np.frombuffer(body, dtype="<f8", count=count,
+                                   offset=_PROFILE_HEAD.size).tolist()
+            self.profiles[digest] = tuple(zip(names, scores))
+            return True
+        return False  # unknown record type: treat as torn tail
+
 
 def _batch_digests(array: np.ndarray) -> Iterator[bytes]:
     raw = array["digest"].tobytes()
     return (raw[i:i + 20] for i in range(0, len(raw), 20))
+
+
+def _profile_body(digest: bytes, layers: Sequence[tuple[str, float]]) -> bytes:
+    names = [name for name, _ in layers]
+    scores = np.array([score for _, score in layers], dtype="<f8")
+    return (_PROFILE_HEAD.pack(digest, len(names)) + scores.tobytes()
+            + json.dumps(names).encode("utf-8"))
 
 
 def _frame(buffer: bytearray, record_type: int, body: bytes) -> None:
@@ -270,22 +430,26 @@ class ShardInfo:
 def is_store_file(path: Path) -> bool:
     """Whether ``path`` is one of this store's own on-disk artefacts.
 
-    Recognises shard segment files (by suffix *and* magic), their lock
-    files, and writer scratch files — the only things ``repro cache
-    clear`` may delete from a cache directory.
+    Recognises shard segment files and the Fisher segment (by name *and*
+    magic), their lock files, and writer scratch files — the only things
+    ``repro cache clear`` may delete from a cache directory.
 
     Example::
 
         deletable = [p for p in directory.iterdir() if is_store_file(p)]
     """
     name = path.name
-    if not name.startswith(SHARD_PREFIX):
+    if name.startswith(SHARD_PREFIX):
+        segment = name.endswith(SHARD_SUFFIX)
+    elif name.startswith(FISHER_SEGMENT):
+        segment = name == FISHER_SEGMENT
+    else:
         return False
     if name.endswith(SHARD_SUFFIX + ".lock"):
         return True
     if SHARD_SUFFIX + ".tmp." in name:
         return True
-    if not name.endswith(SHARD_SUFFIX):
+    if not segment:
         return False
     try:
         with open(path, "rb") as handle:
@@ -315,6 +479,9 @@ class CacheStore:
     ``max_entries`` (default: the ``REPRO_CACHE_MAX_ENTRIES`` environment
     variable) caps the live entries per shard; the cap and the
     dead-record threshold both trigger an in-place compaction rewrite.
+    The Fisher segment (:meth:`load_fisher`, :meth:`append_fisher`) is
+    appended the same way; it is never compacted, since a locked append
+    writes no digest twice.
     """
 
     def __init__(self, directory: str | Path, *, max_entries: int | None = None,
@@ -324,9 +491,10 @@ class CacheStore:
         self.compact_ratio = float(compact_ratio)
         self.compact_min_dead = int(compact_min_dead)
         self._states: dict[str, _ShardState] = {}
-        # Serialises intra-process access to the shard-state dict so one
+        self._fisher = _FisherState(name=_FISHER_HEADER_NAME)
+        # Serialises intra-process access to the segment states so one
         # store object can be shared by many threads (the service's worker
-        # pool); cross-process safety still comes from the per-shard flock.
+        # pool); cross-process safety still comes from the per-segment flock.
         self._thread_lock = threading.RLock()
 
     # -- configuration -------------------------------------------------
@@ -413,27 +581,23 @@ class CacheStore:
         return _HEADER.pack(SHARD_MAGIC, STORE_FORMAT_VERSION, len(name)) + name
 
     # -- scanning (the read path; lock-free) ----------------------------
-    def _scan(self, platform: str,
-              state: _ShardState | None = None) -> _ShardState:
-        """Extend ``state`` over the shard's valid prefix (incremental).
+    def _scan(self, path: Path, state: _SegmentState) -> _SegmentState:
+        """Extend ``state`` over the segment's valid prefix (incremental).
 
         Stops cleanly at the first truncated or CRC-failing record — a
         torn tail from a crashed writer is skipped, not fatal — and
         re-scans from scratch when the file was compacted out from under
         us (the inode changed or the file shrank).
         """
-        path = self.shard_path(platform)
-        if state is None:
-            state = _ShardState(platform=platform)
         try:
             stat = path.stat()
         except FileNotFoundError:
-            return _ShardState(platform=platform)
+            return type(state)(name=state.name)
         stamp = (stat.st_ino, stat.st_dev, stat.st_size)
         if state.stamp is not None and state.stamp[:2] != stamp[:2]:
-            state = _ShardState(platform=platform)   # compacted: new inode
+            state = type(state)(name=state.name)   # compacted: new inode
         elif stat.st_size < state.valid_offset:
-            state = _ShardState(platform=platform)   # shrank: rewritten
+            state = type(state)(name=state.name)   # shrank: rewritten
         if stat.st_size == state.valid_offset and state.stamp is not None:
             state.stamp = stamp
             return state
@@ -446,10 +610,10 @@ class CacheStore:
                 state.stamp = stamp
                 return state
             name, offset = self._parse_header(data, path)
-            if name != platform:
+            if name != state.name:
                 raise CacheStoreError(
                     f"cache shard {path} holds platform '{name}', "
-                    f"not '{platform}'")
+                    f"not '{state.name}'")
         while True:
             frame = data[offset:offset + _FRAME.size]
             if len(frame) < _FRAME.size:
@@ -460,48 +624,19 @@ class CacheStore:
             body = data[offset + _FRAME.size:offset + _FRAME.size + length]
             if len(body) < length or crc32(body) != checksum:
                 break
-            if not self._absorb_record(state, record_type, body, path):
+            if not state.absorb(record_type, body):
                 break
             offset += _FRAME.size + length
         state.valid_offset += offset
         state.stamp = stamp
         return state
 
-    def _absorb_record(self, state: _ShardState, record_type: int,
-                       body: bytes, path: Path) -> bool:
-        if record_type == _BATCH_RECORD:
-            if len(body) < _BATCH_COUNT.size:
-                return False
-            (count,) = _BATCH_COUNT.unpack_from(body)
-            if len(body) != _BATCH_COUNT.size + count * _ENTRY.size:
-                return False
-            state.add_batch(np.frombuffer(body, dtype=_ENTRY_DTYPE,
-                                          count=count, offset=_BATCH_COUNT.size))
-            return True
-        if record_type == _PROGRAM_RECORD:
-            if len(body) < _PROGRAM_ID.size:
-                return False
-            (program_id,) = _PROGRAM_ID.unpack_from(body)
-            if program_id != len(state.programs):
-                return False  # ids are dense append-order; anything else is rot
-            try:
-                document = json.loads(body[_PROGRAM_ID.size:])
-                program = program_from_dict(document)
-            except Exception:
-                return False
-            state.programs.append(program)
-            state.program_ids[_canonical_json(document)] = program_id
-            return True
-        if record_type == _SHAPE_RECORD:
-            if len(body) != _SHAPE_BODY.size:
-                return False
-            shape_id, *fields = _SHAPE_BODY.unpack(body)
-            if shape_id != len(state.shapes):
-                return False
-            state.shapes.append(ConvolutionShape(*fields))
-            state.shape_ids[tuple(fields)] = shape_id
-            return True
-        return False  # unknown record type: treat as torn tail
+    def _scan_shard(self, platform: str) -> _ShardState:
+        """Bring one platform's shard state up to date (hold ``_thread_lock``)."""
+        state = self._scan(self.shard_path(platform),
+                           self._states.get(platform) or _ShardState(name=platform))
+        self._states[platform] = state
+        return state
 
     def _entries_array(self, state: _ShardState) -> np.ndarray:
         if not state.batches:
@@ -516,7 +651,7 @@ class CacheStore:
         array = self._entries_array(state)
         if not len(array):
             return {}
-        programs, shapes, platform = state.programs, state.shapes, state.platform
+        programs, shapes, platform = state.programs, state.shapes, state.name
         try:
             keys = [(platform, shapes[shape], programs[program], trials, seed)
                     for program, shape, trials, seed in zip(
@@ -549,9 +684,7 @@ class CacheStore:
             entries = store.load_platform("cpu")
         """
         with self._thread_lock:
-            state = self._scan(platform, self._states.get(platform))
-            self._states[platform] = state
-            return self._materialise(state)
+            return self._materialise(self._scan_shard(platform))
 
     def load(self) -> dict[LatencyKey, float]:
         """Every live entry across all shards (merge/export convenience).
@@ -565,6 +698,23 @@ class CacheStore:
             merged.update(self.load_platform(platform))
         return merged
 
+    def load_fisher(self) -> tuple[dict[bytes, tuple[tuple[str, float], ...]],
+                                   dict[bytes, float]]:
+        """Every Fisher row: per-layer profiles and operator scores, by digest.
+
+        The same lock-free incremental scan as :meth:`load_platform`; a
+        store without a Fisher segment returns two empty dicts.
+
+        Example::
+
+            profiles, scores = store.load_fisher()
+            layers = profiles.get(fisher_profile_digest(key))
+        """
+        with self._thread_lock:
+            state = self._fisher = self._scan(self.directory / FISHER_SEGMENT,
+                                              self._fisher)
+            return dict(state.profiles), dict(state.scores)
+
     def entry_count(self, platform: str | None = None) -> int:
         """Live (unique-digest) entries in one shard, or the whole store.
 
@@ -576,9 +726,7 @@ class CacheStore:
         total = 0
         with self._thread_lock:
             for name in platforms:
-                state = self._scan(name, self._states.get(name))
-                self._states[name] = state
-                total += len(self._digests(state))
+                total += len(self._digests(self._scan_shard(name)))
         return total
 
     def __len__(self) -> int:
@@ -599,8 +747,7 @@ class CacheStore:
                     name, _ = self._parse_header(handle.read(
                         _HEADER.size + 256), path)
                 with self._thread_lock:
-                    state = self._scan(name, self._states.get(name))
-                    self._states[name] = state
+                    state = self._scan_shard(name)
                     shard_entries = len(self._digests(state))
                 rows.append(ShardInfo(
                     platform=name, path=path, bytes=size,
@@ -613,16 +760,41 @@ class CacheStore:
                                       error=str(exc)))
         return rows
 
+    def fisher_info(self) -> dict | None:
+        """The Fisher segment's rows and bytes; ``None`` when it is absent.
+
+        ``profiles`` counts the networks whose per-layer scores are stored,
+        ``scores`` the derived operators, and ``rows`` both (-1 with an
+        ``error`` when the segment is unreadable).
+
+        Example::
+
+            fisher = store.fisher_info()
+        """
+        path = self.directory / FISHER_SEGMENT
+        if not path.exists():
+            return None
+        info = {"path": str(path), "bytes": path.stat().st_size, "rows": -1,
+                "profiles": -1, "scores": -1, "error": None}
+        try:
+            profiles, scores = self.load_fisher()
+        except CacheStoreError as exc:
+            info["error"] = str(exc)
+        else:
+            info.update(rows=len(profiles) + len(scores),
+                        profiles=len(profiles), scores=len(scores))
+        return info
+
     # -- locking --------------------------------------------------------
     @contextlib.contextmanager
-    def _exclusive_lock(self, platform: str):
-        """The per-shard writer lock (``flock`` on a sidecar lock file).
+    def _exclusive_lock(self, filename: str):
+        """The per-segment writer lock (``flock`` on a sidecar lock file).
 
         The lock file — never the segment file — carries the lock, so
         compaction can atomically replace the segment while holding it.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        lock_path = self.directory / (self._shard_filename(platform) + ".lock")
+        lock_path = self.directory / (filename + ".lock")
         fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
         try:
             if fcntl is not None:
@@ -661,10 +833,8 @@ class CacheStore:
 
     def _append_platform(self, platform: str,
                          items: list[tuple[LatencyKey, float]]) -> int:
-        path = self.shard_path(platform)
-        with self._thread_lock, self._exclusive_lock(platform):
-            state = self._scan(platform, self._states.get(platform))
-            self._states[platform] = state
+        with self._thread_lock, self._exclusive_lock(self._shard_filename(platform)):
+            state = self._scan_shard(platform)
             known = self._digests(state)
             buffer = bytearray()
             if state.valid_offset == 0:
@@ -683,26 +853,73 @@ class CacheStore:
                 body = _BATCH_COUNT.pack(len(rows)) + b"".join(rows)
                 _frame(buffer, _BATCH_RECORD, body)
             if buffer:
-                start = 0 if state.valid_offset == 0 else state.valid_offset
-                FAULTS.on_cache_write("cache_store")
-                fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
-                try:
-                    os.ftruncate(fd, start)  # drop a crashed writer's torn tail
-                    os.lseek(fd, start, os.SEEK_SET)
-                    os.write(fd, bytes(buffer))
-                    stat = os.fstat(fd)
-                finally:
-                    os.close(fd)
-                # Fault injection may tear or poison what was just written,
-                # simulating a writer killed mid-append / latent bit rot.
-                FAULTS.on_shard_appended(path)
-                state.valid_offset = start + len(buffer)
-                state.stamp = (stat.st_ino, stat.st_dev, stat.st_size)
+                self._write_locked(self.shard_path(platform), state, buffer,
+                                   "cache_store")
                 if rows:
                     state.add_batch(np.frombuffer(
                         b"".join(rows), dtype=_ENTRY_DTYPE))
             self._maybe_compact_locked(state)
         return len(rows)
+
+    def append_fisher(self, profiles: Mapping[bytes, Sequence[tuple[str, float]]],
+                      scores: Mapping[bytes, float]) -> int:
+        """Append Fisher rows to the Fisher segment; returns the rows added.
+
+        ``profiles`` maps a :func:`fisher_profile_digest` to the network's
+        ordered ``(layer, score)`` pairs, ``scores`` maps a
+        :func:`fisher_score_digest` to one operator's score (``-inf`` for
+        an operator that cannot be built).  Rows the segment already holds
+        are skipped, and the write is the same locked, torn-tail-healing
+        append as :meth:`append`.
+
+        Example::
+
+            store.append_fisher({profile: [("conv1", 0.4)]}, {operator: 0.3})
+        """
+        path = self.directory / FISHER_SEGMENT
+        with self._thread_lock, self._exclusive_lock(FISHER_SEGMENT):
+            state = self._fisher = self._scan(path, self._fisher)
+            new_profiles = {digest: tuple((str(name), float(score))
+                                          for name, score in layers)
+                            for digest, layers in profiles.items()
+                            if digest not in state.profiles}
+            new_scores = {digest: float(score) for digest, score in scores.items()
+                          if digest not in state.scores}
+            if new_profiles or new_scores:
+                buffer = bytearray()
+                if state.valid_offset == 0:
+                    buffer += self._header_bytes(_FISHER_HEADER_NAME)
+                for digest, layers in new_profiles.items():
+                    _frame(buffer, _FISHER_PROFILE_RECORD,
+                           _profile_body(digest, layers))
+                if new_scores:
+                    _frame(buffer, _FISHER_SCORE_RECORD,
+                           _BATCH_COUNT.pack(len(new_scores)) + b"".join(
+                               _SCORE_ROW.pack(digest, score)
+                               for digest, score in new_scores.items()))
+                self._write_locked(path, state, buffer, "fisher_store")
+                state.profiles.update(new_profiles)
+                state.scores.update(new_scores)
+        return len(new_profiles) + len(new_scores)
+
+    def _write_locked(self, path: Path, state: _SegmentState,
+                      buffer: bytearray, site: str) -> None:
+        """Write ``buffer`` right after ``state``'s valid prefix (segment lock held)."""
+        start = state.valid_offset
+        FAULTS.on_cache_write(site)
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            os.ftruncate(fd, start)  # drop a crashed writer's torn tail
+            os.lseek(fd, start, os.SEEK_SET)
+            os.write(fd, bytes(buffer))
+            stat = os.fstat(fd)
+        finally:
+            os.close(fd)
+        # Fault injection may tear or poison what was just written,
+        # simulating a writer killed mid-append / latent bit rot.
+        FAULTS.on_shard_appended(path)
+        state.valid_offset = start + len(buffer)
+        state.stamp = (stat.st_ino, stat.st_dev, stat.st_size)
 
     def _intern_program(self, state: _ShardState, program: TransformProgram,
                         buffer: bytearray) -> int:
@@ -754,8 +971,8 @@ class CacheStore:
         cap = self.max_entries
         if cap is not None and len(keep) > cap:
             keep = keep[len(keep) - cap:]  # eviction: the newest survive
-        platform = state.platform
-        fresh = _ShardState(platform=platform)
+        platform = state.name
+        fresh = _ShardState(name=platform)
         buffer = bytearray(self._header_bytes(platform))
         programs = array["program"].tolist()
         shapes = array["shape"].tolist()
@@ -780,7 +997,7 @@ class CacheStore:
         finally:
             with contextlib.suppress(FileNotFoundError):
                 scratch.unlink()
-        self._states[platform] = self._scan(platform, None)
+        self._states[platform] = self._scan(path, _ShardState(name=platform))
 
     def compact(self, platform: str | None = None) -> dict[str, int]:
         """Force a compaction rewrite; returns live entries per shard.
@@ -792,10 +1009,8 @@ class CacheStore:
         platforms = [platform] if platform is not None else self.platforms()
         survivors = {}
         for name in platforms:
-            with self._thread_lock, self._exclusive_lock(name):
-                state = self._scan(name, self._states.get(name))
-                self._states[name] = state
-                self._compact_locked(state)
+            with self._thread_lock, self._exclusive_lock(self._shard_filename(name)):
+                self._compact_locked(self._scan_shard(name))
                 survivors[name] = len(self._digests(self._states[name]))
         return survivors
 

@@ -23,14 +23,16 @@ safely reloaded by later runs, even runs against other platforms or tuner
 settings.  Persistence is the sharded, content-addressed
 :class:`~repro.core.cache_store.CacheStore` (``cache_store=...``; any
 number of processes can share one warm directory); an engine without a
-store keeps its entries in memory.  Fisher scores additionally depend on
-the profiled model and minibatch, so they are memoised per
-:class:`FisherOracle` (one oracle per Fisher profile) rather than
-persisted.  The oracle memoises at two levels: per ``(layer, program)``,
-which the hit statistics count, and behind that per ``(layer, operator)``,
-so programs that differ only in schedule steps and derive the same
-:class:`~repro.nn.convs.ConvTransformConfig` build and score that
-operator once.
+store keeps its entries in memory.  Fisher scores depend on the network
+and minibatch instead of the platform, so the engine keeps them in a
+second table keyed by ``(criterion, network digest, minibatch digest)``
+— plus ``(layer, ConvTransformConfig, seed)`` for an operator's score —
+that the store persists beside the latency shards.  A :class:`FisherOracle`
+memoises per ``(layer, program)``, which the hit statistics count; behind
+a miss it reads the engine's table, so programs that derive the same
+operator, later searches of the same network and later processes build
+and score that operator once, and a search whose scores are all stored
+runs no Fisher pass at all.
 
 The engine also enforces stage 1 of the staged legality: every latency
 query is pre-screened through the transform program's structural legality
@@ -49,11 +51,17 @@ from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as PoolTimeout
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.core.cache_store import CacheStore, LatencyKey
+from repro.core.cache_store import (
+    CacheStore,
+    FisherProfileKey,
+    LatencyKey,
+    fisher_profile_digest,
+    fisher_score_digest,
+)
 from repro.core.events import Observable
 from repro.core.faults import FAULTS
 from repro.core.program import LegalityReport, TransformProgram
@@ -68,7 +76,7 @@ from repro.errors import (
     ReproError,
     TransformError,
 )
-from repro.fisher import candidate_layer_fisher
+from repro.fisher import FisherProfile, FisherScores, candidate_layer_fisher
 from repro.hardware.platform import PlatformSpec
 from repro.nn.convs import ConvTransformConfig, DerivedConv2d
 from repro.poly.statement import ConvolutionShape
@@ -132,6 +140,11 @@ class EngineStatistics:
     latency_misses: int = 0
     fisher_hits: int = 0
     fisher_misses: int = 0
+    #: Fisher work the engine's table could not answer: profile passes run
+    #: and candidate operators derived and scored
+    fisher_profiles: int = 0
+    fisher_scored: int = 0
+    #: latency entries loaded from the store or absorbed (not Fisher rows)
     loaded_entries: int = 0
     prescreen_checks: int = 0
     prescreen_rejections: int = 0
@@ -173,30 +186,47 @@ def _tune_entry(args: tuple[PlatformSpec, ConvolutionShape, TransformProgram, in
 
 
 class FisherOracle:
-    """Memoised candidate Fisher scores against one network profile.
+    """Memoised candidate Fisher scores of one network on one minibatch.
 
-    Fisher scores depend on the profiled model and minibatch, so their
-    cache lives with the profile rather than in the engine's persistent
-    store; the engine only aggregates the hit statistics and supplies the
-    candidate-instantiation seed.
+    ``key`` is the network's :func:`~repro.fisher.fisher_key`; ``build``
+    runs its Fisher profile pass.  The per-layer scores (:attr:`scores`)
+    and every operator score come from the engine's Fisher table when it
+    holds them, so ``build`` runs at most once — when the first score is
+    missing — and never on a search whose scores are all stored.
 
-    Two memo levels sit behind :meth:`candidate_fisher`.  The first is
-    keyed by ``(layer, program)`` and is what ``fisher_hits`` /
-    ``fisher_misses`` count.  The second is keyed by ``(layer,
-    ConvTransformConfig)``: many programs differ only in schedule steps
-    (an unroll factor, a reorder) and derive the same operator, so they
-    share one :class:`~repro.nn.convs.DerivedConv2d` construction and one
-    forward pass.  The operator key is sound because every candidate is
-    built from a fresh engine-seeded RNG: a score is a pure function of
-    the layer's record and the config, and skipping a construction
-    consumes no draw another candidate sees.
+    :meth:`candidate_fisher` memoises per ``(layer, program)``, which is
+    what ``fisher_hits`` / ``fisher_misses`` count.  A miss on a neural
+    program reads the engine's table by ``(layer, ConvTransformConfig)``:
+    many programs differ only in schedule steps (an unroll factor, a
+    reorder) and derive the same operator, so they share one
+    :class:`~repro.nn.convs.DerivedConv2d` construction and one forward
+    pass.  The operator key is sound because every candidate is built
+    from a fresh engine-seeded RNG: a score is a pure function of the
+    layer's record, the config and the engine seed, and skipping a
+    construction consumes no draw another candidate sees.
     """
 
-    def __init__(self, engine: "EvaluationEngine", profile):
+    def __init__(self, engine: "EvaluationEngine", key: FisherProfileKey,
+                 build: Callable[[], FisherProfile]):
         self.engine = engine
-        self.profile = profile
+        self.key = key
+        self._build = build
+        self._profile: FisherProfile | None = None
         self._cache: dict[tuple[str, TransformProgram], float] = {}
-        self._operator_cache: dict[tuple[str, ConvTransformConfig], float] = {}
+        stored = engine._fisher_table()[0].get(fisher_profile_digest(key))
+        self.scores = (FisherScores(dict(stored)) if stored is not None
+                       else self.profile().scores())
+
+    def profile(self) -> FisherProfile:
+        """The network's full Fisher profile, built on first use."""
+        if self._profile is None:
+            self._profile = self._build()
+            self.engine.statistics.fisher_profiles += 1
+            layers = tuple((name, record.score)
+                           for name, record in self._profile.layers.items())
+            self.engine._remember_fisher(
+                {fisher_profile_digest(self.key): layers}, {})
+        return self._profile
 
     def candidate_fisher(self, workload: LayerWorkload,
                          program: TransformProgram) -> float:
@@ -212,23 +242,24 @@ class FisherOracle:
             self.engine.statistics.fisher_hits += 1
             return self._cache[key]
         self.engine.statistics.fisher_misses += 1
-        record = self.profile.layers[workload.name]
         if not program.is_neural:
-            score = record.score
+            score = self.scores.score_of(workload.name)
         else:
             try:
                 config = program.conv_config(workload.shape)
             except TransformError:
                 score = -np.inf
             else:
-                score = self._operator_fisher(record, config)
+                score = self._operator_fisher(workload.name, config)
         self._cache[key] = score
         return score
 
-    def _operator_fisher(self, record, config: ConvTransformConfig) -> float:
-        """Score of the operator ``config`` derives for ``record``'s layer."""
-        key = (record.name, config)
-        if key not in self._operator_cache:
+    def _operator_fisher(self, layer: str, config: ConvTransformConfig) -> float:
+        """Score of the operator ``config`` derives for ``layer``."""
+        digest = fisher_score_digest(self.key, layer, config, self.engine.seed)
+        score = self.engine._fisher_table()[1].get(digest)
+        if score is None:
+            record = self.profile().layers[layer]
             try:
                 candidate = DerivedConv2d(
                     record.in_channels, record.out_channels, record.kernel_size,
@@ -237,8 +268,9 @@ class FisherOracle:
                 score = candidate_layer_fisher(record, candidate)
             except ModelError:
                 score = -np.inf
-            self._operator_cache[key] = score
-        return self._operator_cache[key]
+            self.engine.statistics.fisher_scored += 1
+            self.engine._remember_fisher({}, {digest: score})
+        return score
 
     def candidate_fisher_many(self, items: Iterable[tuple[LayerWorkload,
                                                           TransformProgram]],
@@ -310,6 +342,16 @@ class EvaluationEngine(Observable):
         #: set when the sharded store turned out unusable: the engine
         #: keeps running (slower, cold) and stops touching the store.
         self._store_quarantined = False
+        #: the Fisher table (see FisherOracle): per-layer scores and
+        #: operator scores by content digest, loaded from the store on
+        #: first use; rows added since the last save are pending too.
+        self._fisher_profiles: dict[bytes, tuple[tuple[str, float], ...]] | None = None
+        self._fisher_scores: dict[bytes, float] = {}
+        self._pending_profiles: dict[bytes, tuple[tuple[str, float], ...]] = {}
+        self._pending_scores: dict[bytes, float] = {}
+        #: set when the store's Fisher segment turned out unusable: scores
+        #: are still computed and kept in memory, but no longer persisted.
+        self._fisher_quarantined = False
         #: jitter for retry backoff; dedicated so supervision never
         #: consumes from (or perturbs) any result-bearing random stream.
         self._retry_rng = make_rng(self.seed)
@@ -318,11 +360,17 @@ class EvaluationEngine(Observable):
     # ------------------------------------------------------------------
     # Graceful degradation: a broken store quarantines, never aborts
     # ------------------------------------------------------------------
-    def _quarantine_store(self, exc: Exception) -> None:
-        self._store_quarantined = True
-        message = (f"cache store for platform '{self.platform.name}' is "
-                   f"unreadable and has been quarantined; tuning continues "
-                   f"without persistence ({exc})")
+    def _quarantine_store(self, exc: Exception, *, fisher: bool = False) -> None:
+        if fisher:
+            self._fisher_quarantined = True
+            message = (f"the cache store's Fisher segment is unusable and has "
+                       f"been quarantined; Fisher scores are computed without "
+                       f"persistence ({exc})")
+        else:
+            self._store_quarantined = True
+            message = (f"cache store for platform '{self.platform.name}' is "
+                       f"unreadable and has been quarantined; tuning continues "
+                       f"without persistence ({exc})")
         warnings.warn(DegradedExecutionWarning(
             message, component="cache_store", reason=str(exc)), stacklevel=3)
         self.emit("degraded", component="cache_store", reason=str(exc))
@@ -675,9 +723,49 @@ class EvaluationEngine(Observable):
     # ------------------------------------------------------------------
     # The Fisher oracle
     # ------------------------------------------------------------------
-    def fisher_oracle(self, profile) -> FisherOracle:
-        """A memoised candidate-Fisher oracle scoped to one network profile."""
-        return FisherOracle(self, profile)
+    def fisher_oracle(self, key: FisherProfileKey,
+                      build: Callable[[], FisherProfile]) -> FisherOracle:
+        """A memoised candidate-Fisher oracle for one network and minibatch.
+
+        ``key`` is :func:`~repro.fisher.fisher_key` of the network and
+        minibatch, and ``build`` runs their Fisher profile pass; it is
+        called only when the engine's Fisher table lacks a score.
+
+        Example::
+
+            oracle = engine.fisher_oracle(
+                fisher_key(model, images, labels),
+                lambda: fisher_profile(model, images, labels))
+        """
+        return FisherOracle(self, key, build)
+
+    def _fisher_table(self) -> tuple[dict[bytes, tuple[tuple[str, float], ...]],
+                                     dict[bytes, float]]:
+        """The Fisher table's profiles and operator scores, loaded on first use.
+
+        A Fisher segment the engine cannot read is quarantined like a
+        shard: the table starts empty and the search computes its scores.
+        """
+        if self._fisher_profiles is None:
+            self._fisher_profiles = {}
+            if self.cache_store is not None and not self._store_quarantined:
+                try:
+                    profiles, scores = self.cache_store.load_fisher()
+                except (CacheStoreError, OSError) as exc:
+                    self._quarantine_store(exc, fisher=True)
+                else:
+                    self._fisher_profiles.update(profiles)
+                    self._fisher_scores.update(scores)
+        return self._fisher_profiles, self._fisher_scores
+
+    def _remember_fisher(self, profiles: Mapping, scores: Mapping) -> None:
+        """Add newly computed Fisher rows to the table and the pending set."""
+        table_profiles, table_scores = self._fisher_table()
+        table_profiles.update(profiles)
+        table_scores.update(scores)
+        if self.cache_store is not None:
+            self._pending_profiles.update(profiles)
+            self._pending_scores.update(scores)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -709,11 +797,11 @@ class EvaluationEngine(Observable):
         return loaded
 
     def save_cache(self) -> Path:
-        """Append the entries tuned since the last save to the cache store.
+        """Append the entries tuned and the Fisher rows scored since the last save.
 
-        Only the new records are appended, under the shard lock and deduped
-        by content digest, so callers can run ``save_cache`` after every
-        search; returns the store directory.  A store that cannot be
+        Only the new records are appended, under the segment locks and
+        deduped by content digest, so callers can run ``save_cache`` after
+        every search; returns the store directory.  A store that cannot be
         written (full disk, unusable directory) is quarantined like an
         unreadable one (see :meth:`load_cache`), and later saves are
         no-ops.  An engine without a store raises
@@ -734,6 +822,16 @@ class EvaluationEngine(Observable):
                 self._quarantine_store(exc)
             else:
                 self._pending.clear()
+        if ((self._pending_profiles or self._pending_scores)
+                and not (self._store_quarantined or self._fisher_quarantined)):
+            try:
+                self.cache_store.append_fisher(self._pending_profiles,
+                                               self._pending_scores)
+            except (CacheStoreError, OSError) as exc:
+                self._quarantine_store(exc, fisher=True)
+            else:
+                self._pending_profiles.clear()
+                self._pending_scores.clear()
         return self.cache_store.directory
 
     def load_cache(self) -> int:

@@ -2,7 +2,8 @@
 
 The search follows the paper's procedure:
 
-1. profile the original network's Fisher Potential on one random minibatch;
+1. profile the original network's Fisher Potential on one random minibatch
+   (or read its per-layer scores from the engine's Fisher table);
 2. enumerate random configurations — an assignment of a transformation
    sequence to every convolution layer — from the unified space;
 3. reject configurations whose Fisher Potential falls below the original's
@@ -13,8 +14,8 @@ The search follows the paper's procedure:
 Per-layer Fisher scores and per-(shape, sequence) tuned latencies come
 from a shared :class:`~repro.core.engine.EvaluationEngine`, so evaluating
 many configurations is cheap — and a second search against a warm engine
-re-tunes nothing at all — mirroring the paper's observation that 1000
-configurations take under five minutes.
+or store re-tunes and re-scores nothing at all — mirroring the paper's
+observation that 1000 configurations take under five minutes.
 
 Search strategies are pluggable: a strategy is a class implementing
 :class:`SearchStrategy` over a :class:`_SearchContext` and registered in
@@ -42,7 +43,12 @@ from repro.core.sequences import predefined_program
 from repro.core.unified_space import UnifiedSpace
 from repro.core.workloads import LayerWorkload, extract_workloads
 from repro.errors import ModelError, SearchError
-from repro.fisher import FisherLegalityChecker, fisher_profile
+from repro.fisher import (
+    FisherLegalityChecker,
+    FisherScores,
+    fisher_key,
+    fisher_profile,
+)
 from repro.hardware.platform import PlatformSpec
 from repro.nn.convs import DerivedConv2d
 from repro.poly.statement import ConvolutionShape
@@ -132,7 +138,7 @@ class _SearchContext:
     workloads: list[LayerWorkload]
     shapes: dict[str, ConvolutionShape]
     candidates: dict[str, list[TransformProgram]]
-    profile: object
+    profile: FisherScores
     checker: FisherLegalityChecker
     engine: EvaluationEngine
     fisher: FisherOracle
@@ -760,7 +766,12 @@ class UnifiedSearch:
         compile_baseline = COMPILE_CACHE.statistics.snapshot()
         rng = make_rng(self.seed)
 
-        profile = fisher_profile(model, images, labels)
+        # The per-layer scores come from the engine's Fisher table when it
+        # holds them; the profile pass runs only once a score is missing.
+        fisher = self.engine.fisher_oracle(
+            fisher_key(model, images, labels),
+            lambda: fisher_profile(model, images, labels))
+        profile = fisher.scores
         checker = FisherLegalityChecker(profile, threshold=self.fisher_threshold)
         workloads = [w for w in extract_workloads(model, input_shape)
                      if w.name in profile.layers]
@@ -801,8 +812,7 @@ class UnifiedSearch:
         context = _SearchContext(
             workloads=workloads, shapes=shapes, candidates=per_layer_candidates,
             profile=profile, checker=checker, engine=self.engine,
-            fisher=self.engine.fisher_oracle(profile),
-            baseline_latency=baseline_latency,
+            fisher=fisher, baseline_latency=baseline_latency,
             standard=standard, rng=rng, statistics=statistics,
         )
         best_assignment, best_latency = get_strategy(self.strategy).run(self, context)

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.fisher.potential import (
     FisherProfile,
+    FisherScores,
     LayerFisherRecord,
     candidate_layer_fisher,
     fisher_profile,
@@ -43,9 +44,11 @@ class FisherLegalityChecker:
 
     ``threshold`` is the fraction of the original potential a candidate
     must reach; the paper uses 1.0 (reject anything below the original).
+    ``profile`` may be a full :class:`FisherProfile` or its
+    :class:`FisherScores`; :meth:`check_layer_candidate` needs the former.
     """
 
-    def __init__(self, profile: FisherProfile, threshold: float = 1.0):
+    def __init__(self, profile: FisherProfile | FisherScores, threshold: float = 1.0):
         if threshold <= 0:
             raise ValueError("the legality threshold must be positive")
         self.profile = profile

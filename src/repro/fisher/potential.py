@@ -13,6 +13,7 @@ potential falls below the original's are rejected without training.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +82,101 @@ class FisherProfile:
     def without_layer(self, name: str) -> float:
         """Potential of the network excluding one layer's contribution."""
         return self.total - self.layers[name].score
+
+    def scores(self) -> "FisherScores":
+        """The per-layer scores alone, in layer order."""
+        return FisherScores({name: record.score
+                             for name, record in self.layers.items()})
+
+
+@dataclass
+class FisherScores:
+    """Per-layer Fisher scores without the tensors the profile pass recorded.
+
+    What the legality check and the search read of a network; a profile
+    persisted in the cache store comes back as one.  ``total`` sums in
+    layer order, exactly as :attr:`FisherProfile.total` does.
+    """
+
+    layers: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def total(self) -> float:
+        """The network's Fisher Potential."""
+        return sum(self.layers.values())
+
+    def score_of(self, name: str) -> float:
+        return self.layers[name]
+
+
+#: Names the rule that turns a profile into a candidate operator's score
+#: (:func:`candidate_layer_fisher`'s local evaluation).  Every persisted
+#: Fisher score is keyed by it: a change that alters any score must
+#: change it.
+FISHER_CRITERION = "local"
+
+_SCALARS = (bool, int, float, str, type(None), np.generic)
+
+
+def _hash_array(digest, name: str, array) -> None:
+    array = np.ascontiguousarray(array)
+    digest.update(repr((name, array.dtype.str, array.shape)).encode("utf-8"))
+    digest.update(array.data)
+
+
+def network_digest(model: Module) -> str:
+    """sha1 of everything a Fisher score reads from ``model``.
+
+    Covers every parameter's and buffer's name, dtype, shape and bytes,
+    and every module's name, class and scalar attributes, so changing a
+    weight, a stride or a padding gives another digest.
+
+    Example::
+
+        before = network_digest(model)
+    """
+    digest = hashlib.sha1()
+    for name, module in model.named_modules():
+        scalars = sorted(
+            (attribute, value) for attribute, value in vars(module).items()
+            if isinstance(value, _SCALARS) or (
+                isinstance(value, (tuple, list))
+                and all(isinstance(item, _SCALARS) for item in value)))
+        kind = f"{type(module).__module__}.{type(module).__qualname__}"
+        digest.update(repr((name, kind, scalars)).encode("utf-8"))
+    for name, param in model.named_parameters():
+        _hash_array(digest, name, param.data)
+    for name, buffer in model.named_buffers():
+        _hash_array(digest, name, buffer)
+    return digest.hexdigest()
+
+
+def minibatch_digest(images: np.ndarray, labels: np.ndarray) -> str:
+    """sha1 of the dtype, shape and bytes of a Fisher minibatch.
+
+    Example::
+
+        digest = minibatch_digest(images, labels)
+    """
+    digest = hashlib.sha1()
+    _hash_array(digest, "images", images)
+    _hash_array(digest, "labels", labels)
+    return digest.hexdigest()
+
+
+def fisher_key(model: Module, images: np.ndarray,
+               labels: np.ndarray) -> tuple[str, str, str]:
+    """``(criterion, network digest, minibatch digest)``: what a score depends on.
+
+    The engine adds the layer, the operator and its seed to key one
+    candidate's score.
+
+    Example::
+
+        key = fisher_key(model, images, labels)
+    """
+    return (FISHER_CRITERION, network_digest(model),
+            minibatch_digest(images, labels))
 
 
 def _conv_layers(model: Module) -> list[tuple[str, Conv2d]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import struct
 
@@ -11,12 +12,15 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core.cache_store import (
     EXPORT_SCHEMA,
+    FISHER_SEGMENT,
     SHARD_MAGIC,
     STORE_FORMAT_VERSION,
     CacheStore,
     canonical_key_document,
     entry_document,
     entry_from_document,
+    fisher_profile_digest,
+    fisher_score_digest,
     is_store_file,
     key_digest,
     key_from_document,
@@ -25,6 +29,7 @@ from repro.core.engine import EvaluationEngine
 from repro.core.sequences import predefined_program
 from repro.errors import CacheStoreError
 from repro.hardware import get_platform
+from repro.nn.convs import ConvTransformConfig
 from repro.poly.statement import ConvolutionShape
 from repro.tenir.autotune import AutoTuner
 
@@ -250,6 +255,87 @@ class TestCorruptionTolerance:
         (tmp_path / "shard-fake.rcs").write_bytes(b"not a shard at all")
         assert not is_store_file(tmp_path / "shard-fake.rcs")
         assert not is_store_file(tmp_path / "engine-cpu-t3-s0.pkl")
+
+
+class TestFormat:
+    def test_latency_shard_bytes_are_pinned(self, tmp_path):
+        # The bytes a store of format version 1 writes for these entries,
+        # two appends of them, recorded before the Fisher segment existed:
+        # stores written by older and newer builds stay interchangeable.
+        assert STORE_FORMAT_VERSION == 1
+        entries = {}
+        programs = (predefined_program("standard"),
+                    predefined_program("group", group=2))
+        for i in range(6):
+            shape = ConvolutionShape(8 * (1 + i % 2), 8, 4 + 2 * (i % 3),
+                                     4 + 2 * (i % 3), 3, 3)
+            entries[("cpu", shape, programs[i % 2], 3 + i // 4, 0)] = 0.001 * (i + 1)
+        store = CacheStore(tmp_path)
+        store.append(dict(list(entries.items())[:4]))
+        store.append(entries)
+        store.append_fisher({b"p" * 20: [("conv", 1.0)]}, {b"s" * 20: 2.0})
+        raw = (tmp_path / "shard-cpu.rcs").read_bytes()
+        assert len(raw) == 756
+        assert hashlib.sha1(raw).hexdigest() == \
+            "84a3ee2ea6ef6b25563ee138c328729ce312ce4d"
+        assert store.platforms() == ["cpu"]
+
+
+class TestFisherSegment:
+    KEY = ("local", "network", "minibatch")
+
+    def test_round_trip_including_minus_inf(self, tmp_path):
+        profile = fisher_profile_digest(self.KEY)
+        layers = [("conv1", 0.25), ("layer1.0.conv1", 1.0 / 3.0)]
+        scores = {fisher_score_digest(self.KEY, "conv1", ConvTransformConfig(
+                      group_factors=(factor,)), 0): 0.1 * factor
+                  for factor in (1, 2, 4)}
+        scores[fisher_score_digest(self.KEY, "conv1", ConvTransformConfig(
+            bottleneck_out=3), 0)] = float("-inf")
+        assert CacheStore(tmp_path).append_fisher({profile: layers}, scores) == 5
+        reread = CacheStore(tmp_path).load_fisher()
+        assert reread == ({profile: tuple(layers)}, scores)
+        # appends dedupe by digest; the latency shards are untouched
+        assert CacheStore(tmp_path).append_fisher({profile: layers}, scores) == 0
+        assert CacheStore(tmp_path).shard_paths() == []
+        assert is_store_file(tmp_path / FISHER_SEGMENT)
+        assert is_store_file(tmp_path / (FISHER_SEGMENT + ".lock"))
+        info = CacheStore(tmp_path).fisher_info()
+        assert (info["profiles"], info["scores"], info["rows"]) == (1, 4, 5)
+        assert info["bytes"] == (tmp_path / FISHER_SEGMENT).stat().st_size
+
+    def test_digests_cover_every_key_axis(self):
+        config = ConvTransformConfig(group_factors=(2,))
+        base = fisher_score_digest(self.KEY, "conv1", config, 0)
+        assert len({
+            base,
+            fisher_score_digest(("other",) + self.KEY[1:], "conv1", config, 0),
+            fisher_score_digest(self.KEY[:1] + ("n2", "minibatch"), "conv1", config, 0),
+            fisher_score_digest(self.KEY[:2] + ("m2",), "conv1", config, 0),
+            fisher_score_digest(self.KEY, "conv2", config, 0),
+            fisher_score_digest(self.KEY, "conv1", ConvTransformConfig(
+                group_factors=(2, 2)), 0),
+            fisher_score_digest(self.KEY, "conv1", config, 1),
+            fisher_profile_digest(self.KEY),
+        }) == 8
+
+    def test_torn_tail_is_skipped_then_healed(self, tmp_path):
+        rows = {fisher_score_digest(self.KEY, f"conv{i}", ConvTransformConfig(),
+                                    0): float(i) for i in range(8)}
+        first = dict(list(rows.items())[:4])
+        CacheStore(tmp_path).append_fisher({}, first)
+        path = tmp_path / FISHER_SEGMENT
+        path.write_bytes(path.read_bytes()[:-7])  # a crashed writer's tail
+        assert CacheStore(tmp_path).load_fisher() == ({}, {})
+        CacheStore(tmp_path).append_fisher({}, rows)
+        assert CacheStore(tmp_path).load_fisher() == ({}, rows)
+
+    def test_bad_magic_raises_and_is_not_a_store_file(self, tmp_path):
+        (tmp_path / FISHER_SEGMENT).write_bytes(b"NOTACACHESTOREFILE")
+        with pytest.raises(CacheStoreError, match="magic"):
+            CacheStore(tmp_path).load_fisher()
+        assert not is_store_file(tmp_path / FISHER_SEGMENT)
+        assert CacheStore(tmp_path).fisher_info()["error"] is not None
 
 
 class TestCompactionAndEviction:

@@ -15,10 +15,15 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.core.cache_store import CacheStore
+from repro.core.cache_store import (
+    CacheStore,
+    fisher_profile_digest,
+    fisher_score_digest,
+)
 from repro.core.engine import EvaluationEngine
 from repro.core.sequences import predefined_program
 from repro.hardware import get_platform
+from repro.nn.convs import ConvTransformConfig
 from repro.poly.statement import ConvolutionShape
 
 #: Writers x entries-per-writer for the stress test (kept CI-sized).
@@ -26,8 +31,10 @@ WRITERS, READERS, PER_WRITER, SHARED = 4, 2, 24, 16
 
 WRITER_SCRIPT = textwrap.dedent("""
     import sys
-    from repro.core.cache_store import CacheStore
+    from repro.core.cache_store import (
+        CacheStore, fisher_profile_digest, fisher_score_digest)
     from repro.core.sequences import predefined_program
+    from repro.nn.convs import ConvTransformConfig
     from repro.poly.statement import ConvolutionShape
 
     directory, index = sys.argv[1], int(sys.argv[2])
@@ -45,6 +52,21 @@ WRITER_SCRIPT = textwrap.dedent("""
     # each value is a pure function of its key, so last-wins is a no-op).
     store.append({("cpu", shape, program, 999, seed): 999 + seed * 0.001
                   for seed in range(shared)})
+    # Fisher rows the same way: a private profile and private operator
+    # scores in small batches, then a contended set every writer appends.
+    config = ConvTransformConfig()
+    private = ("local", "network", f"writer-{index}")
+    for start in range(0, per_writer, 4):
+        store.append_fisher(
+            {fisher_profile_digest(private): [("conv", float(index))]},
+            {fisher_score_digest(private, f"conv{seed}", config, 0):
+             index + seed * 0.001
+             for seed in range(start, min(start + 4, per_writer))})
+    contended = ("local", "network", "shared")
+    store.append_fisher(
+        {fisher_profile_digest(contended): [("conv", -1.0)]},
+        {fisher_score_digest(contended, f"conv{seed}", config, 0): -seed * 0.001
+         for seed in range(shared)})
     print(len(store.load_platform("cpu")))
 """)
 
@@ -83,6 +105,23 @@ def _expected_entries() -> dict:
     return expected
 
 
+def _expected_fisher() -> tuple[dict, dict]:
+    config = ConvTransformConfig()
+    profiles, scores = {}, {}
+    for index in range(WRITERS):
+        private = ("local", "network", f"writer-{index}")
+        profiles[fisher_profile_digest(private)] = (("conv", float(index)),)
+        for seed in range(PER_WRITER):
+            scores[fisher_score_digest(private, f"conv{seed}", config, 0)] = (
+                index + seed * 0.001)
+    contended = ("local", "network", "shared")
+    profiles[fisher_profile_digest(contended)] = (("conv", -1.0),)
+    for seed in range(SHARED):
+        scores[fisher_score_digest(contended, f"conv{seed}", config, 0)] = (
+            -seed * 0.001)
+    return profiles, scores
+
+
 class TestMultiProcessStress:
     def test_concurrent_writers_and_readers_lose_nothing(self, tmp_path):
         writers = [_spawn(WRITER_SCRIPT, str(tmp_path), str(index),
@@ -106,6 +145,12 @@ class TestMultiProcessStress:
         engine = EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0,
                                   cache_store=str(tmp_path))
         assert engine.statistics.loaded_entries == len(expected)
+        # The Fisher segment holds the exact union of every writer's rows,
+        # each appended once.
+        profiles, scores = _expected_fisher()
+        assert CacheStore(tmp_path).load_fisher() == (profiles, scores)
+        assert CacheStore(tmp_path).fisher_info()["rows"] == (
+            len(profiles) + len(scores))
 
     def test_crash_mid_append_is_recovered(self, tmp_path):
         # A writer that dies after writing half a record must not poison

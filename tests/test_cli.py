@@ -43,6 +43,12 @@ CACHE_STORE_ROW_SCHEMA = {
     "error": (str, type(None)),
 }
 
+#: ``repro cache info --json``: the Fisher segment block (``null`` when absent).
+FISHER_SEGMENT_SCHEMA = {
+    "path": str, "bytes": int, "rows": int, "profiles": int, "scores": int,
+    "error": (str, type(None)),
+}
+
 #: ``repro cache info --json``: the process-local compile trie block.
 COMPILE_CACHE_SCHEMA = {
     "entries": int, "max_entries": int, "enabled": bool,
@@ -231,11 +237,15 @@ class TestCache:
                 "--cache-dir", str(tmp_path), *TINY_OPTIMIZE)
         info = run_cli(capsys, "cache", "info", "--cache-dir", str(tmp_path))
         assert "entries" in info and "shard-cpu" in info
+        assert "fisher.rcs" in info and "Fisher rows" in info
         payload = json.loads(run_cli(capsys, "cache", "info",
                                      "--cache-dir", str(tmp_path), "--json"))
         rows = payload["stores"]
         assert len(rows) == 1 and rows[0]["entries"] > 0
         assert rows[0]["platform"] == "cpu"
+        fisher = payload["fisher"]
+        assert fisher["profiles"] == 1 and fisher["scores"] > 0
+        assert fisher["rows"] == fisher["profiles"] + fisher["scores"]
         # The process-local compile trie is reported alongside the stores.
         compile_info = payload["compile_cache"]
         assert compile_info["max_entries"] > 0
@@ -243,9 +253,11 @@ class TestCache:
         # clear deletes only recognised store files and reports the rest.
         (tmp_path / "notes.txt").write_text("precious")
         out = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
-        assert "removed 2 cache store file(s)" in out  # segment + lock file
+        # the shard and the Fisher segment, each with its lock file
+        assert "removed 4 cache store file(s)" in out
         assert "skipped notes.txt" in out
         assert (tmp_path / "notes.txt").exists()
+        assert not list(tmp_path.glob("fisher*"))
         assert "no engine cache stores" in run_cli(
             capsys, "cache", "info", "--cache-dir", str(tmp_path))
 
@@ -254,12 +266,25 @@ class TestCache:
                 "--cache-dir", str(tmp_path))
         payload = json.loads(run_cli(capsys, "cache", "info",
                                      "--cache-dir", str(tmp_path), "--json"))
-        assert set(payload) == {"stores", "compile_cache"}
+        assert set(payload) == {"stores", "fisher", "compile_cache"}
+        assert payload["fisher"] is None  # tuning alone scores no Fisher
         assert isinstance(payload["stores"], list) and payload["stores"]
         for row in payload["stores"]:
             assert_schema(row, CACHE_STORE_ROW_SCHEMA, context="stores row")
         assert_schema(payload["compile_cache"], COMPILE_CACHE_SCHEMA,
                       context="compile_cache")
+        run_cli(capsys, "optimize", "--model", "resnet18",
+                "--cache-dir", str(tmp_path), *TINY_OPTIMIZE)
+        payload = json.loads(run_cli(capsys, "cache", "info",
+                                     "--cache-dir", str(tmp_path), "--json"))
+        assert_schema(payload["fisher"], FISHER_SEGMENT_SCHEMA, context="fisher")
+
+    def test_cache_without_action_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["cache"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
 
     def test_unusable_cache_dir_degrades(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"

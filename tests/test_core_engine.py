@@ -21,7 +21,7 @@ from repro.core.search import (
 from repro.core.workloads import extract_workloads
 from repro.data import SyntheticImageDataset
 from repro.errors import EngineError, SearchError
-from repro.fisher import fisher_profile
+from repro.fisher import fisher_key, fisher_profile
 from repro.hardware import get_platform
 from repro.models import resnet34
 from repro.poly.statement import ConvolutionShape
@@ -85,7 +85,8 @@ def _fisher_oracle(minibatch):
     model = _small_model()
     images, labels = minibatch
     oracle = EvaluationEngine(get_platform("cpu")).fisher_oracle(
-        fisher_profile(model, images, labels))
+        fisher_key(model, images, labels),
+        lambda: fisher_profile(model, images, labels))
     return oracle, {w.name: w for w in extract_workloads(model, images.shape[1:])}
 
 
@@ -207,6 +208,55 @@ class TestFisherOracle:
                 oracle.candidate_fisher(workload, second)] == [-np.inf, -np.inf]
         assert len(derivations["built"]) == 1 and derivations["scored"] == []
         assert oracle.engine.statistics.fisher_misses == 2
+
+    def test_store_serves_scores_to_later_engines(self, minibatch, derivations,
+                                                  tmp_path):
+        model = _small_model()
+        images, labels = minibatch
+        workloads = {w.name: w for w in extract_workloads(model, images.shape[1:])}
+        builds = []
+
+        def build():
+            builds.append(len(builds))
+            return fisher_profile(model, images, labels)
+
+        def oracle(seed: int):
+            engine = EvaluationEngine(get_platform("cpu"), seed=seed,
+                                      cache_store=tmp_path)
+            return engine.fisher_oracle(fisher_key(model, images, labels), build)
+
+        grouped = TransformProgram("group", (step("group", factor=2),))
+        # bottleneck folds by max across nests, so the second split cannot
+        # group by 8: the operator cannot be built and scores -inf
+        infeasible = TransformProgram("split", (
+            step("split", parts=2),
+            step("bottleneck", iterator="co", factor=4, nest=0),
+            step("group", factor=8, nest=1)))
+        requests = [(workloads["layer2.conv1"], grouped),
+                    (workloads["layer1.conv1"], infeasible)]
+        cold = oracle(0)
+        scores = cold.candidate_fisher_many(requests)
+        assert np.isfinite(scores[0]) and scores[1] == -np.inf
+        cold.engine.save_cache()
+        assert len(builds) == 1 and len(derivations["built"]) == 2
+
+        warm = oracle(0)
+        assert warm.candidate_fisher_many(requests) == scores
+        assert warm.scores == cold.scores
+        assert len(builds) == 1 and len(derivations["built"]) == 2
+        statistics = warm.engine.statistics
+        assert (statistics.fisher_profiles, statistics.fisher_scored) == (0, 0)
+        assert (statistics.fisher_hits, statistics.fisher_misses) == (0, 2)
+
+        # Another engine seed initialises every operator differently: the
+        # per-layer scores still come from the store, and the profile pass
+        # runs only when the first operator has to be derived.
+        reseeded = oracle(7)
+        assert len(builds) == 1 and reseeded.scores == cold.scores
+        reseeded.candidate_fisher(*requests[0])
+        assert len(builds) == 2 and len(derivations["built"]) == 3
+        statistics = reseeded.engine.statistics
+        assert (statistics.fisher_profiles, statistics.fisher_scored) == (1, 1)
 
 
 class TestDiskCache:

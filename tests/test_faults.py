@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import os
 import pickle
+import shutil
 import warnings
 
 import pytest
 
 import repro
 from repro.core import faults
+from repro.core.cache_store import FISHER_SEGMENT
 from repro.core.compile_cache import COMPILE_CACHE, configure
 from repro.core.engine import EvaluationEngine, SupervisionPolicy
 from repro.core.faults import FAULTS, FaultPlan, InjectedFault
@@ -292,6 +294,82 @@ class TestDegradation:
             engine.save_cache()
         assert [e.kind for e in events] == ["degraded"]
         assert events[0].data["component"] == "cache_store"
+
+
+# ---------------------------------------------------------------------------
+# The Fisher segment degrades like a shard
+# ---------------------------------------------------------------------------
+class TestFisherSegmentFaults:
+    REQUEST = dict(model="resnet18", platform="cpu", strategy="greedy",
+                   configurations=4, tuner_trials=2, seed=0, image_size=8,
+                   fisher_batch=2)
+
+    def _golden(self):
+        with faults.suppressed():
+            return stripped(repro.optimize(**self.REQUEST))
+
+    def _optimize(self, directory, events=None):
+        """One session on ``directory``; ``events`` collects the engine's."""
+        with repro.OptimizationSession("cpu", tuner_trials=2, seed=0,
+                                       cache_dir=directory) as session:
+            if events is not None:
+                session.engine().subscribe(events.append)
+            return session.optimize(**self.REQUEST)
+
+    def test_torn_tail_is_skipped_then_healed(self, tmp_path):
+        golden = self._golden()
+        with faults.inject(cache_torn_tail=1.0):
+            torn = self._optimize(tmp_path)
+        assert FAULTS.statistics()["cache_torn_tail"] >= 2  # shard + segment
+        with faults.suppressed(), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the torn rows are recomputed and appended, healing the tail
+            healing = self._optimize(tmp_path)
+            warm = self._optimize(tmp_path)
+        assert healing.engine_statistics["fisher_scored"] > 0
+        assert (warm.engine_statistics["fisher_profiles"],
+                warm.engine_statistics["fisher_scored"]) == (0, 0)
+        for result in (torn, healing, warm):
+            assert stripped(result) == golden
+
+    def _latency_warm_store(self, tmp_path):
+        """A store whose latencies are warm and whose Fisher rows are not,
+        so a session's only append is the Fisher one."""
+        with faults.suppressed():
+            self._optimize(tmp_path / "warm")
+        (tmp_path / "store").mkdir()
+        shutil.copy(tmp_path / "warm" / "shard-cpu.rcs", tmp_path / "store")
+        return tmp_path / "store"
+
+    def test_poisoned_segment_degrades_once(self, tmp_path):
+        golden = self._golden()
+        store = self._latency_warm_store(tmp_path)
+        with faults.inject(cache_poison=1.0):
+            self._optimize(store)  # the Fisher append poisons the header
+        events = []
+        with faults.suppressed(), pytest.warns(DegradedExecutionWarning,
+                                               match="Fisher") as caught:
+            result = self._optimize(store, events)
+        assert len([w for w in caught
+                    if issubclass(w.category, DegradedExecutionWarning)]) == 1
+        assert [e.kind for e in events].count("degraded") == 1
+        assert stripped(result) == golden
+        # only the Fisher segment is quarantined: latencies stay warm
+        assert result.engine_statistics["tuner_calls"] == 0
+        assert result.engine_statistics["fisher_profiles"] == 1
+
+    def test_unwritable_segment_degrades_once(self, tmp_path):
+        golden = self._golden()
+        store = self._latency_warm_store(tmp_path)
+        events = []
+        with faults.inject(cache_enospc=1.0), pytest.warns(
+                DegradedExecutionWarning, match="Fisher") as caught:
+            result = self._optimize(store, events)
+        assert len([w for w in caught
+                    if issubclass(w.category, DegradedExecutionWarning)]) == 1
+        assert [e.kind for e in events].count("degraded") == 1
+        assert stripped(result) == golden
+        assert not (store / FISHER_SEGMENT).exists()
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from repro.fisher import (
     channel_fisher,
     fisher_profile,
     layer_fisher,
+    minibatch_digest,
+    network_digest,
     network_fisher_potential,
     sensitive_layers,
 )
@@ -204,3 +206,41 @@ class TestLegalityChecker:
         checker = FisherLegalityChecker(fisher_profile(_tiny_model(), *minibatch))
         assert checker.check_network_potential(checker.original_potential + 1.0).margin > 0
         assert checker.check_network_potential(checker.original_potential - 1.0).margin < 0
+
+
+class TestFisherKey:
+    """The key of a persisted score covers everything the score reads."""
+
+    def test_network_digest_is_stable_across_a_profile_pass(self, minibatch):
+        model = _tiny_model()
+        before = network_digest(model)
+        profile = fisher_profile(model, *minibatch)
+        assert network_digest(model) == before
+        assert network_digest(_tiny_model()) == before
+        # the scores alone sum in layer order, like the profile's total
+        assert profile.scores().total == profile.total
+        assert list(profile.scores().layers) == profile.layer_names()
+
+    @pytest.mark.parametrize("mutate", [
+        lambda model: model[0].weight.data.__setitem__((0, 0, 0, 0), 0.5),
+        lambda model: model[1].running_var.__setitem__(0, 2.0),
+        lambda model: setattr(model[3], "stride", 2),
+        lambda model: setattr(model[3], "padding", 0),
+        lambda model: model.__setattr__("tail", nn.ReLU()),
+    ], ids=["weight", "buffer", "stride", "padding", "module"])
+    def test_network_digest_covers_weights_buffers_and_structure(self, mutate):
+        model = _tiny_model()
+        before = network_digest(model)
+        mutate(model)
+        assert network_digest(model) != before
+
+    def test_minibatch_digest_covers_bytes_dtype_and_shape(self, minibatch):
+        images, labels = minibatch
+        before = minibatch_digest(images, labels)
+        assert minibatch_digest(images.copy(), labels.copy()) == before
+        changed = images.copy()
+        changed.flat[0] += 1.0
+        assert minibatch_digest(changed, labels) != before
+        assert minibatch_digest(images.astype(np.float32), labels) != before
+        assert minibatch_digest(images, labels[::-1].copy()) != before
+        assert minibatch_digest(images.reshape(2, 2, 3, 8, 8), labels) != before

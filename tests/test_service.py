@@ -134,6 +134,19 @@ class TestServiceEndToEnd:
         for request, from_daemon in zip(requests, daemon_results):
             assert from_daemon == serial_golden(request)
 
+    def test_repeated_request_reads_its_fisher_scores_from_the_store(
+            self, running_service):
+        # Jobs share the daemon's store, so the second run of a request
+        # takes every Fisher score from it and runs no profile pass.
+        _service, client = running_service
+        request = OptimizationRequest(**TINY, seed=8)
+        first = client.wait(client.submit(request), timeout=300)
+        second = client.wait(client.submit(request), timeout=300)
+        assert first.engine_statistics["fisher_profiles"] == 1
+        assert second.engine_statistics["fisher_profiles"] == 0
+        assert second.engine_statistics["fisher_scored"] == 0
+        assert stripped(second.to_dict()) == serial_golden(request)
+
     def test_jobs_and_info_verbs(self, running_service):
         _service, client = running_service
         job_id = client.submit(**TINY, seed=6)
