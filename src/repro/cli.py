@@ -482,6 +482,8 @@ def _cmd_cache(args) -> int:
     directory = _cache_directory(args.cache_dir)
     try:
         return _cache_verb(args, directory)
+    except BrokenPipeError:
+        raise  # the reader went away: main's handler, not a cache error
     except OSError as error:
         # A --cache-dir that is a file, or an import file that is missing,
         # is the operator's to fix: name the path instead of a traceback.
@@ -689,7 +691,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        return handler(args)
+        code = handler(args)
+        # Flush here, not at interpreter exit, so that a reader that went
+        # away is caught below even when stdout is block-buffered.
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
         # The reader (e.g. `| head`) closed the pipe; not an error.
         import os

@@ -81,6 +81,8 @@ from repro.hardware.platform import PlatformSpec
 from repro.nn.convs import ConvTransformConfig, DerivedConv2d
 from repro.poly.statement import ConvolutionShape
 from repro.tenir.autotune import AutoTuner
+from repro.tensor.init import NormalStream
+from repro.tensor.ops import shared_columns
 from repro.utils import make_rng
 
 #: Executor choices for :meth:`EvaluationEngine.tune_many`, fixed per engine.
@@ -200,10 +202,20 @@ class FisherOracle:
     many programs differ only in schedule steps (an unroll factor, a
     reorder) and derive the same operator, so they share one
     :class:`~repro.nn.convs.DerivedConv2d` construction and one forward
-    pass.  The operator key is sound because every candidate is built
-    from a fresh engine-seeded RNG: a score is a pure function of the
+    pass.  The operator key is sound because every candidate gets the
+    draws of a fresh engine-seeded RNG: a score is a pure function of the
     layer's record, the config and the engine seed, and skipping a
     construction consumes no draw another candidate sees.
+
+    A layer's operators are scored as one batch: the first table miss of
+    a layer inside :meth:`candidate_fisher_many` derives every operator of
+    that layer the generation misses.  Their weights are replayed from one
+    stream of the engine seed's standard-normal draws
+    (:class:`~repro.tensor.init.NormalStream`, the values a fresh
+    ``make_rng(seed)`` gives), and their forward passes share the im2col
+    columns of the recorded input (:func:`~repro.tensor.ops.shared_columns`),
+    so every score is bit-identical to building and scoring the operator
+    alone.
     """
 
     def __init__(self, engine: "EvaluationEngine", key: FisherProfileKey,
@@ -213,6 +225,12 @@ class FisherOracle:
         self._build = build
         self._profile: FisherProfile | None = None
         self._cache: dict[tuple[str, TransformProgram], float] = {}
+        #: the generation candidate_fisher_many is answering, and the
+        #: operators it misses in the table by layer (found on its first miss)
+        self._batch: list[tuple[LayerWorkload, TransformProgram]] = []
+        self._queued: dict[str, dict[ConvTransformConfig, bytes]] | None = None
+        #: the draws every derived operator's weights are replayed from
+        self._normals = NormalStream(engine.seed)
         stored = engine._fisher_table()[0].get(fisher_profile_digest(key))
         self.scores = (FisherScores(dict(stored)) if stored is not None
                        else self.profile().scores())
@@ -255,22 +273,73 @@ class FisherOracle:
         return score
 
     def _operator_fisher(self, layer: str, config: ConvTransformConfig) -> float:
-        """Score of the operator ``config`` derives for ``layer``."""
+        """Score of the operator ``config`` derives for ``layer``.
+
+        A table miss scores the operator together with every other
+        operator of ``layer`` the current generation misses.
+        """
         digest = fisher_score_digest(self.key, layer, config, self.engine.seed)
-        score = self.engine._fisher_table()[1].get(digest)
-        if score is None:
-            record = self.profile().layers[layer]
+        scores = self.engine._fisher_table()[1]
+        if digest not in scores:
+            if self._queued is None:
+                self._queued = self._table_misses(self._batch)
+            operators = self._queued.pop(layer, {})
+            operators.setdefault(config, digest)
+            self._score_layer(layer, operators)
+        return scores[digest]
+
+    def _table_misses(self, items: Iterable[tuple[LayerWorkload, TransformProgram]],
+                      ) -> dict[str, dict[ConvTransformConfig, bytes]]:
+        """The operators ``items`` derive that the table lacks, by layer, with digests."""
+        scores = self.engine._fisher_table()[1]
+        misses: dict[str, dict[ConvTransformConfig, bytes]] = {}
+        seen: set[tuple[str, ConvTransformConfig]] = set()
+        for workload, program in items:
+            if (workload.name, program) in self._cache or not program.is_neural:
+                continue
             try:
-                candidate = DerivedConv2d(
-                    record.in_channels, record.out_channels, record.kernel_size,
-                    stride=record.stride, padding=record.padding, config=config,
-                    rng=make_rng(self.engine.seed))
-                score = candidate_layer_fisher(record, candidate)
-            except ModelError:
-                score = -np.inf
-            self.engine.statistics.fisher_scored += 1
-            self.engine._remember_fisher({}, {digest: score})
-        return score
+                config = program.conv_config(workload.shape)
+            except TransformError:
+                continue
+            if (workload.name, config) in seen:
+                continue
+            seen.add((workload.name, config))
+            digest = fisher_score_digest(self.key, workload.name, config,
+                                         self.engine.seed)
+            if digest not in scores:
+                misses.setdefault(workload.name, {})[config] = digest
+        return misses
+
+    def _score_layer(self, layer: str,
+                     operators: Mapping[ConvTransformConfig, bytes]) -> None:
+        """Derive and score ``operators`` of ``layer``; add them to the table.
+
+        Operators that keep the same input channels at the same stride
+        convolve the same columns of the recorded input, so they are scored
+        together while those columns are shared; one set of columns is
+        alive at a time.
+        """
+        record = self.profile().layers[layer]
+        by_columns: dict[tuple[int, int], list[ConvTransformConfig]] = {}
+        for config in operators:
+            by_columns.setdefault((config.bottleneck_in, config.spatial_bottleneck),
+                                  []).append(config)
+        scores: dict[ConvTransformConfig, float] = {}
+        for configs in by_columns.values():
+            with shared_columns(record.input_activation):
+                for config in configs:
+                    try:
+                        candidate = DerivedConv2d(
+                            record.in_channels, record.out_channels,
+                            record.kernel_size, stride=record.stride,
+                            padding=record.padding, config=config,
+                            rng=self._normals.replay())
+                        scores[config] = candidate_layer_fisher(record, candidate)
+                    except ModelError:
+                        scores[config] = -np.inf
+        self.engine.statistics.fisher_scored += len(scores)
+        self.engine._remember_fisher(
+            {}, {digest: scores[config] for config, digest in operators.items()})
 
     def candidate_fisher_many(self, items: Iterable[tuple[LayerWorkload,
                                                           TransformProgram]],
@@ -278,16 +347,23 @@ class FisherOracle:
         """Batch form of :meth:`candidate_fisher`: one call per generation.
 
         Every score is a pure, memoised function of ``(workload.name,
-        program)`` — neural candidates are instantiated from a fresh
+        program)`` — neural candidates get the draws of a fresh
         engine-seeded RNG — so evaluating a whole generation through one
         call returns exactly the per-candidate results with exactly the
         sequential hit/miss accounting.  The strategies use this to
         prefetch a generation's scores (and, behind them, the compile
         trie's shared prefixes) in one oracle round-trip instead of
-        per-candidate calls scattered through their control flow.
+        per-candidate calls scattered through their control flow.  The
+        generation's first table miss groups its missing operators by
+        layer, so each layer's are derived and scored together; a
+        generation the table answers does no extra work.
         """
-        return [self.candidate_fisher(workload, program)
-                for workload, program in items]
+        self._batch = list(items)
+        try:
+            return [self.candidate_fisher(workload, program)
+                    for workload, program in self._batch]
+        finally:
+            self._batch, self._queued = [], None
 
 
 class EvaluationEngine(Observable):

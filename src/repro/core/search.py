@@ -40,7 +40,7 @@ from repro.core.events import Observer, ProgressEvent
 from repro.core.predictor import LIAR_STRATEGIES, LatencyPredictor
 from repro.core.program import TransformProgram
 from repro.core.sequences import predefined_program
-from repro.core.unified_space import UnifiedSpace
+from repro.core.unified_space import Partitions, UnifiedSpace
 from repro.core.workloads import LayerWorkload, extract_workloads
 from repro.errors import ModelError, SearchError
 from repro.fisher import (
@@ -151,6 +151,8 @@ class _SearchContext:
     #: order follows string hashing and would break reproducibility.
     submitted: dict[tuple[ConvolutionShape, TransformProgram], None] = field(
         default_factory=dict)
+    #: ``candidates`` split by ``UnifiedSpace.sample_assignment``, once per search
+    partitions: Partitions = field(default_factory=dict)
 
 
 @dataclass
@@ -317,7 +319,8 @@ class RandomStrategy:
         # cache.  The RNG stream and the outcome match the previous
         # one-at-a-time loop exactly.
         sampled = [search.space.sample_assignment(context.shapes, context.candidates,
-                                                  context.rng)
+                                                  context.rng,
+                                                  partitions=context.partitions)
                    for _ in range(search.configurations)]
         search._prefetch_fisher(context, sampled)
         survivors = [assignment for assignment in sampled
@@ -343,8 +346,9 @@ class EvolutionaryStrategy:
         seeds: list[dict[str, TransformProgram]] = []
         while (len(seeds) < population_size
                and context.statistics.configurations_evaluated < search.configurations):
-            assignment = search.space.sample_assignment(context.shapes, context.candidates,
-                                                        context.rng)
+            assignment = search.space.sample_assignment(
+                context.shapes, context.candidates, context.rng,
+                partitions=context.partitions)
             if search._assignment_legal(context, assignment):
                 seeds.append(assignment)
         if not seeds:

@@ -70,6 +70,10 @@ RANDOM_COMPOSITIONS_PER_LAYER = 2
 #: maximum primitive applications per sampled composition
 MAX_COMPOSITION_STEPS = 4
 
+#: each layer's candidates as (neural, program-only) lists, see
+#: :meth:`UnifiedSpace.sample_assignment`
+Partitions = dict[str, tuple[list[TransformProgram], list[TransformProgram]]]
+
 
 class UnifiedSpace:
     """Generates candidate transform programs for convolution layers.
@@ -136,14 +140,25 @@ class UnifiedSpace:
 
     def sample_assignment(self, shapes: dict[str, ConvolutionShape],
                           per_layer_candidates: dict[str, list[TransformProgram]],
-                          rng: np.random.Generator | None = None,
+                          rng: np.random.Generator | None = None, *,
+                          partitions: Partitions | None = None,
                           ) -> dict[str, TransformProgram]:
-        """Sample one configuration: a program choice per layer."""
+        """Sample one configuration: a program choice per layer.
+
+        ``partitions`` keeps each layer's candidates split into neural and
+        program-only lists, filled here on first use.  A search passes one
+        dict to all its calls, so ``is_neural`` — which walks a program's
+        steps and stays unmemoised, because ``register_primitive`` can
+        change it — runs once per candidate and search, not per sample.
+        """
         rng = rng or self._rng
+        partitions = {} if partitions is None else partitions
         assignment: dict[str, TransformProgram] = {}
         for layer, candidates in per_layer_candidates.items():
-            neural = [c for c in candidates if c.is_neural]
-            standard = [c for c in candidates if not c.is_neural]
+            if layer not in partitions:
+                partitions[layer] = ([c for c in candidates if c.is_neural],
+                                     [c for c in candidates if not c.is_neural])
+            neural, standard = partitions[layer]
             if neural and rng.random() < NEURAL_PROBABILITY:
                 assignment[layer] = neural[int(rng.integers(0, len(neural)))]
             elif standard:

@@ -22,7 +22,7 @@ from repro.errors import ModelError
 from repro.nn.layers import Conv2d
 from repro.nn.module import Module
 from repro.tensor import ops
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, no_grad
 
 
 def channel_fisher(activation: np.ndarray, gradient: np.ndarray) -> np.ndarray:
@@ -275,10 +275,12 @@ def candidate_layer_fisher(record: LayerFisherRecord, candidate: Module) -> floa
     favoured purely for their larger initial variance.  This is the cheap
     evaluation mode used during search; DESIGN.md discusses the
     full-network alternative, which :func:`fisher_profile` supports
-    directly.
+    directly.  The forward pass records no tape (:func:`no_grad`): only
+    its values are read.
     """
     candidate.train(True)
-    output = candidate(Tensor(record.input_activation))
+    with no_grad():
+        output = candidate(Tensor(record.input_activation))
     if tuple(output.shape) != record.output_shape:
         raise ModelError(
             f"candidate output shape {tuple(output.shape)} does not match the original "

@@ -1,6 +1,6 @@
 """Tape-based autograd tensor engine (NumPy substrate for PyTorch)."""
 
-from repro.tensor.tensor import Tensor, concat, stack, pad2d
+from repro.tensor.tensor import Tensor, concat, no_grad, stack, pad2d
 from repro.tensor.ops import (
     avg_pool2d,
     batch_norm2d,
@@ -22,6 +22,7 @@ from repro.tensor import init
 __all__ = [
     "Tensor",
     "concat",
+    "no_grad",
     "stack",
     "pad2d",
     "avg_pool2d",

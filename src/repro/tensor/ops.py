@@ -11,10 +11,15 @@ im2col operands, which reads them in place and returns NCHW directly;
 ``np.einsum(..., optimize=True)`` copies the whole column tensor into
 transposed order and then copies its result again (DESIGN.md §2 has the
 measurements).  The weight-gradient contraction, which only training
-runs, stays an einsum.
+runs, stays an einsum.  Inside :func:`shared_columns`, convolutions of one
+recorded input build its columns once per kept channel count and stride.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 
@@ -36,6 +41,7 @@ __all__ = [
     "im2col",
     "col2im",
     "conv_output_size",
+    "shared_columns",
 ]
 
 
@@ -87,6 +93,58 @@ def col2im(cols: np.ndarray, input_shape: tuple[int, int, int, int],
     return padded
 
 
+class _ColumnShare(threading.local):
+    """The input :func:`shared_columns` shares, and its columns, per thread."""
+
+    source: np.ndarray | None = None
+    columns: dict | None = None
+
+
+_SHARE = _ColumnShare()
+
+
+@contextmanager
+def shared_columns(source: np.ndarray) -> Iterator[None]:
+    """Build the im2col columns of ``source`` once per use inside the scope.
+
+    Inside the scope, :func:`conv2d` over ``source`` or over a leading
+    channel slice ``source[:, :c]`` takes its columns from a table keyed by
+    ``(c, kernel, stride, padding)``: operators that convolve one recorded
+    input with the same kept channels and stride build them once.  The
+    columns are what :func:`im2col` returns for that slice, so every result
+    is bit-identical; the table is dropped when the scope ends.  Nothing
+    may write into ``source`` inside the scope.
+
+    Example::
+
+        with shared_columns(record.input_activation):
+            scores = [candidate_layer_fisher(record, op) for op in operators]
+    """
+    previous = _SHARE.source, _SHARE.columns
+    _SHARE.source, _SHARE.columns = source, {}
+    try:
+        yield
+    finally:
+        _SHARE.source, _SHARE.columns = previous
+
+
+def _columns(x: np.ndarray, kernel: tuple[int, int], stride: int,
+             padding: int) -> np.ndarray:
+    """:func:`im2col` of ``x``, from the shared table when ``x`` is a slice of its source."""
+    source = _SHARE.source
+    # A view that starts where ``source`` starts, with its strides and all
+    # its dimensions but the channels, is ``source[:, :c]``.
+    if (source is None or x.dtype != source.dtype or x.strides != source.strides
+            or x.shape[0] != source.shape[0] or x.shape[2:] != source.shape[2:]
+            or x.shape[1] > source.shape[1] or x.ctypes.data != source.ctypes.data):
+        return im2col(x, kernel, stride, padding)
+    key = (x.shape[1], kernel, stride, padding)
+    columns = _SHARE.columns.get(key)
+    if columns is None:
+        columns = _SHARE.columns[key] = im2col(x, kernel, stride, padding)
+    return columns
+
+
 # ---------------------------------------------------------------------------
 # Dense / linear
 # ---------------------------------------------------------------------------
@@ -123,7 +181,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
 
-    cols = im2col(x.data, (kh, kw), stride, padding)  # (N, C, KH, KW, OH, OW)
+    cols = _columns(x.data, (kh, kw), stride, padding)  # (N, C, KH, KW, OH, OW)
 
     if groups == 1:
         cols_mat = cols.reshape(n, c_in * kh * kw, oh * ow)

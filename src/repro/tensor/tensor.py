@@ -8,12 +8,16 @@ differentiation over that tape.
 The engine is intentionally small but complete enough to train the
 convolutional networks used in the paper (ResNet, ResNeXt, DenseNet) and to
 compute Fisher Potential, which requires gradients of the loss with respect
-to intermediate convolution activations.
+to intermediate convolution activations.  Code that only reads values, such
+as scoring a candidate operator, runs inside :func:`no_grad` and records no
+tape.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +45,38 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+class _Tape(threading.local):
+    """Whether operations record the tape, per thread (see :func:`no_grad`)."""
+
+    recording = True
+
+
+_TAPE = _Tape()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no tape inside the scope.
+
+    Results computed inside never require grad, so no backward closure
+    keeps its operands (im2col columns, weights) alive after the values
+    are read.  The values themselves are unchanged.  The flag is per
+    thread, so a search scoring operators in one thread leaves another
+    thread's training alone.
+
+    Example::
+
+        with no_grad():
+            output = candidate(Tensor(inputs))
+    """
+    previous = _TAPE.recording
+    _TAPE.recording = False
+    try:
+        yield
+    finally:
+        _TAPE.recording = previous
 
 
 class Tensor:
@@ -104,7 +140,7 @@ class Tensor:
     def _make(data: np.ndarray, parents: Iterable["Tensor"],
               backward: Callable[[np.ndarray], None]) -> "Tensor":
         parents = tuple(parents)
-        requires_grad = any(p.requires_grad for p in parents)
+        requires_grad = _TAPE.recording and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires_grad)
         if requires_grad:
             out._parents = parents

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import OptimizationRequest, OptimizationResult, TuningResult
 from repro.cli import REQUEST_FLAGS, _build_parser, _request_fields, main
 from repro.errors import DegradedExecutionWarning
@@ -322,6 +327,28 @@ class TestCache:
     def test_empty_dir(self, capsys, tmp_path):
         assert "no engine cache stores" in run_cli(
             capsys, "cache", "info", "--cache-dir", str(tmp_path))
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", [("cache", "info", "--json"),
+                                         ("platforms", "--json")],
+                             ids=["cache-info", "platforms"])
+    def test_a_closed_reader_exits_0(self, tmp_path, command, unbuffered):
+        # `repro cache info --json | head -1`: the reader is gone before the
+        # child writes, so the write fails with EPIPE.  That is the
+        # reader's choice, not a cache error, with or without buffering.
+        reader, writer = os.pipe()
+        os.close(reader)
+        environment = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                           REPRO_CACHE_DIR=str(tmp_path),
+                           PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", *command], stdout=writer,
+                stderr=subprocess.PIPE, env=environment, timeout=120)
+        finally:
+            os.close(writer)
+        assert completed.returncode == 0, completed.stderr.decode()
+        assert completed.stderr == b""
 
     def test_env_var_is_the_default_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -7,7 +7,6 @@ import pytest
 
 from repro import nn
 from repro.core import compare_approaches
-from repro.core import engine as engine_module
 from repro.core.engine import EvaluationEngine
 from repro.core.pipeline import PipelineScale
 from repro.core.program import TransformProgram, step
@@ -58,25 +57,6 @@ def tune_counter(monkeypatch):
         return original(self, computation, platform)
 
     monkeypatch.setattr(AutoTuner, "tune", counted)
-    return calls
-
-
-@pytest.fixture
-def derivations(monkeypatch):
-    """Record every operator the Fisher oracle builds and every one it scores."""
-    calls = {"built": [], "scored": []}
-    build, score = engine_module.DerivedConv2d, engine_module.candidate_layer_fisher
-
-    def built(*args, config, **kwargs):
-        calls["built"].append(config)
-        return build(*args, config=config, **kwargs)
-
-    def scored(record, candidate):
-        calls["scored"].append(record.name)
-        return score(record, candidate)
-
-    monkeypatch.setattr(engine_module, "DerivedConv2d", built)
-    monkeypatch.setattr(engine_module, "candidate_layer_fisher", scored)
     return calls
 
 

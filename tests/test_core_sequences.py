@@ -156,6 +156,23 @@ class TestUnifiedSpace:
         assignment = space.sample_assignment(shapes, candidates, make_rng(1))
         assert set(assignment) == {"a", "b"}
 
+    def test_partitioning_once_keeps_the_picks_and_the_draws(self, shape):
+        space = UnifiedSpace(seed=0)
+        shapes = {"a": shape, "b": shape, "c": shape}
+        candidates = {name: space.candidate_sequences(shape) for name in shapes}
+        # a layer with program-only candidates alone, and one with neural alone
+        candidates["b"] = [c for c in candidates["b"] if not c.is_neural]
+        candidates["c"] = [c for c in candidates["c"] if c.is_neural]
+        partitions: dict = {}
+        fresh, shared = make_rng(4), make_rng(4)
+        for _ in range(20):
+            assert (space.sample_assignment(shapes, candidates, fresh)
+                    == space.sample_assignment(shapes, candidates, shared,
+                                               partitions=partitions))
+        assert fresh.random() == shared.random()
+        assert set(partitions) == set(shapes)
+        assert partitions["b"][0] == [] and partitions["c"][1] == []
+
     def test_space_cardinality(self, shape):
         space = UnifiedSpace(seed=0)
         candidates = {"a": space.candidate_sequences(shape)}

@@ -18,6 +18,7 @@ import pytest
 
 import repro
 from repro.api import OptimizationRequest
+from repro.core.engine import EvaluationEngine
 from repro.core.events import Observable
 from repro.errors import ReproError, ServiceError
 from repro.service import Client, JobStore, OptimizationService
@@ -257,13 +258,26 @@ class TestServiceEndToEnd:
 
 class TestStopResume:
     def test_graceful_stop_requeues_and_restart_resumes_identically(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         state = tmp_path / "svc"
         request = OptimizationRequest(model="resnet18", strategy="evolutionary",
                                       configurations=8, tuner_trials=2,
                                       image_size=8, seed=3)
         golden = serial_golden(request)
 
+        # The job's first tuning batch waits until the stop is requested,
+        # so the stop lands while the job runs however fast its search is.
+        released, held = threading.Event(), []
+        tune_many = EvaluationEngine.tune_many
+
+        def first_batch_held(engine, items):
+            latencies = tune_many(engine, items)
+            if not held:
+                held.append(True)
+                released.wait(timeout=120)
+            return latencies
+
+        monkeypatch.setattr(EvaluationEngine, "tune_many", first_batch_held)
         service = OptimizationService(state, workers=1)
         service.start()
         client = Client(state_dir=state)
@@ -276,6 +290,8 @@ class TestStopResume:
                        timeout=120, description="the job's first tune_batch")
         except TimeoutError:
             pytest.fail("the job never started tuning")
+        service.request_stop()
+        released.set()
         service.stop()
 
         interrupted = JobStore(state / "jobs").get(job_id)

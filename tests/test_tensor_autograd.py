@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.errors import AutogradError, ShapeError
-from repro.tensor import Tensor, check_gradients, concat, pad2d, stack
+from repro.tensor import Tensor, check_gradients, concat, no_grad, pad2d, stack
 
 
 def _tensor(rng, shape, requires_grad=True):
@@ -183,3 +185,35 @@ class TestTapeSemantics:
         b = _tensor(rng, (3,))
         (a * b).sum().backward()
         assert a.grad is None and b.grad is not None
+
+
+class TestNoGrad:
+    def test_records_no_tape_and_keeps_values(self, rng):
+        a = _tensor(rng, (3,))
+        with no_grad():
+            inside = (a * a + a).sum()
+        assert not inside.requires_grad and inside._parents == ()
+        outside = (a * a + a).sum()
+        assert outside.requires_grad
+        assert inside.data.tobytes() == outside.data.tobytes()
+        with pytest.raises(AutogradError):
+            inside.backward()
+
+    def test_nests_and_restores_on_error(self, rng):
+        a = _tensor(rng, (3,))
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                with no_grad():
+                    pass
+                assert not (a * 2).requires_grad
+                raise RuntimeError
+        assert (a * 2).requires_grad
+
+    def test_is_per_thread(self, rng):
+        a = _tensor(rng, (3,))
+        seen = []
+        with no_grad():
+            worker = threading.Thread(target=lambda: seen.append((a * 2).requires_grad))
+            worker.start()
+            worker.join()
+        assert seen == [True]

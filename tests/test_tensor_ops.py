@@ -202,6 +202,53 @@ class TestKernelReferences:
             inputs.grad, _einsum_input_grad(grad, x.shape, weight, stride, padding, groups))
 
 
+class TestSharedColumns:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every im2col call's (channels, stride)."""
+        calls, im2col = [], ops.im2col
+
+        def counted(x, kernel, stride, padding):
+            calls.append((x.shape[1], stride))
+            return im2col(x, kernel, stride, padding)
+
+        monkeypatch.setattr(ops, "im2col", counted)
+        return calls
+
+    def test_built_once_per_kept_channels_and_stride(self, rng, built):
+        source = rng.normal(size=(2, 8, 6, 6))
+        weights = {channels: Tensor(rng.normal(size=(4, channels, 3, 3)))
+                   for channels in (4, 8)}
+        requests = [(8, 1), (4, 1), (8, 1), (8, 2), (4, 1), (8, 2)]
+
+        def convolve(inputs):
+            return [ops.conv2d(inputs[:, :channels], weights[channels],
+                               stride=stride, padding=1).data.tobytes()
+                    for channels, stride in requests]
+
+        alone = convolve(Tensor(source))
+        built.clear()
+        with ops.shared_columns(source):
+            shared = convolve(Tensor(source))
+        assert shared == alone
+        assert built == [(8, 1), (4, 1), (8, 2)]
+        # the table went with the scope
+        convolve(Tensor(source))
+        assert len(built) == 3 + len(requests)
+
+    def test_other_inputs_build_their_own_columns(self, rng, built):
+        source = rng.normal(size=(2, 8, 6, 6))
+        weight = Tensor(rng.normal(size=(4, 4, 3, 3)))
+        with ops.shared_columns(source):
+            tail = ops.conv2d(Tensor(source[:, 4:]), weight, padding=1)
+            copy = ops.conv2d(Tensor(source[:, :4].copy()), weight, padding=1)
+            again = ops.conv2d(Tensor(source[:, :4].copy()), weight, padding=1)
+        assert built == [(4, 1)] * 3
+        assert tail.data.tobytes() == ops.conv2d(
+            Tensor(source[:, 4:]), weight, padding=1).data.tobytes()
+        assert copy.data.tobytes() == again.data.tobytes()
+
+
 class TestIm2col:
     def test_roundtrip_counts_overlaps(self, rng):
         x = rng.normal(size=(1, 1, 4, 4))
