@@ -8,7 +8,8 @@ micro-benchmarks (conv, tuner, Fisher) use normal repetition.
 
 The benchmark scale is intentionally smaller than the paper's settings so
 the whole harness completes in minutes on the NumPy substrate; the shapes
-of the conclusions are what is being checked (see EXPERIMENTS.md).
+of the conclusions are what is being checked (README.md lists the
+experiments, DESIGN.md §4 the scale knobs).
 """
 
 from __future__ import annotations

@@ -199,7 +199,7 @@ _FIELD_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"),
 #: Lower bounds of the numeric request fields, as ``(bound, inclusive)``.
 _FIELD_BOUNDS = {"configurations": (1, True), "tuner_trials": (1, True),
                  "fisher_batch": (1, True), "image_size": (1, True),
-                 "seed": (0, True), "fisher_threshold": (0, True),
+                 "seed": (0, True), "fisher_threshold": (0, False),
                  "width_multiplier": (0, False)}
 
 

@@ -92,15 +92,6 @@ class CompileCacheStatistics:
     evictions: int = 0
     invalidations: int = 0
 
-    @property
-    def compiles(self) -> int:
-        return self.compile_hits + self.compile_misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.compiles
-        return self.compile_hits / total if total else 0.0
-
     def snapshot(self) -> "CompileCacheStatistics":
         return replace(self)
 

@@ -164,11 +164,6 @@ class EngineStatistics:
         queries = self.latency_queries
         return self.latency_hits / queries if queries else 0.0
 
-    @property
-    def fisher_hit_rate(self) -> float:
-        queries = self.fisher_hits + self.fisher_misses
-        return self.fisher_hits / queries if queries else 0.0
-
 
 def _tune_entry(args: tuple[PlatformSpec, ConvolutionShape, TransformProgram, int, int],
                 ) -> tuple[float, int]:
@@ -350,10 +345,10 @@ class FisherOracle:
         program)`` — neural candidates get the draws of a fresh
         engine-seeded RNG — so evaluating a whole generation through one
         call returns exactly the per-candidate results with exactly the
-        sequential hit/miss accounting.  The strategies use this to
-        prefetch a generation's scores (and, behind them, the compile
-        trie's shared prefixes) in one oracle round-trip instead of
-        per-candidate calls scattered through their control flow.  The
+        sequential hit/miss accounting.  The random and evolutionary
+        strategies score each generation through one call and decide its
+        legality from the returned scores, and the model_guided prefilter
+        scores one layer of every undecided pair per call.  The
         generation's first table miss groups its missing operators by
         layer, so each layer's are derived and scored together; a
         generation the table answers does no extra work.

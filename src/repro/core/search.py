@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Iterable, Mapping, Protocol
 
 import numpy as np
 
@@ -253,57 +253,24 @@ def get_strategy(name: str) -> SearchStrategy:
 class GreedyStrategy:
     """Latency-greedy construction under the network Fisher constraint.
 
-    Layers are visited in order of their baseline cost; each layer takes
-    the fastest candidate that keeps the running network potential at or
-    above the threshold.  Candidates rejected along the way count
-    towards the rejection statistics (they are configurations the
-    search proposed and Fisher refused).
+    Every candidate of every layer is tuned as one batch, then the shared
+    construction (:meth:`UnifiedSearch._construct`) gives each layer, in
+    order of baseline cost, the fastest candidate the Fisher rule accepts.
+    Besides the candidates the construction refused, every neural
+    candidate it accepted counts as an evaluated configuration (the
+    ``model_guided`` strategy counts those when it tunes them).
     """
 
     def run(self, search: "UnifiedSearch", context: _SearchContext):
-        assignment = {w.name: context.standard for w in context.workloads}
-        replacements: dict[str, float] = {}
-        ordered = sorted(context.workloads,
-                         key=lambda w: context.baseline_latency[w.name], reverse=True)
-        # Every candidate of every layer is about to be latency-sorted, so
-        # submit the whole generation as one batch (deduplicated, tuned on
+        # Submit the whole generation as one batch (deduplicated, tuned on
         # the engine's persistent pool when configured) instead of letting
-        # the sort pull latencies one at a time.
+        # the construction's sorts pull latencies one at a time.
         search._tune(context, [(context.shapes[w.name], sequence)
                                for w in context.workloads
                                for sequence in context.candidates[w.name]])
-        for workload in ordered:
-            candidates = sorted(
-                context.candidates[workload.name],
-                key=lambda seq: search._layer_latency(context, workload.name, seq))
-            original_score = context.profile.score_of(workload.name)
-            for sequence in candidates:
-                if not sequence.is_neural:
-                    break  # reached the standard sequence: nothing faster is legal
-                score = search._layer_fisher(context, workload, sequence)
-                context.statistics.configurations_evaluated += 1
-                if not np.isfinite(score):
-                    context.statistics.configurations_rejected += 1
-                    context.statistics.record_fisher_rejection(sequence)
-                    continue
-                # The greedy construction strengthens the paper's rule: the
-                # substituted layer must itself retain its Fisher score and
-                # the running network total must stay above the threshold.
-                # Without the per-layer condition a few lucky high-scoring
-                # layers would buy slack for damaging substitutions later.
-                if score < search.fisher_threshold * original_score:
-                    context.statistics.configurations_rejected += 1
-                    context.statistics.record_fisher_rejection(sequence)
-                    continue
-                trial = dict(replacements)
-                trial[workload.name] = score
-                decision = context.checker.check_layer_scores(trial)
-                if decision.legal:
-                    assignment[workload.name] = sequence
-                    replacements[workload.name] = score
-                    break
-                context.statistics.configurations_rejected += 1
-                context.statistics.record_rejection("fisher")
+        assignment = search._construct(context, context.candidates)
+        context.statistics.configurations_evaluated += sum(
+            sequence.is_neural for sequence in assignment.values())
         return assignment, search._assignment_latency(context, assignment)
 
 
@@ -313,18 +280,14 @@ class RandomStrategy:
 
     def run(self, search: "UnifiedSearch", context: _SearchContext):
         # Sampling and the Fisher filter consume no latency information, so
-        # the whole generation is drawn and filtered first and the
-        # survivors' (shape, program) pairs go to the engine as one batch;
-        # the per-assignment sums below then run entirely against the
-        # cache.  The RNG stream and the outcome match the previous
-        # one-at-a-time loop exactly.
+        # the whole generation is drawn and filtered first (one oracle call)
+        # and the survivors' (shape, program) pairs go to the engine as one
+        # batch; the per-assignment sums below then run against the cache.
         sampled = [search.space.sample_assignment(context.shapes, context.candidates,
                                                   context.rng,
                                                   partitions=context.partitions)
                    for _ in range(search.configurations)]
-        search._prefetch_fisher(context, sampled)
-        survivors = [assignment for assignment in sampled
-                     if search._assignment_legal(context, assignment)]
+        survivors = search._legal_generation(context, sampled)
         search._prefetch_latencies(context, survivors)
         best_assignment, best_latency = None, float("inf")
         for assignment in survivors:
@@ -342,14 +305,18 @@ class EvolutionaryStrategy:
         population_size = max(4, min(12, search.configurations // 8))
         generations = max(1, search.configurations // population_size - 1)
         # Fill the initial population (legality only — no latency queries),
-        # then evaluate it as one batch.
+        # then evaluate it as one batch.  Each sample's layers are scored
+        # lazily, so an infeasible layer stops the read and the layers
+        # behind it derive no operator.
         seeds: list[dict[str, TransformProgram]] = []
         while (len(seeds) < population_size
                and context.statistics.configurations_evaluated < search.configurations):
             assignment = search.space.sample_assignment(
                 context.shapes, context.candidates, context.rng,
                 partitions=context.partitions)
-            if search._assignment_legal(context, assignment):
+            scores = (context.fisher.candidate_fisher(w, assignment[w.name])
+                      for w in context.workloads)
+            if search._assignment_legal(context, assignment, scores):
                 seeds.append(assignment)
         if not seeds:
             return None, float("inf")
@@ -371,9 +338,7 @@ class EvolutionaryStrategy:
                 options = context.candidates[layer]
                 child[layer] = options[int(context.rng.integers(0, len(options)))]
                 brood.append(child)
-            search._prefetch_fisher(context, brood)
-            offspring = [child for child in brood
-                         if search._assignment_legal(context, child)]
+            offspring = search._legal_generation(context, brood)
             # The whole surviving generation is tuned in one submission.
             search._prefetch_latencies(context, offspring)
             children = [(child, search._assignment_latency(context, child))
@@ -428,10 +393,10 @@ class ModelGuidedStrategy:
     selection falls back to random candidates — the surrogate guides the
     search as soon as it is trustworthy, never before.
 
-    The final configuration is assembled greedily from candidates with
-    *measured* latencies only (per-layer and network Fisher checks, as
-    in the ``greedy`` strategy), so the reported result never rests on a
-    prediction.  ``SearchStatistics`` gains ``predictor_mae`` (verified
+    The final configuration is assembled by the construction ``greedy``
+    runs (:meth:`UnifiedSearch._construct`) over ``standard`` and the
+    candidates *measured* for each layer's shape, so the reported result
+    never rests on a prediction.  ``SearchStatistics`` gains ``predictor_mae`` (verified
     relative error) and ``evaluations_saved`` (candidate pairs screened
     by the surrogate instead of the tuner).
     """
@@ -467,9 +432,9 @@ class ModelGuidedStrategy:
         pairs = _candidate_pairs(context)
         # Fisher pre-filter (stage 2 of the staged legality, run before
         # any tuner trial): a candidate pair is only worth tuning when at
-        # least one layer of its shape would accept the substitution.
-        # Scores are memoised by the oracle, so the selection pass below
-        # re-reads them for free.
+        # least one layer of its shape passes the construction's per-layer
+        # test.  Scores are memoised by the oracle, so the construction
+        # below re-reads them for free.
         layers_by_shape: dict[ConvolutionShape, list[LayerWorkload]] = {}
         for workload in context.workloads:
             layers_by_shape.setdefault(context.shapes[workload.name],
@@ -496,10 +461,8 @@ class ModelGuidedStrategy:
                 if pair not in scored:
                     feasible[pair] = False  # every layer of its shape refused
                     continue
-                workload = layers_by_shape[pair[0]][depth]
-                score = scored[pair]
-                if (np.isfinite(score) and score >= search.fisher_threshold
-                        * context.profile.score_of(workload.name)):
+                if search._layer_legal(context, layers_by_shape[pair[0]][depth],
+                                       pair[1], scored[pair]):
                     feasible[pair] = True
                 else:
                     undecided.append(pair)
@@ -580,7 +543,17 @@ class ModelGuidedStrategy:
             tune_batch([untuned[index] for index in sorted(order)])
 
         context.statistics.evaluations_saved += len(untuned)
-        assignment = self._select(search, context)
+        # The final configuration is built from *measured* candidates
+        # only.  Tuned candidates are pooled per shape: a program proposed
+        # (and tuned) for one layer is a legal citizen of the open space
+        # for every other layer of the same shape, so sharing the pool
+        # lets a small tuning budget serve the whole network.
+        pool: dict[ConvolutionShape, list[TransformProgram]] = {}
+        for shape, sequence in context.submitted:
+            pool.setdefault(shape, []).append(sequence)
+        assignment = search._construct(context, {
+            w.name: [context.standard] + pool.get(context.shapes[w.name], [])
+            for w in context.workloads})
         return assignment, search._assignment_latency(context, assignment)
 
     @staticmethod
@@ -634,55 +607,6 @@ class ModelGuidedStrategy:
         finally:
             predictor.retract_lies()
         return order
-
-    @staticmethod
-    def _select(search: "UnifiedSearch", context: _SearchContext
-                ) -> dict[str, TransformProgram]:
-        """Greedy Fisher-checked selection over *measured* candidates only.
-
-        Tuned candidates are pooled per shape: a program proposed (and
-        tuned) for one layer is a legal citizen of the open space for
-        every other layer of the same shape, so sharing the pool lets a
-        small tuning budget serve the whole network.
-        """
-        pool: dict[ConvolutionShape, list[TransformProgram]] = {}
-        for shape, sequence in context.submitted:
-            pool.setdefault(shape, []).append(sequence)
-        assignment = {w.name: context.standard for w in context.workloads}
-        replacements: dict[str, float] = {}
-        ordered = sorted(context.workloads,
-                         key=lambda w: context.baseline_latency[w.name],
-                         reverse=True)
-        for workload in ordered:
-            shape = context.shapes[workload.name]
-            measured = [context.standard] + pool.get(shape, [])
-            measured.sort(key=lambda seq: search._layer_latency(
-                context, workload.name, seq))
-            original_score = context.profile.score_of(workload.name)
-            for sequence in measured:
-                score = search._layer_fisher(context, workload, sequence)
-                if not np.isfinite(score):
-                    context.statistics.configurations_evaluated += 1
-                    context.statistics.configurations_rejected += 1
-                    context.statistics.record_fisher_rejection(sequence)
-                    continue
-                if (sequence.is_neural
-                        and score < search.fisher_threshold * original_score):
-                    context.statistics.configurations_evaluated += 1
-                    context.statistics.configurations_rejected += 1
-                    context.statistics.record_fisher_rejection(sequence)
-                    continue
-                trial = dict(replacements)
-                if sequence.is_neural:
-                    trial[workload.name] = score
-                if context.checker.check_layer_scores(trial).legal:
-                    assignment[workload.name] = sequence
-                    replacements = trial
-                    break
-                context.statistics.configurations_evaluated += 1
-                context.statistics.configurations_rejected += 1
-                context.statistics.record_rejection("fisher")
-        return assignment
 
 
 class UnifiedSearch:
@@ -878,10 +802,6 @@ class UnifiedSearch:
         # generation; this read-back is bookkeeping, not a new query.
         return context.engine.cached_latency(context.shapes[layer], sequence)
 
-    def _layer_fisher(self, context: _SearchContext, workload: LayerWorkload,
-                      sequence: TransformProgram) -> float:
-        return context.fisher.candidate_fisher(workload, sequence)
-
     def _assignment_latency(self, context: _SearchContext,
                             assignment: dict[str, TransformProgram]) -> float:
         return sum(self._layer_latency(context, w.name, assignment[w.name])
@@ -920,30 +840,79 @@ class UnifiedSearch:
                              for assignment in assignments
                              for w in context.workloads])
 
-    def _prefetch_fisher(self, context: _SearchContext,
-                         assignments: list[dict[str, TransformProgram]]) -> None:
-        """Score a generation's (workload, program) pairs in one oracle call.
+    def _layer_legal(self, context: _SearchContext, workload: LayerWorkload,
+                     sequence: TransformProgram, score: float) -> bool:
+        """The per-layer Fisher test: ``score`` is finite and, for a neural
+        ``sequence``, at least ``fisher_threshold`` times the layer's own
+        score, so a few high-scoring layers cannot buy slack for damaging
+        substitutions elsewhere."""
+        return bool(np.isfinite(score)) and (
+            not sequence.is_neural
+            or score >= self.fisher_threshold * context.profile.score_of(workload.name))
 
-        Fisher scores are pure, memoised functions of their keys, so the
-        :meth:`_assignment_legal` sweep that follows reads them back as
-        cache hits.  The only behavioural difference from the lazy path is
-        that pairs sitting behind an early rejection are scored too — the
-        scores are memoised for later generations either way, and none of
-        the filtering outcomes change.
+    def _construct(self, context: _SearchContext,
+                   pools: Mapping[str, list[TransformProgram]]
+                   ) -> dict[str, TransformProgram]:
+        """Greedy Fisher-checked construction over per-layer candidate pools.
+
+        Layers are visited in order of their baseline cost.  Each takes the
+        fastest program of its pool (by cached latency: the caller tunes
+        the pools first) that passes :meth:`_layer_legal` and keeps the
+        running network potential at or above ``fisher_threshold`` times
+        the original's; a layer whose whole pool is refused keeps
+        ``standard``.  Every refused candidate counts as an evaluated and
+        rejected configuration.
         """
-        if not assignments:
-            return
-        context.fisher.candidate_fisher_many(
+        statistics = context.statistics
+        assignment = {w.name: context.standard for w in context.workloads}
+        replacements: dict[str, float] = {}
+        ordered = sorted(context.workloads,
+                         key=lambda w: context.baseline_latency[w.name], reverse=True)
+        for workload in ordered:
+            pool = sorted(pools[workload.name], key=lambda seq: self._layer_latency(
+                context, workload.name, seq))
+            for sequence in pool:
+                score = context.fisher.candidate_fisher(workload, sequence)
+                if self._layer_legal(context, workload, sequence, score):
+                    trial = dict(replacements)
+                    if sequence.is_neural:
+                        trial[workload.name] = score
+                    if context.checker.check_layer_scores(trial).legal:
+                        assignment[workload.name] = sequence
+                        replacements = trial
+                        break
+                    statistics.record_rejection("fisher")
+                else:
+                    statistics.record_fisher_rejection(sequence)
+                statistics.configurations_evaluated += 1
+                statistics.configurations_rejected += 1
+        return assignment
+
+    def _legal_generation(self, context: _SearchContext,
+                          assignments: list[dict[str, TransformProgram]]
+                          ) -> list[dict[str, TransformProgram]]:
+        """The Fisher-legal configurations of one generation, in order,
+        decided from the scores of one
+        :meth:`~repro.core.engine.FisherOracle.candidate_fisher_many` call."""
+        width = len(context.workloads)
+        scores = context.fisher.candidate_fisher_many(
             [(w, assignment[w.name]) for assignment in assignments
              for w in context.workloads])
+        return [assignment for index, assignment in enumerate(assignments)
+                if self._assignment_legal(
+                    context, assignment, scores[index * width:(index + 1) * width])]
 
     def _assignment_legal(self, context: _SearchContext,
-                          assignment: dict[str, TransformProgram]) -> bool:
-        """Check a whole configuration's Fisher Potential, updating the stats."""
+                          assignment: dict[str, TransformProgram],
+                          scores: Iterable[float]) -> bool:
+        """Check a whole configuration's Fisher Potential, updating the stats.
+
+        ``scores`` are its layers' candidate scores in ``context.workloads``
+        order, read up to the first infeasible layer.
+        """
         replacements: dict[str, float] = {}
-        for workload in context.workloads:
+        for workload, score in zip(context.workloads, scores):
             sequence = assignment[workload.name]
-            score = self._layer_fisher(context, workload, sequence)
             if not np.isfinite(score):
                 context.statistics.configurations_evaluated += 1
                 context.statistics.configurations_rejected += 1

@@ -4,7 +4,8 @@ Every driver accepts a ``scale`` ("ci" or "full").  The CI scale keeps the
 network structure and every code path of the paper-scale experiment but
 shrinks widths, image sizes and candidate counts so the whole suite runs on
 the NumPy substrate in minutes; the full scale uses the paper's settings.
-EXPERIMENTS.md records measured values against the paper's for both.
+README.md's Experiments section lists the drivers, and DESIGN.md §4 gives
+the scale knobs.
 """
 
 from __future__ import annotations

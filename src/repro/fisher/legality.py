@@ -2,26 +2,17 @@
 
 The paper's rule: a proposed architecture is legal if its Fisher Potential
 at initialisation is not below the original network's.  The checker keeps
-the original network's per-layer profile, scores candidate layer
-replacements locally (see :func:`candidate_layer_fisher`) and accepts or
-rejects them; a relative threshold generalises the rule for the ablation
-study.
+the original network's per-layer scores and accepts or rejects a
+substitution given its candidate layer scores (each computed locally by
+:func:`~repro.fisher.potential.candidate_layer_fisher`); a relative
+threshold generalises the rule for the ablation study.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.fisher.potential import (
-    FisherProfile,
-    FisherScores,
-    LayerFisherRecord,
-    candidate_layer_fisher,
-    fisher_profile,
-)
-from repro.nn.module import Module
+from repro.fisher.potential import FisherProfile, FisherScores
 
 
 @dataclass
@@ -31,7 +22,6 @@ class LegalityDecision:
     legal: bool
     candidate_potential: float
     original_potential: float
-    layer: str | None = None
     reason: str = ""
 
     @property
@@ -45,7 +35,7 @@ class FisherLegalityChecker:
     ``threshold`` is the fraction of the original potential a candidate
     must reach; the paper uses 1.0 (reject anything below the original).
     ``profile`` may be a full :class:`FisherProfile` or its
-    :class:`FisherScores`; :meth:`check_layer_candidate` needs the former.
+    :class:`FisherScores`.
     """
 
     def __init__(self, profile: FisherProfile | FisherScores, threshold: float = 1.0):
@@ -56,12 +46,6 @@ class FisherLegalityChecker:
         self.checked = 0
         self.rejected = 0
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_model(cls, model: Module, images: np.ndarray, labels: np.ndarray,
-                   threshold: float = 1.0) -> "FisherLegalityChecker":
-        return cls(fisher_profile(model, images, labels), threshold)
-
     @property
     def original_potential(self) -> float:
         return self.profile.total
@@ -71,13 +55,6 @@ class FisherLegalityChecker:
         return self.rejected / self.checked if self.checked else 0.0
 
     # ------------------------------------------------------------------
-    def check_layer_candidate(self, layer_name: str, candidate: Module) -> LegalityDecision:
-        """Check a single-layer substitution against the original network."""
-        record = self.profile.layers[layer_name]
-        candidate_score = candidate_layer_fisher(record, candidate)
-        candidate_total = self.profile.without_layer(layer_name) + candidate_score
-        return self._decide(candidate_total, layer=layer_name)
-
     def check_layer_scores(self, replacements: dict[str, float]) -> LegalityDecision:
         """Check a multi-layer substitution given candidate layer scores."""
         candidate_total = self.profile.total
@@ -90,7 +67,7 @@ class FisherLegalityChecker:
         return self._decide(candidate_potential)
 
     # ------------------------------------------------------------------
-    def _decide(self, candidate_potential: float, layer: str | None = None) -> LegalityDecision:
+    def _decide(self, candidate_potential: float) -> LegalityDecision:
         self.checked += 1
         required = self.original_potential * self.threshold
         legal = candidate_potential >= required
@@ -102,7 +79,6 @@ class FisherLegalityChecker:
             legal=legal,
             candidate_potential=candidate_potential,
             original_potential=self.original_potential,
-            layer=layer,
             reason=reason,
         )
 

@@ -79,10 +79,6 @@ class FisherProfile:
     def layer_names(self) -> list[str]:
         return list(self.layers)
 
-    def without_layer(self, name: str) -> float:
-        """Potential of the network excluding one layer's contribution."""
-        return self.total - self.layers[name].score
-
     def scores(self) -> "FisherScores":
         """The per-layer scores alone, in layer order."""
         return FisherScores({name: record.score

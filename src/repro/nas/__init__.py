@@ -1,4 +1,4 @@
-"""NAS baselines: the NAS-Bench-201-style space, BlockSwap, FBNet, random search."""
+"""NAS baselines: the NAS-Bench-201-style space, BlockSwap, FBNet."""
 
 from repro.nas.space import (
     CellEvaluation,
@@ -10,16 +10,10 @@ from repro.nas.space import (
 )
 from repro.nas.blockswap import BlockSubstitution, BlockSwap, BlockSwapResult
 from repro.nas.fbnet import FBNetResult, FBNetSearch, MixedOp
-from repro.nas.random_search import (
-    RandomNASSearch,
-    RandomSearchCandidate,
-    RandomSearchResult,
-)
 
 __all__ = [
     "CellEvaluation", "build_cell_model", "conv_heavy_cells", "evaluate_cell",
     "sample_cells", "space_size",
     "BlockSubstitution", "BlockSwap", "BlockSwapResult",
     "FBNetResult", "FBNetSearch", "MixedOp",
-    "RandomNASSearch", "RandomSearchCandidate", "RandomSearchResult",
 ]

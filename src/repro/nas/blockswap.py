@@ -58,10 +58,6 @@ class BlockSubstitution:
     fisher_score: float
 
     @property
-    def parameter_saving(self) -> int:
-        return self.original_parameters - self.candidate_parameters
-
-    @property
     def program(self):
         """This substitution as a unified-IR transform program."""
         return substitution_program(self.kind)
@@ -85,10 +81,6 @@ class BlockSwapResult:
 
     def plan(self) -> dict[str, str]:
         return {sub.layer: sub.kind for sub in self.substitutions}
-
-    def as_programs(self) -> dict:
-        """The substitution plan in the unified sequence IR (layer -> program)."""
-        return {sub.layer: sub.program for sub in self.substitutions}
 
 
 def _candidate_kinds_for(conv: Conv2d, kinds: tuple[str, ...]) -> list[str]:

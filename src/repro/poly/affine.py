@@ -45,9 +45,6 @@ class AffineExpr:
     def variables(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.coeffs)
 
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
     # ------------------------------------------------------------------
     def __add__(self, other: "AffineExpr | int") -> "AffineExpr":
         if isinstance(other, int):
@@ -107,10 +104,6 @@ class AffineMap:
     @classmethod
     def identity(cls, names: list[str]) -> "AffineMap":
         return cls(tuple(AffineExpr.var(name) for name in names))
-
-    @classmethod
-    def from_names(cls, names: list[str]) -> "AffineMap":
-        return cls.identity(names)
 
     @property
     def arity(self) -> int:

@@ -25,14 +25,6 @@ class DependenceVector:
     tensor: str
     kind: str  # "flow", "anti", "output" or "reduction"
 
-    def is_lexicographically_positive(self) -> bool:
-        for value in self.distances:
-            if value > 0:
-                return True
-            if value < 0:
-                return False
-        return False  # all zeros
-
     def is_lexicographically_non_negative(self) -> bool:
         for value in self.distances:
             if value > 0:

@@ -64,9 +64,6 @@ class Statement:
     def with_accesses(self, writes: list[Access], reads: list[Access]) -> "Statement":
         return replace(self, writes=tuple(writes), reads=tuple(reads))
 
-    def timestamp(self, values: dict[str, int]) -> tuple[int, ...]:
-        return self.schedule.evaluate(values)
-
     def __str__(self) -> str:
         return f"{self.name}: {self.domain} schedule={self.schedule}"
 

@@ -85,15 +85,6 @@ class ReplayedNormals:
         return values.reshape(shape)
 
 
-def xavier_uniform(shape: tuple[int, ...], *, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Glorot-uniform initialisation."""
-    rng = rng or make_rng()
-    fan_in = prod(shape[1:]) if len(shape) > 1 else shape[0]
-    fan_out = shape[0]
-    limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape)
 

@@ -92,28 +92,6 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def human_count(value: float) -> str:
-    """Format a count with K/M/G suffixes (e.g. parameter counts)."""
-    if value >= 1e9:
-        return f"{value / 1e9:.2f}G"
-    if value >= 1e6:
-        return f"{value / 1e6:.2f}M"
-    if value >= 1e3:
-        return f"{value / 1e3:.2f}K"
-    return f"{value:.0f}"
-
-
-def human_time(seconds: float) -> str:
-    """Format a duration in the most readable unit."""
-    if seconds >= 1.0:
-        return f"{seconds:.3f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.3f}ms"
-    if seconds >= 1e-6:
-        return f"{seconds * 1e6:.3f}us"
-    return f"{seconds * 1e9:.1f}ns"
-
-
 def geometric_mean(values: Sequence[float]) -> float:
     """Geometric mean of positive values, used for aggregate speedups."""
     arr = np.asarray(values, dtype=np.float64)

@@ -145,8 +145,20 @@ class TestRequest:
             OptimizationRequest(**{field: value})
 
     def test_float_fields_accept_integers(self):
-        request = OptimizationRequest(fisher_threshold=0, width_multiplier=1)
+        request = OptimizationRequest(fisher_threshold=2, width_multiplier=1)
         assert OptimizationRequest.from_dict(request.to_dict()) == request
+
+    def test_zero_fisher_threshold_is_refused_by_name(self):
+        # The legality rule needs a positive fraction of the original
+        # potential; zero must fail at the boundary, not inside the search.
+        with pytest.raises(ReproError, match="'fisher_threshold' must be > 0"):
+            OptimizationRequest(fisher_threshold=0)
+        with pytest.raises(ReproError, match="fisher_threshold"):
+            OptimizationRequest.from_dict({"fisher_threshold": 0.0})
+        with pytest.raises(ReproError, match="fisher_threshold"):
+            repro.optimize("resnet18", configurations=4, tuner_trials=2,
+                           width_multiplier=0.125, image_size=8,
+                           fisher_threshold=0)
 
     def test_perfbench_panels_and_the_parent_checkpoint_still_load(self):
         from repro.core.checkpoint import read_checkpoint

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro import nn
 from repro.core import (
     PipelineScale,
@@ -144,6 +145,19 @@ class TestUnifiedSearch:
                 >= sum(strict_result.sequence_frequency().values()))
         # An impossible threshold forces the program-only configuration.
         assert all(not c.sequence.is_neural for c in strict_result.choices.values())
+
+    def test_greedy_takes_a_faster_program_only_candidate(self):
+        """Every neural candidate of ``stage3_block0.conv2`` faster than a
+        reordered schedule is refused, and the reordered schedule beats
+        ``standard``: the layer gets it, not ``standard``."""
+        result = repro.optimize("resnet18", strategy="greedy", seed=0,
+                                configurations=4, tuner_trials=2,
+                                width_multiplier=0.25, image_size=8)
+        decision = {d.layer: d for d in result.layers}["stage3_block0.conv2"]
+        assert not decision.is_neural
+        assert decision.program.name == "compose[reorder]"
+        assert decision.latency_seconds < decision.baseline_latency_seconds
+        assert decision.fisher_score == decision.baseline_fisher_score
 
 
 class TestPipeline:

@@ -124,12 +124,6 @@ class TestFisherProfile:
                    for grad, param in zip(grads, model.parameters()))
         assert all(param.requires_grad for param in model.parameters())
 
-    def test_without_layer_subtracts_contribution(self, minibatch):
-        profile = fisher_profile(_tiny_model(), *minibatch)
-        name = profile.layer_names()[0]
-        assert profile.without_layer(name) == pytest.approx(
-            profile.total - profile.score_of(name))
-
     def test_zeroized_network_has_lower_potential(self, minibatch):
         """An architecture that destroys information scores lower (Figure 3)."""
         rng = np.random.default_rng(0)

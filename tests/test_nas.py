@@ -1,4 +1,4 @@
-"""Tests for the NAS baselines: BlockSwap, FBNet-like search, random search."""
+"""Tests for the NAS baselines: BlockSwap and the FBNet-like search."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.nas import (
     BlockSwap,
     FBNetSearch,
     MixedOp,
-    RandomNASSearch,
     build_cell_model,
     sample_cells,
     space_size,
@@ -116,21 +115,3 @@ class TestFBNet:
         with pytest.raises(SearchError):
             FBNetSearch(get_platform("cpu"), epochs=1).search(
                 model, train_loader(dataset, batch_size=8), (8, 8))
-
-
-class TestRandomSearch:
-    def test_search_returns_legal_best(self, dataset):
-        model = nn.Sequential(
-            nn.ConvBNReLU(3, 8, 3), nn.BasicResidualBlock(8, 8),
-            nn.GlobalAvgPool2d(), nn.Linear(8, 10))
-        images, labels = dataset.random_minibatch(4, seed=0)
-        search = RandomNASSearch(get_platform("cpu"), samples=10, seed=0)
-        result = search.search(model, images, labels, (8, 8))
-        assert result.candidates_evaluated == 10
-        assert 0.0 <= result.rejection_rate <= 1.0
-        if result.best is not None:
-            assert result.best.legal
-
-    def test_invalid_sample_count(self):
-        with pytest.raises(SearchError):
-            RandomNASSearch(get_platform("cpu"), samples=0)

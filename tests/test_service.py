@@ -231,6 +231,16 @@ class TestServiceEndToEnd:
                           "request": {"model": "resnet18", "learnr": "gp"}})
         assert client.jobs() == []
 
+    def test_submit_refuses_a_zero_fisher_threshold(self, running_service):
+        _service, client = running_service
+        with pytest.raises(ReproError, match="fisher_threshold"):
+            client.submit(model="resnet18", fisher_threshold=0)
+        with pytest.raises(ServiceError, match="fisher_threshold"):
+            client._call({"verb": "submit",
+                          "request": {"model": "resnet18",
+                                      "fisher_threshold": 0}})
+        assert client.jobs() == []
+
     def test_watch_sees_job_finished_before_the_terminal_state(
             self, running_service, monkeypatch):
         # Delay the job_finished append: a watcher must still read it,
