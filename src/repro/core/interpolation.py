@@ -13,18 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.program import TransformProgram
+from repro.core.search import substitute_programs
 from repro.core.sequences import predefined_program
 from repro.data import SyntheticImageDataset, test_loader, train_loader
-from repro.errors import ModelError, TransformError
 from repro.nn.blocks import iter_replaceable_convs
-from repro.nn.convs import DerivedConv2d
 from repro.nn.layers import Conv2d
-from repro.nn.module import Module
 from repro.nn.trainer import proxy_fit
-from repro.utils import make_rng
 
 
 @dataclass(frozen=True)
@@ -64,32 +59,6 @@ class InterpolationResult:
         return any(not point.is_endpoint for point in self.pareto_front())
 
 
-def _apply_blocktype(model: Module, sequence_for_layer, seed: int = 0) -> Module:
-    """Replace every replaceable convolution according to ``sequence_for_layer``."""
-    rng = make_rng(seed)
-    for index, (name, owner, conv) in enumerate(iter_replaceable_convs(model)):
-        if not isinstance(conv, Conv2d) or conv.groups > 1:
-            continue
-        sequence: TransformProgram = sequence_for_layer(index, conv)
-        if sequence is None:
-            continue
-        from repro.poly.statement import ConvolutionShape
-
-        shape = ConvolutionShape(conv.out_channels, conv.in_channels, 1, 1,
-                                 conv.kernel_size, conv.kernel_size)
-        if not sequence.applicable(shape):
-            continue
-        try:
-            config = sequence.conv_config(shape)
-            derived = DerivedConv2d(conv.in_channels, conv.out_channels, conv.kernel_size,
-                                    stride=conv.stride, padding=conv.padding, config=config,
-                                    rng=make_rng(int(rng.integers(0, 2 ** 31))))
-        except (ModelError, TransformError):
-            continue
-        setattr(owner, name.split(".")[-1], derived)
-    return model
-
-
 def interpolate_between_groupings(model_builder, dataset: SyntheticImageDataset, *,
                                   steps: int = 3, epochs: int = 2, batch_size: int = 32,
                                   seed: int = 0) -> InterpolationResult:
@@ -107,7 +76,13 @@ def interpolate_between_groupings(model_builder, dataset: SyntheticImageDataset,
     mixed = predefined_program("seq3", group=2, group_second=4)
 
     def evaluate(label: str, chooser, blend: float, endpoint: bool) -> None:
-        model = _apply_blocktype(model_builder(), chooser, seed=seed)
+        # Every ungrouped convolution gets the chooser's program for its
+        # position among the replaceable convolutions.
+        model = model_builder()
+        decisions = [(name, chooser(index, conv), None) for index, (name, _owner, conv)
+                     in enumerate(iter_replaceable_convs(model))
+                     if isinstance(conv, Conv2d) and conv.groups == 1]
+        substitute_programs(model, decisions, seed=seed)
         fit = proxy_fit(model, train_loader(dataset, batch_size=batch_size, seed=seed),
                         test_loader(dataset), epochs=epochs)
         result.points.append(InterpolationPoint(

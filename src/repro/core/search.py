@@ -629,6 +629,8 @@ class UnifiedSearch:
                  liar: str = "cl_mean"):
         if configurations < 1:
             raise SearchError("the search needs at least one configuration")
+        if not fisher_threshold > 0:  # NaN fails this test too
+            raise SearchError(f"fisher_threshold must be > 0, got {fisher_threshold!r}")
         get_strategy(strategy)  # fail fast on unknown names
         if liar not in ("none",) + LIAR_STRATEGIES:
             raise SearchError(
@@ -949,8 +951,9 @@ def substitute_programs(model, decisions, seed: int | None = None):
     ``decisions`` is an iterable of ``(layer name, program, shape-or-None)``.
     Layers whose program is not neural — or that the model does not expose
     as a replaceable convolution — keep their original operator.  This is
-    the one materialisation path shared by :meth:`UnifiedSearch.materialize`
-    and the façade's :meth:`~repro.api.OptimizationResult.apply_to`.
+    the one materialisation path shared by :meth:`UnifiedSearch.materialize`,
+    the façade's :meth:`~repro.api.OptimizationResult.apply_to` and the
+    Figure 9 interpolation (:mod:`repro.core.interpolation`).
     """
     from repro.errors import TransformError
     from repro.nn.blocks import iter_replaceable_convs

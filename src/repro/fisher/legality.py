@@ -39,7 +39,7 @@ class FisherLegalityChecker:
     """
 
     def __init__(self, profile: FisherProfile | FisherScores, threshold: float = 1.0):
-        if threshold <= 0:
+        if not threshold > 0:  # NaN fails this test too
             raise ValueError("the legality threshold must be positive")
         self.profile = profile
         self.threshold = threshold

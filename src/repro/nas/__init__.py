@@ -3,7 +3,6 @@
 from repro.nas.space import (
     CellEvaluation,
     build_cell_model,
-    conv_heavy_cells,
     evaluate_cell,
     sample_cells,
     space_size,
@@ -12,7 +11,7 @@ from repro.nas.blockswap import BlockSubstitution, BlockSwap, BlockSwapResult
 from repro.nas.fbnet import FBNetResult, FBNetSearch, MixedOp
 
 __all__ = [
-    "CellEvaluation", "build_cell_model", "conv_heavy_cells", "evaluate_cell",
+    "CellEvaluation", "build_cell_model", "evaluate_cell",
     "sample_cells", "space_size",
     "BlockSubstitution", "BlockSwap", "BlockSwapResult",
     "FBNetResult", "FBNetSearch", "MixedOp",

@@ -22,31 +22,6 @@ from repro.nn.module import Module
 from repro.utils import make_rng
 
 
-def substitution_program(kind: str):
-    """The NAS candidate ``kind`` as a unified-IR transform program.
-
-    Every operator in BlockSwap's fixed candidate list is a point in the
-    unified space, so its substitutions can be re-expressed — and re-tuned,
-    counted or interpolated — as :class:`~repro.core.program.TransformProgram`
-    values, the same object the unified search manipulates.
-    """
-    from repro.core.sequences import predefined_program
-
-    mapping = {
-        "standard": ("standard", {}),
-        "group2": ("group", {"group": 2}),
-        "group4": ("group", {"group": 4}),
-        "bottleneck2": ("bottleneck", {"bottleneck": 2}),
-        "bottleneck4": ("bottleneck", {"bottleneck": 4}),
-        "depthwise": ("depthwise", {}),
-        "spatial2": ("spatial_bottleneck", {"spatial": 2}),
-    }
-    if kind not in mapping:
-        raise SearchError(f"NAS candidate kind '{kind}' has no program equivalent")
-    name, params = mapping[kind]
-    return predefined_program(name, **params)
-
-
 @dataclass(frozen=True)
 class BlockSubstitution:
     """One chosen substitution: which conv becomes which candidate."""
@@ -56,11 +31,6 @@ class BlockSubstitution:
     original_parameters: int
     candidate_parameters: int
     fisher_score: float
-
-    @property
-    def program(self):
-        """This substitution as a unified-IR transform program."""
-        return substitution_program(self.kind)
 
 
 @dataclass

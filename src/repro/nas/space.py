@@ -10,16 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.data import SyntheticImageDataset, test_loader, train_loader
-from repro.models.skeleton import (
-    CELL_EDGES,
-    CELL_OPERATIONS,
-    CellSkeleton,
-    CellSpec,
-    enumerate_cell_space,
-)
+from repro.models.skeleton import CellSkeleton, CellSpec, enumerate_cell_space
 from repro.nn.trainer import proxy_fit
 from repro.utils import make_rng
 
@@ -46,22 +38,6 @@ def sample_cells(count: int, seed: int | None = None) -> list[CellSpec]:
     count = min(count, total)
     indices = rng.choice(total, size=count, replace=False)
     return [CellSpec.from_index(int(index)) for index in indices]
-
-
-def conv_heavy_cells(count: int, seed: int | None = None) -> list[CellSpec]:
-    """Sample cells biased towards convolution edges (denser networks)."""
-    rng = make_rng(seed)
-    cells = []
-    conv_ops = ("conv3x3", "conv1x1")
-    for _ in range(count):
-        ops = []
-        for _ in CELL_EDGES:
-            if rng.random() < 0.6:
-                ops.append(conv_ops[int(rng.integers(0, len(conv_ops)))])
-            else:
-                ops.append(CELL_OPERATIONS[int(rng.integers(0, len(CELL_OPERATIONS)))])
-        cells.append(CellSpec(tuple(ops)))
-    return cells
 
 
 def build_cell_model(spec: CellSpec, *, num_cells: int = 3, init_channels: int = 8,

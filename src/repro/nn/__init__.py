@@ -14,14 +14,11 @@ from repro.nn.layers import (
     Zeroize,
 )
 from repro.nn.convs import (
+    CANDIDATE_CONFIGS,
     CANDIDATE_KINDS,
-    BottleneckConv2d,
     ConvTransformConfig,
     DepthwiseSeparableConv2d,
     DerivedConv2d,
-    GroupedConv2d,
-    InputBottleneckConv2d,
-    SpatialBottleneckConv2d,
     build_candidate,
 )
 from repro.nn.blocks import (
@@ -32,7 +29,6 @@ from repro.nn.blocks import (
     ResNeXtBlock,
     TransitionLayer,
     iter_replaceable_convs,
-    replace_conv,
 )
 from repro.nn.optim import SGD, CosineLR, MultiStepLR
 from repro.nn.metrics import AverageMeter, top1_error, top_k_accuracy
@@ -42,11 +38,10 @@ __all__ = [
     "Module", "ModuleList", "Parameter", "Sequential",
     "AvgPool2d", "BatchNorm2d", "Conv2d", "Flatten", "GlobalAvgPool2d", "Identity",
     "Linear", "MaxPool2d", "ReLU", "Zeroize",
-    "CANDIDATE_KINDS", "BottleneckConv2d", "ConvTransformConfig",
-    "DepthwiseSeparableConv2d", "DerivedConv2d", "GroupedConv2d",
-    "InputBottleneckConv2d", "SpatialBottleneckConv2d", "build_candidate",
+    "CANDIDATE_CONFIGS", "CANDIDATE_KINDS", "ConvTransformConfig",
+    "DepthwiseSeparableConv2d", "DerivedConv2d", "build_candidate",
     "BasicResidualBlock", "ConvBNReLU", "DenseBlock", "DenseLayer", "ResNeXtBlock",
-    "TransitionLayer", "iter_replaceable_convs", "replace_conv",
+    "TransitionLayer", "iter_replaceable_convs",
     "SGD", "CosineLR", "MultiStepLR",
     "AverageMeter", "top1_error", "top_k_accuracy",
     "Trainer", "TrainingConfig", "TrainingResult", "proxy_fit",

@@ -195,8 +195,3 @@ def iter_replaceable_convs(model: Module) -> list[tuple[str, Module, Module]]:
             qualified = f"{prefix}.{name}" if prefix else name
             found.append((qualified, module, conv))
     return found
-
-
-def replace_conv(owner: Module, attribute: str, replacement: Module) -> None:
-    """Swap a convolution attribute on its owning block."""
-    setattr(owner, attribute, replacement)

@@ -1,25 +1,22 @@
 """Convolution variants used by NAS and by the unified transformation space.
 
-Each variant corresponds to one of the operators discussed in the paper:
-
-* :class:`GroupedConv2d`        — grouping transformation (Table 1, ``group``)
-* :class:`BottleneckConv2d`     — output-channel bottlenecking (``bottleneck``)
-* :class:`InputBottleneckConv2d`— input-channel bottlenecking (the novel
-  operator derived in §2.3 by interchanging then re-applying bottlenecking)
-* :class:`DepthwiseSeparableConv2d` — depthwise special case of grouping
-* :class:`SpatialBottleneckConv2d`  — the §5.3 example (bottleneck on H and W)
-* :class:`DerivedConv2d`        — a convolution described by an arbitrary
+* :class:`DerivedConv2d`            — a convolution described by an arbitrary
   :class:`ConvTransformConfig`, i.e. the operator produced by a sequence of
-  transformations from the unified search space.
+  transformations from the unified search space.  Grouping, output- and
+  input-channel bottlenecking and the §5.3 spatial bottleneck are all
+  configs of it, and so are the NAS baselines' grouped, bottlenecked and
+  spatial candidates (:func:`build_candidate`).
+* :class:`DepthwiseSeparableConv2d` — a depthwise convolution followed by a
+  1x1 pointwise one: the one NAS candidate no config describes.
 
-All variants preserve the (C_out, H, W) interface of the standard
-convolution they replace so they can be dropped into an existing network
-without touching its surrounding layers.
+Both preserve the (C_out, H, W) interface of the standard convolution they
+replace so they can be dropped into an existing network without touching
+its surrounding layers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,70 +33,6 @@ def _check_divisible(value: int, factor: int, what: str) -> None:
         raise ModelError(f"{what}={value} must be divisible by factor {factor}")
 
 
-class GroupedConv2d(Module):
-    """Grouped convolution preserving the standard conv interface."""
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
-                 stride: int = 1, padding: int = 0, groups: int = 2,
-                 rng: np.random.Generator | None = None):
-        super().__init__()
-        _check_divisible(in_channels, groups, "in_channels")
-        _check_divisible(out_channels, groups, "out_channels")
-        self.groups = groups
-        self.conv = Conv2d(in_channels, out_channels, kernel_size, stride=stride,
-                           padding=padding, groups=groups, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.conv(x)
-
-
-class BottleneckConv2d(Module):
-    """Output-channel bottlenecking followed by a pointwise expansion.
-
-    The transformation reduces the number of filters by ``factor`` and a
-    cheap 1x1 convolution restores the channel count so the operator can be
-    substituted for a standard convolution.
-    """
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
-                 stride: int = 1, padding: int = 0, factor: int = 2,
-                 rng: np.random.Generator | None = None):
-        super().__init__()
-        _check_divisible(out_channels, factor, "out_channels")
-        self.factor = factor
-        reduced = out_channels // factor
-        self.reduce = Conv2d(in_channels, reduced, kernel_size, stride=stride,
-                             padding=padding, rng=rng)
-        self.expand = Conv2d(reduced, out_channels, 1, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.expand(self.reduce(x))
-
-
-class InputBottleneckConv2d(Module):
-    """Input-channel bottlenecking.
-
-    Derived in the paper (§2.3) by interchanging the channel loops and
-    re-applying bottlenecking: only the first ``C_in / factor`` input
-    channels participate in the convolution.  This operator is *not*
-    available in conventional NAS candidate lists.
-    """
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
-                 stride: int = 1, padding: int = 0, factor: int = 2,
-                 rng: np.random.Generator | None = None):
-        super().__init__()
-        _check_divisible(in_channels, factor, "in_channels")
-        self.factor = factor
-        self.kept_channels = in_channels // factor
-        self.conv = Conv2d(self.kept_channels, out_channels, kernel_size,
-                           stride=stride, padding=padding, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        kept = x[:, : self.kept_channels, :, :]
-        return self.conv(kept)
-
-
 class DepthwiseSeparableConv2d(Module):
     """Depthwise convolution followed by a pointwise (1x1) convolution."""
 
@@ -112,29 +45,6 @@ class DepthwiseSeparableConv2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.pointwise(self.depthwise(x))
-
-
-class SpatialBottleneckConv2d(Module):
-    """Spatial bottlenecking (§5.3): stride over H and W, convolve, upsample.
-
-    The paper shows this operator is the composition
-    ``interchange -> bottleneck(H) -> interchange -> bottleneck(W) -> interchange``;
-    at the network level it computes the convolution on a grid reduced by
-    ``factor`` in each spatial dimension and restores the resolution with
-    nearest-neighbour upsampling.
-    """
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
-                 stride: int = 1, padding: int = 0, factor: int = 2,
-                 rng: np.random.Generator | None = None):
-        super().__init__()
-        self.factor = factor
-        self.conv = Conv2d(in_channels, out_channels, kernel_size,
-                           stride=stride * factor, padding=padding, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        reduced = self.conv(x)
-        return ops.upsample_nearest2d(reduced, self.factor)
 
 
 @dataclass(frozen=True)
@@ -315,41 +225,43 @@ class DerivedConv2d(Module):
         return total
 
 
-#: Candidate operator builders offered to the NAS baselines (BlockSwap /
-#: FBNet).  Each maps a standard convolution signature to a replacement
-#: module; the unified search is *not* limited to this list.
-def build_candidate(kind: str, in_channels: int, out_channels: int, kernel_size: int, *,
-                    stride: int = 1, padding: int = 0,
-                    rng: np.random.Generator | None = None) -> Module:
-    """Instantiate a named NAS candidate operator.
+#: The NAS baselines' candidates that a transform program derives, as the
+#: configs of the predefined programs ``group`` (G = 2, 4), ``bottleneck``
+#: (2, 4) and ``spatial_bottleneck`` (2).  ``depthwise`` is not here: the
+#: NAS block adds a 1x1 pointwise convolution after the depthwise one, while
+#: the IR's ``depthwise`` primitive is the single grouping G = C_o = C_i.
+CANDIDATE_CONFIGS: dict[str, ConvTransformConfig] = {
+    "group2": ConvTransformConfig(group_factors=(2,)),
+    "group4": ConvTransformConfig(group_factors=(4,)),
+    "bottleneck2": ConvTransformConfig(bottleneck_out=2),
+    "bottleneck4": ConvTransformConfig(bottleneck_out=4),
+    "spatial2": ConvTransformConfig(spatial_bottleneck=2),
+}
 
-    Supported kinds: ``standard``, ``group2``, ``group4``, ``bottleneck2``,
-    ``bottleneck4``, ``depthwise`` and ``spatial2``.
-    """
-    builders = {
-        "standard": lambda: Conv2d(in_channels, out_channels, kernel_size,
-                                   stride=stride, padding=padding, rng=rng),
-        "group2": lambda: GroupedConv2d(in_channels, out_channels, kernel_size,
-                                        stride=stride, padding=padding, groups=2, rng=rng),
-        "group4": lambda: GroupedConv2d(in_channels, out_channels, kernel_size,
-                                        stride=stride, padding=padding, groups=4, rng=rng),
-        "bottleneck2": lambda: BottleneckConv2d(in_channels, out_channels, kernel_size,
-                                                stride=stride, padding=padding, factor=2,
-                                                rng=rng),
-        "bottleneck4": lambda: BottleneckConv2d(in_channels, out_channels, kernel_size,
-                                                stride=stride, padding=padding, factor=4,
-                                                rng=rng),
-        "depthwise": lambda: DepthwiseSeparableConv2d(in_channels, out_channels, kernel_size,
-                                                      stride=stride, padding=padding, rng=rng),
-        "spatial2": lambda: SpatialBottleneckConv2d(in_channels, out_channels, kernel_size,
-                                                    stride=stride, padding=padding, factor=2,
-                                                    rng=rng),
-    }
-    if kind not in builders:
-        raise ModelError(f"unknown candidate operator kind '{kind}'")
-    return builders[kind]()
-
-
+#: Every candidate offered to the NAS baselines (BlockSwap / FBNet); the
+#: unified search is *not* limited to this list.  BlockSwap draws one
+#: initialisation seed per kind in this order.
 CANDIDATE_KINDS: tuple[str, ...] = (
     "standard", "group2", "group4", "bottleneck2", "bottleneck4", "depthwise", "spatial2",
 )
+
+
+def build_candidate(kind: str, in_channels: int, out_channels: int, kernel_size: int, *,
+                    stride: int = 1, padding: int = 0,
+                    rng: np.random.Generator | None = None) -> Module:
+    """Instantiate a named NAS candidate operator (one of :data:`CANDIDATE_KINDS`).
+
+    ``standard`` is the convolution itself and ``depthwise`` a
+    :class:`DepthwiseSeparableConv2d`; every other kind is the
+    :class:`DerivedConv2d` of its :data:`CANDIDATE_CONFIGS` entry.
+    """
+    if kind == "standard":
+        return Conv2d(in_channels, out_channels, kernel_size, stride=stride,
+                      padding=padding, rng=rng)
+    if kind == "depthwise":
+        return DepthwiseSeparableConv2d(in_channels, out_channels, kernel_size,
+                                        stride=stride, padding=padding, rng=rng)
+    if kind not in CANDIDATE_CONFIGS:
+        raise ModelError(f"unknown candidate operator kind '{kind}'")
+    return DerivedConv2d(in_channels, out_channels, kernel_size, stride=stride,
+                         padding=padding, config=CANDIDATE_CONFIGS[kind], rng=rng)

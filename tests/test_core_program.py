@@ -23,7 +23,7 @@ from repro.core import (
 from repro.core.engine import EvaluationEngine
 from repro.errors import LegalityError, TransformError
 from repro.hardware import get_platform
-from repro.nn.convs import DerivedConv2d, GroupedConv2d
+from repro.nn.convs import DerivedConv2d, build_candidate
 from repro.poly.affine import AffineExpr, AffineMap
 from repro.poly.domain import Domain
 from repro.poly.statement import Access, ConvolutionShape, Statement
@@ -221,7 +221,7 @@ class TestProgramAlgebra:
         for factor in (2, 4):
             config = predefined_program("group", group=factor).conv_config(shape)
             derived = DerivedConv2d(16, 16, 3, config=config, rng=make_rng(0))
-            reference = GroupedConv2d(16, 16, 3, groups=factor, rng=make_rng(0))
+            reference = build_candidate(f"group{factor}", 16, 16, 3, rng=make_rng(0))
             assert derived.num_parameters() == reference.num_parameters()
 
     def test_seq3_conv_config_has_one_group_factor_per_nest(self):

@@ -16,6 +16,7 @@ from repro.core import (
     total_macs,
     unique_shapes,
 )
+from repro.core import search as search_module
 from repro.core.search import SEARCH_STRATEGY_REGISTRY
 from repro.data import SyntheticImageDataset
 from repro.errors import SearchError
@@ -131,6 +132,25 @@ class TestUnifiedSearch:
     def test_invalid_configuration_count_rejected(self):
         with pytest.raises(SearchError):
             UnifiedSearch(get_platform("cpu"), configurations=0)
+
+    @pytest.mark.parametrize("threshold", (0, -1, float("nan")))
+    def test_invalid_fisher_threshold_rejected_before_profiling(
+            self, monkeypatch, dataset, minibatch, threshold):
+        """Refused when the search is built: no Fisher profile pass runs, and
+        NaN, which every comparison fails, cannot reject every candidate."""
+        profiles = []
+        profile = search_module.fisher_profile
+
+        def counted(*args):
+            profiles.append(args)
+            return profile(*args)
+
+        monkeypatch.setattr(search_module, "fisher_profile", counted)
+        with pytest.raises(SearchError, match="fisher_threshold"):
+            search = UnifiedSearch(get_platform("cpu"), configurations=4, tuner_trials=2,
+                                   fisher_threshold=threshold, seed=0)
+            search.search(_small_model(), *minibatch, dataset.spec.image_shape)
+        assert profiles == []
 
     def test_fisher_threshold_influences_aggressiveness(self, dataset, minibatch):
         model = _small_model()

@@ -148,7 +148,7 @@ class TestCandidateEvaluation:
     def test_candidate_score_is_finite(self, minibatch):
         profile = fisher_profile(_tiny_model(), *minibatch)
         record = profile.layers["layer3"]  # the 8->8 convolution
-        candidate = nn.GroupedConv2d(8, 8, 3, padding=1, groups=2)
+        candidate = nn.build_candidate("group2", 8, 8, 3, padding=1)
         assert np.isfinite(candidate_layer_fisher(record, candidate))
 
     def test_identical_candidate_scores_like_original(self, minibatch):
@@ -192,9 +192,11 @@ class TestLegalityChecker:
         halved = checker.check_layer_scores({name: 0.0})
         assert boosted.legal and not halved.legal
 
-    def test_invalid_threshold_rejected(self, minibatch):
+    @pytest.mark.parametrize("threshold", (0.0, -1.0, float("nan")))
+    def test_invalid_threshold_rejected(self, minibatch, threshold):
         with pytest.raises(ValueError):
-            FisherLegalityChecker(fisher_profile(_tiny_model(), *minibatch), threshold=0.0)
+            FisherLegalityChecker(fisher_profile(_tiny_model(), *minibatch),
+                                  threshold=threshold)
 
     def test_decision_margin_sign(self, minibatch):
         checker = FisherLegalityChecker(fisher_profile(_tiny_model(), *minibatch))

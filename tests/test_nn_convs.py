@@ -5,9 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import nas_reference
 from repro import nn
+from repro.core.sequences import predefined_program
 from repro.errors import ModelError
+from repro.poly.statement import ConvolutionShape
 from repro.tensor import Tensor
+from repro.utils import make_rng
 
 
 @pytest.fixture
@@ -17,28 +21,29 @@ def feature_map(rng):
 
 class TestCandidateOperators:
     def test_grouped_preserves_interface(self, rng, feature_map):
-        conv = nn.GroupedConv2d(8, 16, 3, padding=1, groups=4, rng=rng)
+        conv = nn.build_candidate("group4", 8, 16, 3, padding=1, rng=rng)
         assert conv(feature_map).shape == (2, 16, 8, 8)
 
     def test_grouped_has_fewer_parameters(self, rng):
         standard = nn.Conv2d(8, 16, 3, rng=rng)
-        grouped = nn.GroupedConv2d(8, 16, 3, groups=4, rng=rng)
+        grouped = nn.build_candidate("group4", 8, 16, 3, rng=rng)
         assert grouped.num_parameters() * 4 == standard.num_parameters()
 
     def test_bottleneck_preserves_interface(self, rng, feature_map):
-        conv = nn.BottleneckConv2d(8, 16, 3, padding=1, factor=4, rng=rng)
+        conv = nn.build_candidate("bottleneck4", 8, 16, 3, padding=1, rng=rng)
         assert conv(feature_map).shape == (2, 16, 8, 8)
 
     def test_bottleneck_reduces_parameters(self, rng):
         standard = nn.Conv2d(8, 16, 3, rng=rng)
-        bottlenecked = nn.BottleneckConv2d(8, 16, 3, factor=4, rng=rng)
+        bottlenecked = nn.build_candidate("bottleneck4", 8, 16, 3, rng=rng)
         assert bottlenecked.num_parameters() < standard.num_parameters()
 
     def test_input_bottleneck_uses_leading_channels(self, rng, feature_map):
-        conv = nn.InputBottleneckConv2d(8, 16, 3, padding=1, factor=2, rng=rng)
+        conv = nn.DerivedConv2d(8, 16, 3, padding=1, rng=rng,
+                                config=nn.ConvTransformConfig(bottleneck_in=2))
         out = conv(feature_map)
         assert out.shape == (2, 16, 8, 8)
-        assert conv.kept_channels == 4
+        assert conv.effective_in_channels == 4
 
     def test_depthwise_separable(self, rng, feature_map):
         conv = nn.DepthwiseSeparableConv2d(8, 16, 3, padding=1, rng=rng)
@@ -47,14 +52,14 @@ class TestCandidateOperators:
         assert conv.num_parameters() < standard.num_parameters()
 
     def test_spatial_bottleneck_restores_resolution(self, rng, feature_map):
-        conv = nn.SpatialBottleneckConv2d(8, 16, 3, padding=1, factor=2, rng=rng)
+        conv = nn.build_candidate("spatial2", 8, 16, 3, padding=1, rng=rng)
         assert conv(feature_map).shape == (2, 16, 8, 8)
 
     def test_divisibility_validation(self):
         with pytest.raises(ModelError):
-            nn.GroupedConv2d(6, 8, 3, groups=4)
+            nn.build_candidate("group4", 6, 8, 3)
         with pytest.raises(ModelError):
-            nn.BottleneckConv2d(8, 6, 3, factor=4)
+            nn.build_candidate("bottleneck4", 8, 6, 3)
 
     def test_build_candidate_all_kinds(self, rng, feature_map):
         for kind in nn.CANDIDATE_KINDS:
@@ -64,6 +69,107 @@ class TestCandidateOperators:
     def test_build_candidate_unknown_kind(self):
         with pytest.raises(ModelError):
             nn.build_candidate("winograd", 8, 8, 3)
+
+    def test_candidate_kinds_keep_their_order(self):
+        # BlockSwap draws one initialisation seed per kind in this order.
+        assert nn.CANDIDATE_KINDS == ("standard", "group2", "group4", "bottleneck2",
+                                      "bottleneck4", "depthwise", "spatial2")
+        assert set(nn.CANDIDATE_CONFIGS) == set(nn.CANDIDATE_KINDS) - {"standard",
+                                                                       "depthwise"}
+
+
+#: Every config a NAS candidate used to have a class of its own for: the
+#: frozen class, its keyword, and the predefined program deriving the config.
+REFERENCE_OPERATORS = {
+    "group2": (nas_reference.GroupedConv2d, {"groups": 2}, ("group", {"group": 2})),
+    "group4": (nas_reference.GroupedConv2d, {"groups": 4}, ("group", {"group": 4})),
+    "bottleneck2": (nas_reference.BottleneckConv2d, {"factor": 2},
+                    ("bottleneck", {"bottleneck": 2})),
+    "bottleneck4": (nas_reference.BottleneckConv2d, {"factor": 4},
+                    ("bottleneck", {"bottleneck": 4})),
+    "input_bottleneck2": (nas_reference.InputBottleneckConv2d, {"factor": 2},
+                          ("input_bottleneck", {"bottleneck": 2})),
+    "spatial2": (nas_reference.SpatialBottleneckConv2d, {"factor": 2},
+                 ("spatial_bottleneck", {"spatial": 2})),
+}
+
+
+def _config(kind: str) -> nn.ConvTransformConfig:
+    name, params = REFERENCE_OPERATORS[kind][2]
+    return predefined_program(name, **params).conv_config(
+        ConvolutionShape(16, 16, 8, 8, 3, 3))
+
+
+def _builders(kind: str, in_channels: int, out_channels: int, **conv):
+    """The frozen class, ``DerivedConv2d`` and (for a NAS kind) ``build_candidate``."""
+    cls, keyword, _ = REFERENCE_OPERATORS[kind]
+    builders = {
+        "reference": lambda rng: cls(in_channels, out_channels, 3, **keyword, **conv,
+                                     rng=rng),
+        "derived": lambda rng: nn.DerivedConv2d(in_channels, out_channels, 3, **conv,
+                                                config=_config(kind), rng=rng),
+    }
+    if kind in nn.CANDIDATE_CONFIGS:
+        builders["candidate"] = lambda rng: nn.build_candidate(
+            kind, in_channels, out_channels, 3, **conv, rng=rng)
+    return builders
+
+
+def _run(module, images: np.ndarray, upstream: np.ndarray):
+    """Forward output and input gradient for a fixed upstream gradient."""
+    x = Tensor(images, requires_grad=True)
+    out = module(x)
+    out.backward(upstream[tuple(slice(0, n) for n in out.shape)])
+    return out.data, x.grad
+
+
+class TestCandidatesAreDerivedOperators:
+    """The NAS candidates are ``DerivedConv2d`` configs, bit for bit."""
+
+    @pytest.mark.parametrize("padding", (0, 1))
+    @pytest.mark.parametrize("stride", (1, 2))
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_OPERATORS))
+    def test_matches_frozen_operator(self, kind, stride, padding):
+        data = np.random.default_rng(1)
+        images = data.normal(size=(2, 8, 9, 9))
+        upstream = data.normal(size=(2, 16, 12, 12))
+        reference, *others = [build(make_rng(7)) for build in
+                              _builders(kind, 8, 16, stride=stride,
+                                        padding=padding).values()]
+        expected_output, expected_gradient = _run(reference, images, upstream)
+        for module in others:
+            assert module.num_parameters() == reference.num_parameters()
+            weights = [p.data for p in module.parameters()]
+            reference_weights = [p.data for p in reference.parameters()]
+            assert len(weights) == len(reference_weights)
+            for weight, reference_weight in zip(weights, reference_weights):
+                assert weight.shape == reference_weight.shape
+                assert np.array_equal(weight, reference_weight)
+            output, gradient = _run(module, images, upstream)
+            assert np.array_equal(output, expected_output)
+            assert np.array_equal(gradient, expected_gradient)
+
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_OPERATORS))
+    def test_refuses_the_same_channel_counts(self, kind):
+        refused = []
+        for in_channels in (2, 3, 4, 6, 8):
+            for out_channels in (2, 3, 4, 6, 8):
+                outcomes = set()
+                for build in _builders(kind, in_channels, out_channels).values():
+                    try:
+                        build(make_rng(0))
+                        outcomes.add(False)
+                    except ModelError:
+                        outcomes.add(True)
+                assert len(outcomes) == 1, (kind, in_channels, out_channels)
+                refused.extend(outcomes - {False})
+        assert bool(refused) == (kind != "spatial2")
+
+    def test_table_configs_are_predefined_programs(self):
+        """The paper's "NAS operators are programs", stated as configs."""
+        for kind, config in nn.CANDIDATE_CONFIGS.items():
+            assert config == _config(kind), kind
+        assert _config("input_bottleneck2") == nn.ConvTransformConfig(bottleneck_in=2)
 
 
 class TestConvTransformConfig:

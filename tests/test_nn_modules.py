@@ -131,14 +131,6 @@ class TestBlocks:
         found = nn.iter_replaceable_convs(block)
         assert {name for name, _, _ in found} == {"conv1", "conv2"}
 
-    def test_replace_conv_substitutes(self, rng):
-        block = nn.BasicResidualBlock(8, 8, rng=rng)
-        replacement = nn.GroupedConv2d(8, 8, 3, padding=1, groups=2, rng=rng)
-        nn.replace_conv(block, "conv1", replacement)
-        assert block.conv1 is replacement
-        out = block(Tensor(rng.normal(size=(1, 8, 5, 5))))
-        assert out.shape == (1, 8, 5, 5)
-
 
 class TestOptimAndTraining:
     def test_sgd_reduces_quadratic(self):
