@@ -513,15 +513,11 @@ def _cache_verb(args, directory: Path) -> int:
             print(f"skipped {path.name}: not a recognised cache store file")
         return 0
     if args.cache_command == "info":
-        from repro.core.compile_cache import COMPILE_CACHE
-
         store = CacheStore(directory)
         rows = [shard.to_dict() for shard in store.info()]
         fisher = store.fisher_info()
-        compile_info = COMPILE_CACHE.info()
         if getattr(args, "json", False):
-            print(json.dumps({"stores": rows, "fisher": fisher,
-                              "compile_cache": compile_info}, indent=2))
+            print(json.dumps({"stores": rows, "fisher": fisher}, indent=2))
             return 0
         if not rows:
             print("no engine cache stores found")
@@ -540,11 +536,6 @@ def _cache_verb(args, directory: Path) -> int:
                 detail = (f"{fisher['rows']} Fisher rows ({fisher['profiles']} "
                           f"profiles, {fisher['scores']} operator scores)")
             print(f"{fisher['path']}  {fisher['bytes']} bytes  {detail}")
-        print(f"compile cache (this process): "
-              f"{compile_info['entries']}/{compile_info['max_entries']} entries  "
-              f"{compile_info['compile_hits']} hits  "
-              f"{compile_info['compile_misses']} misses  "
-              f"{compile_info['prefix_depth_saved']} steps saved by prefixes")
         return 0
     if args.cache_command == "export":
         store = CacheStore(directory)

@@ -9,7 +9,7 @@ one warm ``cache_dir``, so the store is append-only and shard-per-platform:
 * **Content addressing** — every latency entry is keyed by the sha1 of its
   canonical ``(platform, shape, program, trials, seed)`` document (the
   program's display name is excluded: two programs with equal steps are
-  the same program), so appends, merges and imports dedupe exactly.
+  the same program), so appends and imports dedupe exactly.
 * **Lock-free hot path** — readers scan a shard's segment file into a
   plain dict once and thereafter hit pure in-memory lookups; no reader
   ever takes a lock.  Programs and shapes are interned as their own
@@ -22,20 +22,18 @@ one warm ``cache_dir``, so the store is append-only and shard-per-platform:
 * **Crash tolerance** — every record is CRC-framed; a truncated or torn
   tail is skipped by readers and healed by the next locked append, never
   fatal.
-* **Compaction and eviction** — a shard whose dead/duplicate records
-  exceed a threshold is rewritten in place (scratch file + atomic
-  ``os.replace``), and ``REPRO_CACHE_MAX_ENTRIES`` caps the live entries
-  per shard (newest survive).
-* **Fleet exchange** — :meth:`CacheStore.merge`,
-  :meth:`CacheStore.export` and :meth:`CacheStore.import_` move entries
-  between stores and hosts as a portable JSON-lines envelope, deduped by
-  digest on arrival.
+* **No rewrite path** — a locked append writes no digest the segment
+  already holds, so no segment ever carries a dead record and none is
+  ever rewritten; a segment only grows until ``repro cache clear``.
+* **Fleet exchange** — :meth:`CacheStore.export` and
+  :meth:`CacheStore.import_` move entries between stores and hosts as a
+  portable JSON-lines envelope, deduped by digest on arrival.
 * **Fisher scores** — the store also persists the search's Fisher
   scores in one platform-independent segment beside the shards, keyed by
   the sha1 of everything a score depends on (:func:`fisher_profile_digest`,
   :func:`fisher_score_digest`).  It shares the shards' framing, CRC
-  checks, lock-free scan, sidecar lock and torn-tail healing; merges,
-  exports and imports stay latency-only.
+  checks, lock-free scan, sidecar lock and torn-tail healing; exports
+  and imports stay latency-only.
 
 Segment layout (format version 1)::
 
@@ -109,9 +107,6 @@ FisherProfileKey = tuple[str, str, str]
 
 #: Schema tag of the portable JSON-lines export envelope.
 EXPORT_SCHEMA = "repro.cache-export/1"
-
-#: Environment variable capping the live entries per shard (eviction).
-MAX_ENTRIES_ENV = "REPRO_CACHE_MAX_ENTRIES"
 
 _HEADER = struct.Struct("<8sIH")  # magic, format version, platform-name length
 _FRAME = struct.Struct("<BII")    # record type, body length, crc32(body)
@@ -476,42 +471,19 @@ class CacheStore:
         store.append({key: 0.0012})
         warm = store.load_platform("cpu")
 
-    ``max_entries`` (default: the ``REPRO_CACHE_MAX_ENTRIES`` environment
-    variable) caps the live entries per shard; the cap and the
-    dead-record threshold both trigger an in-place compaction rewrite.
     The Fisher segment (:meth:`load_fisher`, :meth:`append_fisher`) is
-    appended the same way; it is never compacted, since a locked append
-    writes no digest twice.
+    appended the same way.  Neither kind of segment is ever rewritten: a
+    locked append writes no digest twice, so there is nothing to compact.
     """
 
-    def __init__(self, directory: str | Path, *, max_entries: int | None = None,
-                 compact_ratio: float = 0.5, compact_min_dead: int = 64):
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory).expanduser()
-        self._max_entries = max_entries
-        self.compact_ratio = float(compact_ratio)
-        self.compact_min_dead = int(compact_min_dead)
         self._states: dict[str, _ShardState] = {}
         self._fisher = _FisherState(name=_FISHER_HEADER_NAME)
         # Serialises intra-process access to the segment states so one
         # store object can be shared by many threads (the service's worker
         # pool); cross-process safety still comes from the per-segment flock.
         self._thread_lock = threading.RLock()
-
-    # -- configuration -------------------------------------------------
-    @property
-    def max_entries(self) -> int | None:
-        """Per-shard live-entry cap (constructor value, else the env var)."""
-        if self._max_entries is not None:
-            return int(self._max_entries)
-        raw = os.environ.get(MAX_ENTRIES_ENV)
-        if not raw:
-            return None
-        try:
-            value = int(raw)
-        except ValueError:
-            raise CacheStoreError(
-                f"{MAX_ENTRIES_ENV}={raw!r} is not an integer") from None
-        return value if value > 0 else None
 
     # -- shard naming ---------------------------------------------------
     def _shard_filename(self, platform: str) -> str:
@@ -586,8 +558,10 @@ class CacheStore:
 
         Stops cleanly at the first truncated or CRC-failing record — a
         torn tail from a crashed writer is skipped, not fatal — and
-        re-scans from scratch when the file was compacted out from under
-        us (the inode changed or the file shrank).
+        re-scans from scratch when the file changed under us: a new inode
+        (``repro cache clear`` and a fresh writer, or an older build's
+        compaction) or a file shorter than what was scanned (a torn tail
+        cut after this process's own append).
         """
         try:
             stat = path.stat()
@@ -595,9 +569,9 @@ class CacheStore:
             return type(state)(name=state.name)
         stamp = (stat.st_ino, stat.st_dev, stat.st_size)
         if state.stamp is not None and state.stamp[:2] != stamp[:2]:
-            state = type(state)(name=state.name)   # compacted: new inode
+            state = type(state)(name=state.name)   # replaced: new inode
         elif stat.st_size < state.valid_offset:
-            state = type(state)(name=state.name)   # shrank: rewritten
+            state = type(state)(name=state.name)   # shrank: torn or replaced
         if stat.st_size == state.valid_offset and state.stamp is not None:
             state.stamp = stamp
             return state
@@ -687,7 +661,7 @@ class CacheStore:
             return self._materialise(self._scan_shard(platform))
 
     def load(self) -> dict[LatencyKey, float]:
-        """Every live entry across all shards (merge/export convenience).
+        """Every live entry across all shards (export convenience).
 
         Example::
 
@@ -790,8 +764,10 @@ class CacheStore:
     def _exclusive_lock(self, filename: str):
         """The per-segment writer lock (``flock`` on a sidecar lock file).
 
-        The lock file — never the segment file — carries the lock, so
-        compaction can atomically replace the segment while holding it.
+        The lock file — never the segment file — carries the lock: builds
+        up to 0.13 replace a segment (compaction) while holding this same
+        file's lock, so a shared ``cache_dir`` stays safe only if every
+        build locks it.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         lock_path = self.directory / (filename + ".lock")
@@ -858,7 +834,6 @@ class CacheStore:
                 if rows:
                     state.add_batch(np.frombuffer(
                         b"".join(rows), dtype=_ENTRY_DTYPE))
-            self._maybe_compact_locked(state)
         return len(rows)
 
     def append_fisher(self, profiles: Mapping[bytes, Sequence[tuple[str, float]]],
@@ -944,89 +919,7 @@ class CacheStore:
             _frame(buffer, _SHAPE_RECORD, _SHAPE_BODY.pack(shape_id, *fields))
         return shape_id
 
-    # -- compaction / eviction ------------------------------------------
-    def _maybe_compact_locked(self, state: _ShardState) -> None:
-        live = len(self._digests(state))
-        dead = state.entry_records - live
-        cap = self.max_entries
-        over_cap = cap is not None and live > cap
-        too_dead = (dead >= self.compact_min_dead and state.entry_records
-                    and dead / state.entry_records > self.compact_ratio)
-        if over_cap or too_dead:
-            self._compact_locked(state)
-
-    def _compact_locked(self, state: _ShardState) -> None:
-        """Rewrite the shard keeping the newest live record per digest.
-
-        Runs under the shard lock; the rewrite goes to a scratch file that
-        is atomically ``os.replace``d (and unlinked on failure), so
-        lock-free readers only ever see a complete old or new shard.
-        """
-        array = self._entries_array(state)
-        raw_digests = array["digest"].tobytes()
-        last_row: dict[bytes, int] = {}
-        for index in range(len(array)):
-            last_row[raw_digests[20 * index:20 * index + 20]] = index
-        keep = sorted(last_row.values())
-        cap = self.max_entries
-        if cap is not None and len(keep) > cap:
-            keep = keep[len(keep) - cap:]  # eviction: the newest survive
-        platform = state.name
-        fresh = _ShardState(name=platform)
-        buffer = bytearray(self._header_bytes(platform))
-        programs = array["program"].tolist()
-        shapes = array["shape"].tolist()
-        trials = array["trials"].tolist()
-        seeds = array["seed"].tolist()
-        values = array["latency"].tolist()
-        rows = []
-        for index in keep:
-            program_id = self._intern_program(fresh, state.programs[programs[index]], buffer)
-            shape_id = self._intern_shape(fresh, state.shapes[shapes[index]], buffer)
-            rows.append(_ENTRY.pack(raw_digests[20 * index:20 * index + 20],
-                                    program_id, shape_id, trials[index],
-                                    seeds[index], values[index]))
-        if rows:
-            _frame(buffer, _BATCH_RECORD, _BATCH_COUNT.pack(len(rows)) + b"".join(rows))
-        path = self.shard_path(platform)
-        scratch = path.with_name(path.name + f".tmp.{os.getpid()}")
-        try:
-            with open(scratch, "wb") as handle:
-                handle.write(bytes(buffer))
-            os.replace(scratch, path)
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                scratch.unlink()
-        self._states[platform] = self._scan(path, _ShardState(name=platform))
-
-    def compact(self, platform: str | None = None) -> dict[str, int]:
-        """Force a compaction rewrite; returns live entries per shard.
-
-        Example::
-
-            survivors = store.compact("cpu")
-        """
-        platforms = [platform] if platform is not None else self.platforms()
-        survivors = {}
-        for name in platforms:
-            with self._thread_lock, self._exclusive_lock(self._shard_filename(name)):
-                self._compact_locked(self._scan_shard(name))
-                survivors[name] = len(self._digests(self._states[name]))
-        return survivors
-
     # -- fleet exchange -------------------------------------------------
-    def merge(self, other: "CacheStore") -> int:
-        """Absorb every entry of ``other`` this store does not yet hold.
-
-        Example::
-
-            new = mine.merge(CacheStore(worker_dir))
-        """
-        total = 0
-        for platform in other.platforms():
-            total += self.append(other.load_platform(platform))
-        return total
-
     def export(self, path: str | Path) -> Path:
         """Write every live entry to a portable JSON-lines envelope.
 

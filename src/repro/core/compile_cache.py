@@ -34,8 +34,7 @@ event that could change compile semantics — registering a primitive —
 clears the cache (see :func:`~repro.core.program.register_primitive`).
 :func:`invalidate` is also exposed directly for tests and tools.
 
-**Bounding.**  The trie is LRU-bounded (:data:`DEFAULT_MAX_ENTRIES`,
-overridable via ``REPRO_COMPILE_CACHE_ENTRIES`` or :func:`configure`).
+**Bounding.**  The trie is LRU-bounded at :data:`MAX_ENTRIES` snapshots.
 
 **Concurrency.**  The store is guarded by a lock; replay happens outside
 it.  Two threads replaying the same suffix both produce the identical
@@ -48,7 +47,6 @@ generation and stay warm for the rest of the search.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 import warnings
 from collections import OrderedDict
@@ -71,8 +69,8 @@ CANONICAL_NAME = "program"
 #: Digest of the empty prefix (the freshly built :class:`ProgramState`).
 ROOT_DIGEST = hashlib.sha1(b"repro-compile-root").hexdigest()
 
-#: Default LRU bound on trie entries (one entry = one stage-list snapshot).
-DEFAULT_MAX_ENTRIES = 8192
+#: LRU bound on trie entries (one entry = one stage-list snapshot).
+MAX_ENTRIES = 8192
 
 
 @dataclass
@@ -83,14 +81,8 @@ class CompileCacheStatistics:
     compile_hits: int = 0
     #: compiles that had to replay at least one step (or build the root)
     compile_misses: int = 0
-    #: misses that resumed from a cached proper prefix (subset of misses)
-    prefix_hits: int = 0
     #: total steps *not* re-applied thanks to cached prefixes
     prefix_depth_saved: int = 0
-    #: total steps actually applied by the replay loop
-    steps_replayed: int = 0
-    evictions: int = 0
-    invalidations: int = 0
 
     def snapshot(self) -> "CompileCacheStatistics":
         return replace(self)
@@ -100,24 +92,15 @@ class CompileCacheStatistics:
         return CompileCacheStatistics(
             compile_hits=self.compile_hits - baseline.compile_hits,
             compile_misses=self.compile_misses - baseline.compile_misses,
-            prefix_hits=self.prefix_hits - baseline.prefix_hits,
             prefix_depth_saved=self.prefix_depth_saved - baseline.prefix_depth_saved,
-            steps_replayed=self.steps_replayed - baseline.steps_replayed,
-            evictions=self.evictions - baseline.evictions,
-            invalidations=self.invalidations - baseline.invalidations,
         )
 
 
 class CompileCache:
     """The LRU-bounded, thread-safe prefix trie of compile snapshots."""
 
-    def __init__(self, max_entries: int | None = None):
-        if max_entries is None:
-            max_entries = int(os.environ.get("REPRO_COMPILE_CACHE_ENTRIES",
-                                             DEFAULT_MAX_ENTRIES))
-        if max_entries < 1:
-            raise ValueError("the compile cache needs room for at least one entry")
-        self.max_entries = max_entries
+    def __init__(self):
+        self.max_entries = MAX_ENTRIES
         self.enabled = True
         self.statistics = CompileCacheStatistics()
         self._entries: OrderedDict[tuple, list["Stage"]] = OrderedDict()
@@ -157,48 +140,20 @@ class CompileCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-                self.statistics.evictions += 1
 
     def clear(self) -> None:
         """Drop every snapshot (the invalidation rule's hammer)."""
         with self._lock:
             self._entries.clear()
-            self.statistics.invalidations += 1
-
-    def info(self) -> dict:
-        """JSON-ready description of the trie (size, bound, counters)."""
-        stats = self.statistics
-        return {
-            "entries": len(self._entries),
-            "max_entries": self.max_entries,
-            "enabled": self.enabled,
-            "compile_hits": stats.compile_hits,
-            "compile_misses": stats.compile_misses,
-            "prefix_hits": stats.prefix_hits,
-            "prefix_depth_saved": stats.prefix_depth_saved,
-            "steps_replayed": stats.steps_replayed,
-            "evictions": stats.evictions,
-            "invalidations": stats.invalidations,
-        }
 
 
 #: The process-wide trie every ``TransformProgram.compile`` goes through.
 COMPILE_CACHE = CompileCache()
 
 
-def configure(*, max_entries: int | None = None,
-              enabled: bool | None = None) -> CompileCache:
-    """Adjust the process-wide trie; shrinking the bound evicts eagerly."""
-    if max_entries is not None:
-        if max_entries < 1:
-            raise ValueError("the compile cache needs room for at least one entry")
-        with COMPILE_CACHE._lock:
-            COMPILE_CACHE.max_entries = max_entries
-            while len(COMPILE_CACHE._entries) > max_entries:
-                COMPILE_CACHE._entries.popitem(last=False)
-                COMPILE_CACHE.statistics.evictions += 1
-    if enabled is not None:
-        COMPILE_CACHE.enabled = bool(enabled)
+def configure(*, enabled: bool) -> CompileCache:
+    """Turn the process-wide trie on or off (off compiles uncached)."""
+    COMPILE_CACHE.enabled = bool(enabled)
     return COMPILE_CACHE
 
 
@@ -315,13 +270,10 @@ def _compile_cached(program: "TransformProgram",
         depth = 0
     else:
         state = ProgramState.resume(shape, stages, name=CANONICAL_NAME)
-        if depth > 0:
-            stats.prefix_hits += 1
-            stats.prefix_depth_saved += depth
+        stats.prefix_depth_saved += depth
 
     for index in range(depth, len(steps)):
         apply_step(state, steps[index], program.name)
-        stats.steps_replayed += 1
         COMPILE_CACHE.store(shape, index + 1, digests[index], state.stages)
 
     return _restore_names(state.stages, program.name)

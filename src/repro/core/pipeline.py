@@ -37,7 +37,6 @@ class PipelineScale:
     """Knobs that trade fidelity for runtime (see DESIGN.md §4)."""
 
     width_multiplier: float = 0.5
-    depth_multiplier: float = 1.0
     image_size: int = 32
     fisher_batch: int = 4
     configurations: int = 150
@@ -54,7 +53,7 @@ class PipelineScale:
     @classmethod
     def full(cls) -> "PipelineScale":
         """Paper-scale settings (hours of NumPy compute; shapes unchanged)."""
-        return cls(width_multiplier=1.0, depth_multiplier=1.0, image_size=32,
+        return cls(width_multiplier=1.0, image_size=32,
                    fisher_batch=32, configurations=1000, tuner_trials=32,
                    blockswap_budget=0.5, train_size=50000, test_size=10000)
 

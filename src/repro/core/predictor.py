@@ -188,10 +188,7 @@ class LatencyPredictor:
         if latency_seconds > 0:
             self._references[shape] = float(latency_seconds)
 
-    def _reference_for(self, shape: ConvolutionShape,
-                       explicit: float | None = None) -> float:
-        if explicit is not None and explicit > 0:
-            return float(explicit)
+    def _reference_for(self, shape: ConvolutionShape) -> float:
         return self._references.get(shape, 1.0)
 
     # ------------------------------------------------------------------
@@ -206,16 +203,13 @@ class LatencyPredictor:
         return np.concatenate([base, [math.log2(max(int(trials), 1))]])
 
     def observe(self, shape: ConvolutionShape, program: TransformProgram,
-                latency_seconds: float, *, trials: int = 1,
-                reference: float | None = None) -> None:
+                latency_seconds: float, *, trials: int = 1) -> None:
         """Record one tuned result; verifies any pending prediction for it.
 
-        ``reference`` is an optional latency to learn *relative to* —
-        callers that know the shape's baseline (standard-program) latency
-        pass it so the model only has to explain the transformation's
-        effect, not the shape's absolute scale, which the baseline
-        already measures exactly.  Predictions are made against the same
-        reference (see :meth:`set_reference`).
+        The target is learnt relative to the shape's registered baseline
+        latency (see :meth:`set_reference`), so the model only has to
+        explain the transformation's effect, not the shape's absolute
+        scale, which the baseline already measures exactly.
 
         Example::
 
@@ -232,7 +226,7 @@ class LatencyPredictor:
         self._seen.add(key)
         self._features.append(self._encode(shape, program, int(trials)))
         self._targets.append(math.log(max(float(latency_seconds), 1e-18))
-                             - math.log(self._reference_for(shape, reference)))
+                             - math.log(self._reference_for(shape)))
         self.statistics.observations += 1
         self._dirty = True
         self._dirty_real = True

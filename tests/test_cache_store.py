@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 
 import pytest
@@ -338,51 +339,47 @@ class TestFisherSegment:
         assert CacheStore(tmp_path).fisher_info()["error"] is not None
 
 
-class TestCompactionAndEviction:
-    def test_explicit_compaction_preserves_entries(self, tmp_path):
-        entries = _entries(20)
-        store = CacheStore(tmp_path)
-        for i in range(0, 20, 2):  # many small appends: many records
-            batch = dict(list(entries.items())[i:i + 2])
-            store.append(batch)
-        before = (tmp_path / "shard-cpu.rcs").stat().st_size
-        assert store.compact("cpu") == {"cpu": 20}
-        assert (tmp_path / "shard-cpu.rcs").stat().st_size <= before
-        assert CacheStore(tmp_path).load_platform("cpu") == entries
-        # The compacting store's own state survives the inode change.
-        assert store.load_platform("cpu") == entries
+class TestAppendOnly:
+    def test_stale_writers_write_no_dead_record(self, tmp_path):
+        # Two writers with stale scans append overlapping batches in turn:
+        # each absorbs the other's records under the shard lock first, so
+        # every digest is written exactly once.
+        entries = list(_entries(20).items())
+        first, second = CacheStore(tmp_path), CacheStore(tmp_path)
+        assert first.append(dict(entries[:10])) == 10
+        assert second.append(dict(entries[5:15])) == 5
+        assert first.append(dict(entries[10:])) == 5
+        assert second.append(dict(entries)) == 0
+        shard_path = tmp_path / "shard-cpu.rcs"
+        size = shard_path.stat().st_size
+        assert first.append(dict(entries)) == 0
+        assert shard_path.stat().st_size == size  # a repeat writes no byte
+        (shard,) = CacheStore(tmp_path).info()
+        assert shard.records == shard.entries == len(entries)
+        assert shard.dead_records == 0
+        assert CacheStore(tmp_path).load_platform("cpu") == dict(entries)
 
-    def test_max_entries_evicts_oldest(self, tmp_path):
-        entries = _entries(25)
-        store = CacheStore(tmp_path, max_entries=10)
+
+class TestReplacedShard:
+    def test_live_store_reads_a_swapped_in_shard_afresh(self, tmp_path):
+        # A shard replaced under a live store (a ``cache clear`` and a new
+        # writer, or an older build's compaction): new inode, shorter file.
+        entries, other = _entries(20), _entries(5, seed=1)
+        store = CacheStore(tmp_path / "live")
         store.append(entries)
-        survivors = CacheStore(tmp_path).load_platform("cpu")
-        newest = dict(list(entries.items())[-10:])
-        assert survivors == newest
-
-    def test_max_entries_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "7")
-        store = CacheStore(tmp_path)
-        assert store.max_entries == 7
-        store.append(_entries(20))
-        assert CacheStore(tmp_path).entry_count("cpu") == 7
-
-    def test_bad_env_var_raises(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "lots")
-        with pytest.raises(CacheStoreError, match="not an integer"):
-            CacheStore(tmp_path).max_entries
+        assert store.load_platform("cpu") == entries
+        CacheStore(tmp_path / "other").append(other)
+        os.replace(tmp_path / "other" / "shard-cpu.rcs",
+                   tmp_path / "live" / "shard-cpu.rcs")
+        assert store.load_platform("cpu") == other
+        assert store.entry_count("cpu") == len(other)
+        # The writer's digest set was rebuilt too: every old entry is new.
+        assert store.append(entries) == len(entries)
+        (shard,) = CacheStore(tmp_path / "live").info()
+        assert shard.records == shard.entries == len(entries) + len(other)
 
 
 class TestFleetExchange:
-    def test_merge(self, tmp_path):
-        mine = CacheStore(tmp_path / "mine")
-        theirs = CacheStore(tmp_path / "theirs")
-        shared, private = _entries(6, seed=0), _entries(6, seed=1)
-        mine.append(shared)
-        theirs.append({**shared, **private})
-        assert mine.merge(theirs) == len(private)
-        assert CacheStore(tmp_path / "mine").load() == {**shared, **private}
-
     def test_export_import_round_trip(self, tmp_path):
         entries = {**_entries(8, "cpu"), **_entries(8, "gpu")}
         store = CacheStore(tmp_path / "src")
@@ -395,6 +392,20 @@ class TestFleetExchange:
         assert target.import_(envelope) == len(entries)
         assert target.import_(envelope) == 0
         assert CacheStore(tmp_path / "dst").load() == entries
+
+    def test_import_combines_overlapping_stores(self, tmp_path):
+        # Two stores are combined by exporting one into the other: only
+        # the entries the target lacks are appended, each once.
+        mine = CacheStore(tmp_path / "mine")
+        theirs = CacheStore(tmp_path / "theirs")
+        shared, private = _entries(6, seed=0), _entries(6, seed=1)
+        mine.append(shared)
+        theirs.append({**shared, **private})
+        envelope = theirs.export(tmp_path / "theirs.jsonl")
+        assert mine.import_(envelope) == len(private)
+        assert CacheStore(tmp_path / "mine").load() == {**shared, **private}
+        (shard,) = CacheStore(tmp_path / "mine").info()
+        assert shard.records == shard.entries == len(shared) + len(private)
 
     def test_import_rejects_non_envelopes(self, tmp_path):
         bogus = tmp_path / "bogus.jsonl"

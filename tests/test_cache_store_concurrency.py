@@ -137,10 +137,12 @@ class TestMultiProcessStress:
         final = CacheStore(tmp_path).load_platform("cpu")
         assert len(final) == len(expected), "no appends may be lost"
         assert final == expected, "every value must survive bit-for-bit"
-        # One shard, no duplicate records for the contended set beyond
-        # what compaction policy tolerates: exact live count via info().
+        # One shard, and the contended set was written once: a locked
+        # append writes no digest the shard already holds, so no shard
+        # ever carries a dead record.
         (shard,) = CacheStore(tmp_path).info()
         assert shard.entries == len(expected)
+        assert shard.records == shard.entries
         # A warm engine reports the exact loaded_entries count.
         engine = EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0,
                                   cache_store=str(tmp_path))

@@ -54,14 +54,6 @@ FISHER_SEGMENT_SCHEMA = {
     "error": (str, type(None)),
 }
 
-#: ``repro cache info --json``: the process-local compile trie block.
-COMPILE_CACHE_SCHEMA = {
-    "entries": int, "max_entries": int, "enabled": bool,
-    "compile_hits": int, "compile_misses": int, "prefix_hits": int,
-    "prefix_depth_saved": int, "steps_replayed": int, "evictions": int,
-    "invalidations": int,
-}
-
 #: ``repro jobs --json``: one row per submitted job.
 JOBS_ROW_SCHEMA = {
     "job_id": str, "state": str, "attempts": int,
@@ -251,10 +243,6 @@ class TestCache:
         fisher = payload["fisher"]
         assert fisher["profiles"] == 1 and fisher["scores"] > 0
         assert fisher["rows"] == fisher["profiles"] + fisher["scores"]
-        # The process-local compile trie is reported alongside the stores.
-        compile_info = payload["compile_cache"]
-        assert compile_info["max_entries"] > 0
-        assert compile_info["compile_misses"] >= 0
         # clear deletes only recognised store files and reports the rest.
         (tmp_path / "notes.txt").write_text("precious")
         out = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
@@ -271,13 +259,11 @@ class TestCache:
                 "--cache-dir", str(tmp_path))
         payload = json.loads(run_cli(capsys, "cache", "info",
                                      "--cache-dir", str(tmp_path), "--json"))
-        assert set(payload) == {"stores", "fisher", "compile_cache"}
+        assert set(payload) == {"stores", "fisher"}
         assert payload["fisher"] is None  # tuning alone scores no Fisher
         assert isinstance(payload["stores"], list) and payload["stores"]
         for row in payload["stores"]:
             assert_schema(row, CACHE_STORE_ROW_SCHEMA, context="stores row")
-        assert_schema(payload["compile_cache"], COMPILE_CACHE_SCHEMA,
-                      context="compile_cache")
         run_cli(capsys, "optimize", "--model", "resnet18",
                 "--cache-dir", str(tmp_path), *TINY_OPTIMIZE)
         payload = json.loads(run_cli(capsys, "cache", "info",

@@ -22,6 +22,7 @@ from repro.core.engine import EvaluationEngine
 from repro.core.program import TransformProgram
 from repro.core.search import SEARCH_STRATEGY_REGISTRY, UnifiedSearch
 from repro.core.sequences import (
+    SEQUENCE_KINDS,
     nas_candidate_sequences,
     paper_sequences,
     predefined_program,
@@ -101,6 +102,84 @@ class TestGoldenCompileEquality:
         second = _compile_states(program, shape)
         assert second == first
         assert compile_cache.COMPILE_CACHE.statistics.compile_hits > hits_before
+
+
+class TestLruBound:
+    def test_bound_holds_and_evicted_prefixes_recompile_identically(
+            self, monkeypatch):
+        """A 3-snapshot trie compiles every predefined program exactly."""
+        cache = compile_cache.COMPILE_CACHE
+        sizes = []
+        store = cache.store
+
+        def store_and_measure(*args):
+            store(*args)
+            sizes.append(len(cache))
+
+        monkeypatch.setattr(cache, "store", store_and_measure)
+        shape = SHAPES[0]
+        compile_cache.invalidate()
+        cache.max_entries = 3
+        try:
+            # The second pass compiles against prefixes the first evicted.
+            for _ in range(2):
+                for kind in SEQUENCE_KINDS:
+                    program = predefined_program(kind)
+                    if not program.applicable(shape):
+                        continue
+                    assert _compile_states(program, shape) == \
+                        _compile_states(program, shape, uncached=True), kind
+        finally:
+            cache.max_entries = compile_cache.MAX_ENTRIES
+            compile_cache.invalidate()
+        assert max(sizes) == 3
+
+
+class TestStatistics:
+    """The three counters a search reports count what the trie did."""
+
+    def test_hits_misses_and_saved_depth(self):
+        program = paper_sequences()["seq3"]
+        prefix = dataclasses.replace(program, steps=program.steps[:-1])
+        shape = SHAPES[0]
+        depth = len(program.steps)
+        compile_cache.invalidate()
+        stats = compile_cache.COMPILE_CACHE.statistics
+        baseline = stats.snapshot()
+        # Cold prefix: a miss that builds the root and saves nothing.
+        assert _compile_states(prefix, shape) == \
+            _compile_states(prefix, shape, uncached=True)
+        assert stats.delta(baseline) == compile_cache.CompileCacheStatistics(
+            compile_hits=0, compile_misses=1, prefix_depth_saved=0)
+        # The full program resumes from the prefix: one step replayed.
+        assert _compile_states(program, shape) == \
+            _compile_states(program, shape, uncached=True)
+        assert stats.delta(baseline) == compile_cache.CompileCacheStatistics(
+            compile_hits=0, compile_misses=2, prefix_depth_saved=depth - 1)
+        # Compiled again, it is a hit that saves every step.
+        assert _compile_states(program, shape) == \
+            _compile_states(program, shape, uncached=True)
+        assert stats.delta(baseline) == compile_cache.CompileCacheStatistics(
+            compile_hits=1, compile_misses=2,
+            prefix_depth_saved=2 * depth - 1)
+
+    def test_disabled_trie_compiles_uncached_and_counts_nothing(self):
+        compile_cache.invalidate()
+        baseline = compile_cache.COMPILE_CACHE.statistics.snapshot()
+        compile_cache.configure(enabled=False)
+        try:
+            for program in _catalogue():
+                for shape in SHAPES:
+                    if not program.applicable(shape):
+                        continue
+                    assert _compile_states(program, shape) == \
+                        _compile_states(program, shape, uncached=True), \
+                        (program.name, shape)
+        finally:
+            compile_cache.configure(enabled=True)
+        assert len(compile_cache.COMPILE_CACHE) == 0
+        assert compile_cache.COMPILE_CACHE.statistics.delta(baseline) == \
+            compile_cache.CompileCacheStatistics()
 
 
 class TestPrefixAliasing:
