@@ -497,17 +497,25 @@ def _cache_verb(args, directory: Path) -> int:
 
     if args.cache_command == "clear":
         # Delete only files this tool recognises as its own — shard and
-        # Fisher segments (checked by magic) and their lock/scratch files —
-        # and report everything it left alone.
+        # Fisher segments (checked by magic) and writer scratch files —
+        # and report everything it left alone.  Each segment is unlinked
+        # under its writer lock, so a clear never lands inside another
+        # process's append; lock files stay, so every writer keeps
+        # locking the same inode.
         candidates = sorted(directory.iterdir()) if directory.exists() else []
         removed, skipped = [], []
         for path in candidates:
-            if not path.is_dir() and is_store_file(path):
-                removed.append(path)
-            else:
+            if path.is_dir() or not is_store_file(path):
                 skipped.append(path)
+            elif not path.name.endswith(".lock"):
+                removed.append(path)
+        store = CacheStore(directory)
         for path in removed:
-            path.unlink()
+            if ".tmp." in path.name:
+                path.unlink(missing_ok=True)
+                continue
+            with store._exclusive_lock(path.name):
+                path.unlink(missing_ok=True)
         print(f"removed {len(removed)} cache store file(s)")
         for path in skipped:
             print(f"skipped {path.name}: not a recognised cache store file")

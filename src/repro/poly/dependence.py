@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.poly.affine import AffineExpr
-from repro.poly.domain import Domain
-from repro.poly.statement import Access, Statement
+import numpy as np
+
+from repro.poly.statement import Statement
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,6 @@ class DependenceVector:
         return DependenceVector(tuple(self.distances[i] for i in order), self.tensor, self.kind)
 
 
-def _unit_vector(domain: Domain, name: str) -> tuple[int, ...]:
-    return tuple(1 if it.name == name else 0 for it in domain.iterators)
-
-
 def dependence_vectors(statement: Statement) -> list[DependenceVector]:
     """Compute the uniform dependence distance vectors of a statement.
 
@@ -52,54 +48,59 @@ def dependence_vectors(statement: Statement) -> list[DependenceVector]:
     * Accesses to the same tensor whose maps differ by a constant offset
       carry that constant distance (not exercised by the standard nest but
       kept for generality).
+
+    Both read the access matrix: a map is a block of rows, and two maps
+    are equal when their blocks are.
     """
     vectors: list[DependenceVector] = []
-    domain = statement.domain
-    writes = [acc for acc in statement.writes]
-    reads = [acc for acc in statement.reads]
-
-    for write in writes:
-        matching_reads = [r for r in reads if r.tensor == write.tensor]
-        for read in matching_reads:
-            if read.map == write.map:
+    coefficients, offsets = statement.coefficients, statement.offsets
+    extents = [iterator.extent for iterator in statement.domain.iterators]
+    rank = len(extents)
+    bounds = list(zip(statement.layout, statement.rows()))
+    for (tensor, is_write, _), (w_first, w_stop) in bounds:
+        if not is_write:
+            continue
+        write = coefficients[w_first:w_stop]
+        for (read_tensor, read_is_write, _), (r_first, r_stop) in bounds:
+            if read_is_write or read_tensor != tensor:
+                continue
+            read = coefficients[r_first:r_stop]
+            if write.shape != read.shape or not np.array_equal(write, read):
+                continue  # neither the same map nor a constant shift of it
+            delta = (offsets[r_first:r_stop] - offsets[w_first:w_stop]).tolist()
+            if not any(delta):
                 # Reduction/accumulation: dependences along the missing iterators.
-                used = set()
-                for expr in write.map.exprs:
-                    used.update(expr.variables)
-                for iterator in domain.iterators:
-                    if iterator.name not in used and iterator.extent > 1:
-                        vectors.append(DependenceVector(
-                            _unit_vector(domain, iterator.name), write.tensor, "reduction"))
+                used = write.any(axis=0).tolist()
+                for index in range(rank):
+                    if not used[index] and extents[index] > 1:
+                        unit = [0] * rank
+                        unit[index] = 1
+                        vectors.append(DependenceVector(tuple(unit), tensor, "reduction"))
             else:
-                offset = _constant_offset(write, read, domain)
+                offset = _constant_offset(write.tolist(), delta, rank)
                 if offset is not None and any(offset):
-                    vectors.append(DependenceVector(offset, write.tensor, "flow"))
+                    vectors.append(DependenceVector(offset, tensor, "flow"))
     return vectors
 
 
-def _constant_offset(write: Access, read: Access, domain: Domain) -> tuple[int, ...] | None:
-    """If ``write`` and ``read`` maps differ by constants only, return the
-    per-iterator shift that aligns them; otherwise None."""
-    if write.map.arity != read.map.arity:
-        return None
-    shift = {name: 0 for name in domain.names}
-    for w_expr, r_expr in zip(write.map.exprs, read.map.exprs):
-        if w_expr.coeffs != r_expr.coeffs:
-            return None
-        delta = r_expr.const - w_expr.const
-        if delta == 0:
+def _constant_offset(rows: list[list[int]], delta: list[int],
+                     rank: int) -> tuple[int, ...] | None:
+    """The per-iterator shift aligning two maps with equal coefficient
+    ``rows`` whose constants differ by ``delta``; None if not uniform."""
+    shift = [0] * rank
+    for row, difference in zip(rows, delta):
+        if difference == 0:
             continue
         # Attribute the constant difference to the single iterator of the
         # dimension when unambiguous; otherwise give up (non-uniform).
-        variables = w_expr.variables
-        if len(variables) != 1:
+        used = [index for index, coeff in enumerate(row) if coeff]
+        if len(used) != 1:
             return None
-        name = variables[0]
-        coeff = w_expr.coeff(name)
-        if coeff == 0 or delta % coeff != 0:
+        coeff = row[used[0]]
+        if difference % coeff != 0:
             return None
-        shift[name] = delta // coeff
-    return tuple(shift[name] for name in domain.names)
+        shift[used[0]] = difference // coeff
+    return tuple(shift)
 
 
 def schedule_preserves_dependences(statement: Statement, new_order: list[str]) -> bool:

@@ -51,9 +51,27 @@ class Domain:
         return cls(tuple(Iterator(name, extent) for name, extent in extents.items()))
 
     # ------------------------------------------------------------------
+    def _lookup(self) -> tuple[tuple[str, ...], dict[str, int]]:
+        # Names and name -> first index, memoised per instance:
+        # transformations and the tuner look iterators up by name many
+        # times per domain.
+        cached = self.__dict__.get("_lookup_table")
+        if cached is None:
+            names = tuple(it.name for it in self.iterators)
+            positions: dict[str, int] = {}
+            for index, name in enumerate(names):
+                positions.setdefault(name, index)
+            cached = (names, positions)
+            object.__setattr__(self, "_lookup_table", cached)
+        return cached
+
+    def positions(self) -> dict[str, int]:
+        """Iterator name -> loop index (treat as read-only)."""
+        return self._lookup()[1]
+
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(it.name for it in self.iterators)
+        return self._lookup()[0]
 
     @property
     def rank(self) -> int:
@@ -67,19 +85,16 @@ class Domain:
         return self[name].extent
 
     def __getitem__(self, name: str) -> Iterator:
-        for it in self.iterators:
-            if it.name == name:
-                return it
-        raise TransformError(f"iterator '{name}' not in domain {self.names}")
+        return self.iterators[self.index_of(name)]
 
     def __contains__(self, name: str) -> bool:
-        return any(it.name == name for it in self.iterators)
+        return name in self.positions()
 
     def index_of(self, name: str) -> int:
-        for index, it in enumerate(self.iterators):
-            if it.name == name:
-                return index
-        raise TransformError(f"iterator '{name}' not in domain {self.names}")
+        index = self.positions().get(name)
+        if index is None:
+            raise TransformError(f"iterator '{name}' not in domain {self.names}")
+        return index
 
     # ------------------------------------------------------------------
     def points(self) -> TypingIterator[dict[str, int]]:

@@ -4,15 +4,27 @@ This module provides the three components of the polyhedral model listed in
 §4 of the paper — domain, accesses, schedule — packaged per statement, plus
 :func:`convolution_nest`, the representation of the standard tensor
 convolution (Algorithm 1 generalised to K_h x K_w kernels).
+
+A statement stores all of its access maps as one integer matrix: row ``r``
+is one tensor dimension of one access, column ``j`` the coefficient of the
+domain's ``j``-th iterator, plus one constant per row.  Every
+transformation is then an integer rewrite of that matrix (a substitution
+product, a column permutation or an extent change, see
+:mod:`repro.poly.transforms`), and lowering reads extents, strides and
+footprints straight off it.  :class:`Access` and
+:class:`~repro.poly.affine.AffineMap` are the named form the maps are
+built from and printed in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import TransformError
 from repro.poly.affine import AffineExpr, AffineMap
-from repro.poly.domain import Domain, Iterator
+from repro.poly.domain import Domain
 
 
 @dataclass(frozen=True)
@@ -31,38 +43,158 @@ class Access:
         return f"{mode} {self.tensor}{self.map}"
 
 
-@dataclass(frozen=True)
-class Statement:
-    """A statement with its domain, schedule and accesses.
+def frozen_array(values, dtype=np.int64) -> np.ndarray:
+    """A read-only integer array (statements share theirs between copies)."""
+    array = np.asarray(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
-    ``schedule`` maps domain iterators to logical time; the identity
-    schedule executes the loop nest in its textual order.
+
+@dataclass(frozen=True, eq=False)
+class Statement:
+    """A statement with its domain and affine accesses.
+
+    ``layout`` lists the accesses, writes first, as ``(tensor, is_write,
+    dims)``; their ``dims`` rows follow one another in ``coefficients``
+    (one column per domain iterator, in domain order) and ``offsets``.
+    The schedule is the identity over the domain's iterator order:
+    reordering a nest permutes the domain (and the matrix columns).
+
+    Statements are immutable values: equal content compares equal and
+    hashes equally, whatever sequence of rewrites produced it.
     """
 
     name: str
     domain: Domain
-    writes: tuple[Access, ...]
-    reads: tuple[Access, ...]
-    schedule: AffineMap
+    layout: tuple[tuple[str, bool, int], ...]
+    coefficients: np.ndarray
+    offsets: np.ndarray
 
     @classmethod
     def create(cls, name: str, domain: Domain, writes: list[Access],
                reads: list[Access]) -> "Statement":
-        return cls(name, domain, tuple(writes), tuple(reads),
-                   AffineMap.identity(list(domain.names)))
+        position = {iterator: index for index, iterator in enumerate(domain.names)}
+        layout, rows, offsets = [], [], []
+        for access, is_write in [(a, True) for a in writes] + [(a, False) for a in reads]:
+            if access.is_write != is_write:
+                raise TransformError(
+                    f"access {access} is listed as a {'write' if is_write else 'read'}")
+            if not access.map.arity:
+                raise TransformError(f"access {access} has no dimensions")
+            for expr in access.map.exprs:
+                row = [0] * domain.rank
+                for iterator, coeff in expr.coeffs:
+                    if iterator not in position:
+                        raise TransformError(
+                            f"access {access} uses '{iterator}', which is not in "
+                            f"domain {domain.names}")
+                    row[position[iterator]] = coeff
+                rows.append(row)
+                offsets.append(expr.const)
+            layout.append((access.tensor, access.is_write, access.map.arity))
+        coefficients = frozen_array(rows).reshape(len(rows), domain.rank)
+        return cls(name, domain, tuple(layout), coefficients, frozen_array(offsets))
+
+    # ------------------------------------------------------------------
+    # Value semantics over the integer matrix
+    # ------------------------------------------------------------------
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Statement):
+            return NotImplemented
+        return (self is other
+                or (self.name == other.name and self.domain == other.domain
+                    and self.layout == other.layout
+                    and np.array_equal(self.coefficients, other.coefficients)
+                    and np.array_equal(self.offsets, other.offsets)))
+
+    def __hash__(self) -> int:
+        # Memoised per instance: computations key the tuning-context store
+        # and hash their statement once per lookup.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.name, self.domain, self.layout,
+                           self.coefficients.shape, self.coefficients.tobytes(),
+                           self.offsets.tobytes()))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self):
+        # str hashes are salted per process; never pickle the memo.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    def __setstate__(self, state):
+        for key, value in state.items():
+            object.__setattr__(self, key, value)
+        for array in (self.coefficients, self.offsets):
+            array.flags.writeable = False
+
+    # ------------------------------------------------------------------
+    # The named view
+    # ------------------------------------------------------------------
+    def rows(self) -> list[tuple[int, int]]:
+        """``(first, stop)`` matrix rows of every access, in layout order."""
+        bounds, start = [], 0
+        for _, _, dims in self.layout:
+            bounds.append((start, start + dims))
+            start += dims
+        return bounds
+
+    def access_map(self, first: int, stop: int) -> AffineMap:
+        """The rows ``first:stop`` as a named affine map."""
+        names = self.domain.names
+        exprs = []
+        for row, const in zip(self.coefficients[first:stop].tolist(),
+                              self.offsets[first:stop].tolist()):
+            exprs.append(AffineExpr(tuple(sorted(
+                (names[index], coeff) for index, coeff in enumerate(row) if coeff)), const))
+        return AffineMap(tuple(exprs))
 
     @property
     def accesses(self) -> tuple[Access, ...]:
-        return self.writes + self.reads
+        return tuple(Access(tensor, self.access_map(first, stop), is_write)
+                     for (tensor, is_write, _), (first, stop)
+                     in zip(self.layout, self.rows()))
 
+    @property
+    def writes(self) -> tuple[Access, ...]:
+        return tuple(access for access in self.accesses if access.is_write)
+
+    @property
+    def reads(self) -> tuple[Access, ...]:
+        return tuple(access for access in self.accesses if not access.is_write)
+
+    @property
+    def schedule(self) -> AffineMap:
+        return AffineMap.identity(list(self.domain.names))
+
+    # ------------------------------------------------------------------
+    # Rewrites (used by the transformations)
+    # ------------------------------------------------------------------
     def with_domain(self, domain: Domain) -> "Statement":
-        return replace(self, domain=domain)
+        """Same accesses over a domain with the same iterator order."""
+        return Statement(self.name, domain, self.layout, self.coefficients, self.offsets)
 
-    def with_schedule(self, schedule: AffineMap) -> "Statement":
-        return replace(self, schedule=schedule)
+    def substituted(self, domain: Domain, substitution: np.ndarray,
+                    shift: np.ndarray | None = None) -> "Statement":
+        """Rewrite the accesses for ``old = substitution @ new + shift``.
 
-    def with_accesses(self, writes: list[Access], reads: list[Access]) -> "Statement":
-        return replace(self, writes=tuple(writes), reads=tuple(reads))
+        ``substitution`` has one row per current iterator and one column
+        per iterator of ``domain``; the new coefficients are the product
+        of the current ones with it.
+        """
+        offsets = self.offsets
+        if shift is not None:
+            offsets = frozen_array(offsets + self.coefficients @ shift)
+        return Statement(self.name, domain, self.layout,
+                         frozen_array(self.coefficients @ substitution), offsets)
+
+    def permuted(self, order: list[int]) -> "Statement":
+        """Reorder the domain: iterator ``order[k]`` becomes the ``k``-th."""
+        domain = Domain(tuple(self.domain.iterators[index] for index in order))
+        return Statement(self.name, domain, self.layout,
+                         frozen_array(self.coefficients[:, order]), self.offsets)
 
     def __str__(self) -> str:
         return f"{self.name}: {self.domain} schedule={self.schedule}"

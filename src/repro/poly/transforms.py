@@ -6,23 +6,31 @@ dependences.  The neural transformations of §5.1 (bottleneck, group,
 depthwise) deliberately change the computed values; their legality is
 deferred to the Fisher-Potential check (``is_neural = True``).
 
-Every transformation rewrites the statement's *domain* and *access maps*
-so that the result is again a plain affine statement — strip-mining, for
-example, replaces iterator ``ci`` with ``ci_o``/``ci_i`` and substitutes
-``ci := factor * ci_o + ci_i`` into every access, which keeps schedules
-affine instead of introducing div/mod.
+Every transformation rewrites the statement's *domain* and its integer
+*access matrix* (:class:`~repro.poly.statement.Statement`) so that the
+result is again a plain affine statement:
+
+* split, tile, group, fuse, reverse and depthwise substitute the old
+  iterators by affine combinations of the new ones — strip-mining ``ci``
+  by 4 substitutes ``ci := 4 * ci_o + ci_i`` — which is one product of
+  the access matrix with an integer substitution matrix (plus a constant
+  shift for reverse), and keeps schedules affine instead of introducing
+  div/mod;
+* reorder and interchange permute the matrix columns with the domain;
+* bottleneck only shrinks an extent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import LegalityError, TransformError
-from repro.poly.affine import AffineExpr, AffineMap
 from repro.poly.dependence import schedule_preserves_dependences
 from repro.poly.domain import Domain, Iterator
-from repro.poly.statement import Access, Statement
+from repro.poly.statement import Statement
 
 
 @dataclass(frozen=True)
@@ -54,10 +62,35 @@ class Transformation:
         return self.name
 
 
-def _rewrite_accesses(statement: Statement, mapping: dict[str, AffineExpr]) -> tuple[list[Access], list[Access]]:
-    writes = [Access(a.tensor, a.map.substitute(mapping), True) for a in statement.writes]
-    reads = [Access(a.tensor, a.map.substitute(mapping), False) for a in statement.reads]
-    return writes, reads
+def _substitute(statement: Statement, domain: Domain,
+                replaced: Mapping[str, Mapping[str, int]],
+                shift: Mapping[str, int] | None = None) -> Statement:
+    """Rewrite ``statement`` onto ``domain`` by one substitution product.
+
+    Each iterator in ``replaced`` becomes the given integer combination of
+    ``domain``'s iterators (an empty combination substitutes 0), plus its
+    ``shift`` constant; every other iterator keeps its name.
+    """
+    position = domain.positions()
+    substitution = []
+    for name in statement.domain.names:
+        row = [0] * domain.rank
+        for target, coeff in replaced.get(name, {name: 1}).items():
+            row[position[target]] = coeff
+        substitution.append(row)
+    constants = None
+    if shift:
+        constants = np.array([shift.get(name, 0) for name in statement.domain.names],
+                             dtype=np.int64)
+    return statement.substituted(
+        domain, np.array(substitution, dtype=np.int64).reshape(statement.domain.rank,
+                                                               domain.rank), constants)
+
+
+def _reordered(statement: Statement, order: Sequence[str]) -> Statement:
+    """The statement with its loops in ``order`` (a column permutation)."""
+    position = statement.domain.positions()
+    return statement.permuted([position[name] for name in order])
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +120,7 @@ class Interchange(Transformation):
         order = list(statement.domain.names)
         i, j = order.index(self.first), order.index(self.second)
         order[i], order[j] = order[j], order[i]
-        return statement.with_domain(statement.domain.reorder(order)).with_schedule(
-            AffineMap.identity(order))
+        return _reordered(statement, order)
 
     def describe(self) -> str:
         return f"interchange({self.first},{self.second})"
@@ -110,9 +142,7 @@ class Reorder(Transformation):
 
     def apply(self, statement: Statement) -> Statement:
         self.validate(statement)
-        order = list(self.order)
-        return statement.with_domain(statement.domain.reorder(order)).with_schedule(
-            AffineMap.identity(order))
+        return _reordered(statement, self.order)
 
     def describe(self) -> str:
         return f"reorder({','.join(self.order)})"
@@ -141,9 +171,8 @@ class Reverse(Transformation):
     def apply(self, statement: Statement) -> Statement:
         self.validate(statement)
         extent = statement.domain.extent(self.iterator)
-        mapping = {self.iterator: AffineExpr.of({self.iterator: -1}, extent - 1)}
-        writes, reads = _rewrite_accesses(statement, mapping)
-        return statement.with_accesses(writes, reads)
+        return _substitute(statement, statement.domain, {self.iterator: {self.iterator: -1}},
+                           shift={self.iterator: extent - 1})
 
     def describe(self) -> str:
         return f"reverse({self.iterator})"
@@ -177,11 +206,8 @@ class StripMine(Transformation):
         outer = Iterator(f"{self.iterator}_o", extent // self.factor)
         inner = Iterator(f"{self.iterator}_i", self.factor)
         domain = statement.domain.replace(self.iterator, outer, inner)
-        mapping = {self.iterator: AffineExpr.of({outer.name: self.factor, inner.name: 1})}
-        writes, reads = _rewrite_accesses(statement, mapping)
-        return (statement.with_domain(domain)
-                .with_accesses(writes, reads)
-                .with_schedule(AffineMap.identity(list(domain.names))))
+        return _substitute(statement, domain,
+                           {self.iterator: {outer.name: self.factor, inner.name: 1}})
 
     def describe(self) -> str:
         return f"split({self.iterator},{self.factor})"
@@ -208,8 +234,7 @@ class Tile(Transformation):
         if not schedule_preserves_dependences(stripped, order):
             raise LegalityError(f"tile({self.iterator},{self.factor}) violates a dependence",
                                 primitive="tile", reason="violates a data dependence")
-        return (stripped.with_domain(stripped.domain.reorder(order))
-                .with_schedule(AffineMap.identity(order)))
+        return _reordered(stripped, order)
 
     def describe(self) -> str:
         return f"tile({self.iterator},{self.factor})"
@@ -268,31 +293,24 @@ class Fuse(Transformation):
         # the other absent; in the latter case the access becomes
         # non-affine, so we reject.
         combo_ok = True
-        for access in statement.accesses:
-            for expr in access.map.exprs:
-                c_first = expr.coeff(self.first)
-                c_second = expr.coeff(self.second)
-                if c_first == 0 and c_second == 0:
-                    continue
-                if c_second != 0 and c_first == c_second * extent_inner:
-                    continue
-                if c_first == 0 and c_second != 0 and extent_outer == 1:
-                    continue
-                if c_second == 0 and c_first != 0 and extent_inner == 1:
-                    continue
-                combo_ok = False
+        columns = statement.coefficients[:, [statement.domain.index_of(self.first),
+                                             statement.domain.index_of(self.second)]]
+        for c_first, c_second in columns.tolist():
+            if c_first == 0 and c_second == 0:
+                continue
+            if c_second != 0 and c_first == c_second * extent_inner:
+                continue
+            if c_first == 0 and c_second != 0 and extent_outer == 1:
+                continue
+            if c_second == 0 and c_first != 0 and extent_inner == 1:
+                continue
+            combo_ok = False
         if not combo_ok:
             raise TransformError(
                 f"fuse({self.first},{self.second}) would produce a non-affine access")
         domain = statement.domain.replace(self.first, fused).drop(self.second)
-        mapping = {
-            self.first: AffineExpr.constant(0),
-            self.second: AffineExpr.var(fused_name),
-        }
-        writes, reads = _rewrite_accesses(statement, mapping)
-        return (statement.with_domain(domain)
-                .with_accesses(writes, reads)
-                .with_schedule(AffineMap.identity(list(domain.names))))
+        return _substitute(statement, domain, {self.first: {},
+                                               self.second: {fused_name: 1}})
 
     def describe(self) -> str:
         return f"fuse({self.first},{self.second})"
@@ -370,20 +388,19 @@ class Group(NeuralTransformation):
         domain = statement.domain
         outer_extent = domain.extent(self.outer) // self.factor
         inner_extent = domain.extent(self.inner) // self.factor
-        group_it = Iterator("g", self.factor)
-        outer_it = Iterator(f"{self.outer}_g", outer_extent)
-        inner_it = Iterator(f"{self.inner}_g", inner_extent)
-        new_domain = (domain.replace(self.outer, outer_it)
-                      .replace(self.inner, inner_it)
-                      .prepend(group_it))
-        mapping = {
-            self.outer: AffineExpr.of({"g": outer_extent, outer_it.name: 1}),
-            self.inner: AffineExpr.of({"g": inner_extent, inner_it.name: 1}),
-        }
-        writes, reads = _rewrite_accesses(statement, mapping)
-        return (statement.with_domain(new_domain)
-                .with_accesses(writes, reads)
-                .with_schedule(AffineMap.identity(list(new_domain.names))))
+        new_domain = self.grouped_domain(domain)
+        return _substitute(statement, new_domain, {
+            self.outer: {"g": outer_extent, f"{self.outer}_g": 1},
+            self.inner: {"g": inner_extent, f"{self.inner}_g": 1},
+        })
+
+    def grouped_domain(self, domain: Domain) -> Domain:
+        """``g`` prepended, the outer/inner pair replaced by its per-group slice."""
+        return (domain.replace(self.outer, Iterator(f"{self.outer}_g",
+                                                    domain.extent(self.outer) // self.factor))
+                .replace(self.inner, Iterator(f"{self.inner}_g",
+                                              domain.extent(self.inner) // self.factor))
+                .prepend(Iterator("g", self.factor)))
 
     def describe(self) -> str:
         return f"group({self.factor})"
@@ -412,18 +429,13 @@ class Depthwise(NeuralTransformation):
 
     def apply(self, statement: Statement) -> Statement:
         self.validate(statement)
-        factor = statement.domain.extent(self.outer)
-        grouped = Group(factor, self.outer, self.inner).apply(statement)
-        # The per-group extents are 1; drop the trivially sized iterators.
-        domain = grouped.domain
-        mapping: dict[str, AffineExpr] = {}
-        for name in (f"{self.outer}_g", f"{self.inner}_g"):
-            mapping[name] = AffineExpr.constant(0)
-            domain = domain.drop(name)
-        writes, reads = _rewrite_accesses(grouped, mapping)
-        return (grouped.with_domain(domain)
-                .with_accesses(writes, reads)
-                .with_schedule(AffineMap.identity(list(domain.names))))
+        group = Group(statement.domain.extent(self.outer), self.outer, self.inner)
+        group.validate(statement)
+        # Grouping by the channel count leaves per-group extents of 1; the
+        # trivially sized iterators are dropped, so both channels become g.
+        domain = (group.grouped_domain(statement.domain)
+                  .drop(f"{self.outer}_g").drop(f"{self.inner}_g"))
+        return _substitute(statement, domain, {self.outer: {"g": 1}, self.inner: {"g": 1}})
 
     def describe(self) -> str:
         return "depthwise()"

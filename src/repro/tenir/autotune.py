@@ -11,10 +11,14 @@ analysis that does not depend on the sampled parameter values — loop
 classification, the innermost-spatial axis, iterator extents and the
 divisor tables the sampler draws from — is computed once per
 (computation, platform) and amortised across every trial, the way TVM's
-auto-tuner amortises template analysis across measurements.  Trials whose
-parameters instantiate the same schedule are deduplicated, structural
-schedule state is cached and cloned instead of rebuilt, and the surviving
-candidates are scored through the batch cost model.
+auto-tuner amortises template analysis across measurements.  Each trial
+builds its structure straight from the computation's integer access
+matrix — the template's splits gather and scale its columns, the reorder
+permutes them — and lowers by scaling the computation's strides, since
+strip-mining and reordering change neither the tensor extents nor the
+row-major layout.  Trials whose parameters instantiate the same schedule
+are deduplicated, and the surviving candidates are scored through the
+batch cost model.
 
 :meth:`AutoTuner.tune` is the only tuning loop.  The pre-fast-path loop
 it replaced (per-trial template functions and the scalar cost model) is
@@ -24,19 +28,31 @@ pins the two bit for bit.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import ScheduleError
 from repro.hardware.cost_model import LatencyEstimate, estimate_latency_batch
 from repro.hardware.platform import PlatformSpec
+from repro.poly.dependence import dependence_vectors
+from repro.poly.domain import Domain, Iterator
+from repro.poly.statement import Statement, frozen_array
 from repro.tenir.expr import Computation
-from repro.tenir.lower import LoweredNest, analyse_accesses, lower
-from repro.tenir.schedule import Stage, create_schedule
+from repro.tenir.lower import (
+    AccessRows,
+    LoweredAccess,
+    LoweredLoop,
+    LoweredNest,
+    access_rows,
+    attach_traffic_arrays,
+    lower,
+)
+from repro.tenir.schedule import LoopAnnotation, Stage, create_schedule
 from repro.utils import divisors, make_rng
 
 
@@ -50,17 +66,19 @@ def classify_loops(stage: Stage) -> dict[str, list[str]]:
     to threads / cores); reduction iterators only feed the accumulation.
     """
     statement = stage.statement
-    write_vars: set[str] = set()
-    for access in statement.writes:
-        for expr in access.map.exprs:
-            write_vars.update(expr.variables)
-    parallel = [name for name in statement.domain.names if name in write_vars]
-    reduction = [name for name in statement.domain.names if name not in write_vars]
+    write_rows = [statement.coefficients[first:stop]
+                  for (_, is_write, _), (first, stop)
+                  in zip(statement.layout, statement.rows()) if is_write]
+    indexed = (np.concatenate(write_rows).any(axis=0).tolist() if write_rows
+               else [False] * statement.domain.rank)
+    names = statement.domain.names
+    parallel = [name for name, used in zip(names, indexed) if used]
+    reduction = [name for name, used in zip(names, indexed) if not used]
     return {"parallel": parallel, "reduction": reduction}
 
 
 def _innermost_spatial(stage: Stage, categories: dict[str, list[str]],
-                       nest: LoweredNest) -> str:
+                       nest: LoweredNest | AccessRows) -> str:
     """The output-parallel iterator with unit stride in the output tensor."""
     write = next(acc for acc in nest.accesses if acc.is_write)
     best = categories["parallel"][-1]
@@ -106,16 +124,14 @@ class TuningContext:
 
     Everything the schedule templates and the parameter sampler derive
     from the computation alone — classified loops, the innermost-spatial
-    axis, iterator extents and the divisor tables — is resolved at build
-    time, so per-trial work shrinks to drawing parameter values and
-    instantiating the schedule.  Structural schedule state (the split /
-    reorder rewrites) and the annotation-independent half of lowering are
-    additionally cached per :meth:`schedule_key`, so trials that differ
-    only in annotations clone instead of rebuild.
+    axis, iterator extents, the divisor tables and the access analysis of
+    the computation's statement — is resolved at build time, so per-trial
+    work shrinks to drawing parameter values and building the trial from
+    integer arrays (:meth:`trial`).
 
     Sampling (:meth:`sample`) consumes the RNG in exactly the order the
-    pre-fast-path sampler did and :meth:`instantiate` builds the same
-    schedules its CPU and GPU template functions did, so tuning is
+    pre-fast-path sampler did and :meth:`trial` builds the same schedules
+    and nests its CPU and GPU template functions did, so tuning is
     bit-identical to the frozen oracle (``tests/tuning_oracle.py``).
     """
 
@@ -138,9 +154,18 @@ class TuningContext:
     unroll_options: list[int]
     thread_options: list[int]
     spatial_divisors: list[int]
-    _structural: dict = field(default_factory=dict, repr=False)
-    _lowered: dict = field(default_factory=dict, repr=False)
-    #: per-``schedule_key`` ``[stage, nest, LatencyEstimate | None]`` triples
+    #: the distinct accesses of the computation's statement, analysed
+    rows: AccessRows
+    #: per distinct access, each matrix column's iterator stride (None
+    #: where the access does not use the iterator)
+    column_strides: list[list[int | None]]
+    #: the computation's loops, unannotated
+    plain_loops: tuple[LoweredLoop, ...]
+    #: the statement carries only reduction dependences, which every loop
+    #: order preserves (before and after the template's splits); the GPU
+    #: template never reorders, so it is not checked there
+    any_order_legal: bool
+    #: per-``schedule_key`` ``[stage or its factory, nest, LatencyEstimate | None]``
     #: (and the keys whose instantiation raised) — the cross-call memo that
     #: makes re-tunes at another fidelity or seed near-free.  Every cached
     #: value equals its recomputation bit for bit, so sharing them changes
@@ -152,7 +177,8 @@ class TuningContext:
     def build(cls, computation: Computation, platform: PlatformSpec) -> "TuningContext":
         stage = create_schedule(computation)
         categories = classify_loops(stage)
-        spatial = _innermost_spatial(stage, categories, lower(stage))
+        rows = access_rows(stage.statement)
+        spatial = _innermost_spatial(stage, categories, rows)
         domain = stage.statement.domain
         spatial_extent = domain.extent(spatial)
         sample_outer = categories["parallel"][0]
@@ -177,6 +203,13 @@ class TuningContext:
             thread_options=[d for d in divisors(spatial_extent * sample_outer_extent)
                             if d <= platform.vector_width * 8],
             spatial_divisors=divisors(spatial_extent),
+            rows=rows,
+            column_strides=[[access.iterator_strides.get(name) for name in domain.names]
+                            for access in rows.accesses],
+            plain_loops=tuple(LoweredLoop(it.name, it.extent, LoopAnnotation())
+                              for it in domain.iterators),
+            any_order_legal=platform.is_gpu or all(
+                vector.kind == "reduction" for vector in dependence_vectors(stage.statement)),
         )
 
     # ------------------------------------------------------------------
@@ -238,51 +271,206 @@ class TuningContext:
         return ("cpu", *self._cpu_split_factors(params), self._effective_unroll(params))
 
     # ------------------------------------------------------------------
-    # Instantiation (cached structural state + cheap annotation clones)
+    # Instantiation
     # ------------------------------------------------------------------
-    def _last_reduction(self, stage: Stage) -> str:
-        return next(n for n in reversed(stage.loop_order) if n in self.reduction_set)
+    def instantiate(self, params: ScheduleParameters) -> Stage:
+        """Instantiate the platform template for ``params``.
 
-    def _cpu_spatial_split(self, spatial_factor: int) -> tuple[Stage, str]:
-        """First structural level: only the spatial split applied.
-
-        Cached separately from the full structural stage so the outer
-        splits fan out from a clone instead of replaying the spatial
-        split for every (spatial, outer) pair.
+        CPU: tile, parallelise, vectorise, unroll.  GPU: map the output
+        loops to blocks/threads, unroll, prefetch.
         """
-        key = ("cpu-spatial", spatial_factor)
-        cached = self._structural.get(key)
-        if cached is None:
-            stage = create_schedule(self.computation)
-            spatial_inner = self.spatial
-            if spatial_factor > 1:
-                _, spatial_inner = stage.split(self.spatial, spatial_factor)
-            cached = (stage, spatial_inner)
-            self._structural[key] = cached
-        return cached
+        return self.trial(params)[0]()
 
-    def _cpu_structural(self, spatial_factor: int, outer_factor: int) -> Stage:
-        key = ("cpu", spatial_factor, outer_factor)
-        cached = self._structural.get(key)
-        if cached is None:
-            base, spatial_inner = self._cpu_spatial_split(spatial_factor)
-            stage = base.clone()
-            outer_name = self.cpu_outer
-            if outer_factor > 1:
-                outer_name, _ = stage.split(self.cpu_outer, outer_factor)
-            remaining = [n for n in stage.loop_order if n not in (outer_name, spatial_inner)]
-            stage.reorder(outer_name, *remaining, spatial_inner)
-            stage.parallel(outer_name)
-            stage.vectorize(spatial_inner)
-            cached = stage
-            self._structural[key] = cached
-        return cached
+    def trials(self, batch: list[ScheduleParameters]
+               ) -> list[tuple[Callable[[], Stage], LoweredNest] | None]:
+        """:meth:`trial` for each of ``batch`` (``None`` where the template
+        raised :class:`ScheduleError`).
 
-    def _gpu_structural(self, factor: int) -> tuple[Stage, str, str | None]:
-        key = ("gpu", factor)
-        cached = self._structural.get(key)
-        if cached is None:
-            stage = create_schedule(self.computation)
+        Trials with the same loops (they differ only in annotations) share
+        one access analysis, and the locality arrays of every distinct
+        loop structure are built in one pass over the batch.
+        """
+        structures: dict[tuple, list] = {}
+        built = []
+        for params in batch:
+            try:
+                built.append(self.trial(params, structures))
+            except ScheduleError:
+                built.append(None)
+        if structures:
+            groups = list(structures.values())
+            attach_traffic_arrays([nests[0] for _, _, nests in groups],
+                                  [block for _, block, _ in groups],
+                                  self.rows.dim_extents, self.rows.starts)
+            for _, _, nests in groups:
+                for nest in nests[1:]:
+                    object.__setattr__(nest, "_traffic_arrays", nests[0].traffic_arrays())
+        return built
+
+    def trial(self, params: ScheduleParameters, structures: dict | None = None
+              ) -> tuple[Callable[[], Stage], LoweredNest]:
+        """The template's stage for ``params`` (as a factory) and its nest.
+
+        Built from integer arrays: a loop of the trial is a column of the
+        computation's matrix times a multiplier (``factor`` for the outer
+        loop of a split, 1 otherwise), so its statement is a gather of the
+        matrix columns in the template's loop order.  Splits and reorders
+        leave every tensor extent and row-major stride unchanged, so the
+        nest's accesses are the computation's with each stride scaled by
+        its loop's multiplier.  ``structures`` collects, per loop
+        structure, the access analysis and the nests built on it, for
+        :meth:`trials` to share; a lone trial's locality arrays are built
+        when first read.  A template the arrays cannot express as is — a
+        loop order that a dependence or a name clash could reject, or a
+        nest of two loops — goes through the Stage primitives instead.
+        """
+        built = (self._gpu_trial(params, structures) if self.platform.is_gpu
+                 else self._cpu_trial(params, structures))
+        if built is None:
+            stage = self._template_stage(params)
+            return stage.clone, lower(stage)
+        return built
+
+    def _split(self, factors: dict[str, int]) -> list[tuple[Iterator, int, int]]:
+        """The computation's loops with each iterator in ``factors``
+        strip-mined: ``(loop, matrix column, multiplier)``, outermost first."""
+        loops = []
+        for column, base in enumerate(self.computation.statement.domain.iterators):
+            factor = factors.get(base.name, 1)
+            if factor > 1:
+                loops.append((Iterator(f"{base.name}_o", base.extent // factor), column, factor))
+                loops.append((Iterator(f"{base.name}_i", factor), column, 1))
+            else:
+                loops.append((base, column, 1))
+        return loops
+
+    def _unroll(self, loops: list, params: ScheduleParameters,
+                annotations: dict[str, LoopAnnotation], history: list[str]) -> None:
+        if params.unroll > 1 and self.reduction_set:
+            loop = next(loop for loop, _, _ in reversed(loops)
+                        if loop.name in self.reduction_set)
+            factor = min(params.unroll, loop.extent)
+            annotations[loop.name] = annotations.get(
+                loop.name, LoopAnnotation()).merged_with(unroll=factor)
+            history.append(f"unroll({loop.name},{factor})")
+
+    def _cpu_trial(self, params: ScheduleParameters, structures: dict | None):
+        spatial_factor, outer_factor = self._cpu_split_factors(params)
+        if self.cpu_outer == self.spatial or not self.any_order_legal:
+            return None
+        loops = self._split({self.spatial: spatial_factor, self.cpu_outer: outer_factor})
+        names = [loop.name for loop, _, _ in loops]
+        if len(set(names)) != len(names) or len(names) <= 2:
+            return None
+        spatial_inner = f"{self.spatial}_i" if spatial_factor > 1 else self.spatial
+        outer_name = f"{self.cpu_outer}_o" if outer_factor > 1 else self.cpu_outer
+        # Hoist the parallel loop to the front, sink the vector loop to the back.
+        position = {name: index for index, name in enumerate(names)}
+        order = ([outer_name] + [n for n in names if n not in (outer_name, spatial_inner)]
+                 + [spatial_inner])
+        loops = [loops[position[name]] for name in order]
+        history = []
+        if spatial_factor > 1:
+            history.append(f"split({self.spatial},{spatial_factor})")
+        if outer_factor > 1:
+            history.append(f"split({self.cpu_outer},{outer_factor})")
+        history += [f"reorder({','.join(order)})", f"parallel({outer_name})",
+                    f"vectorize({spatial_inner})"]
+        annotations = {outer_name: LoopAnnotation(parallel=True),
+                       spatial_inner: LoopAnnotation(vectorize=True)}
+        self._unroll(loops, params, annotations, history)
+        return self._build(loops, annotations, history, structures)
+
+    def _gpu_trial(self, params: ScheduleParameters, structures: dict | None):
+        factor = self._gpu_thread_factor(params)
+        split = 1 < factor < self.spatial_extent
+        loops = self._split({self.spatial: factor if split else 1})
+        names = [loop.name for loop, _, _ in loops]
+        if len(set(names)) != len(names):
+            return None
+        thread_axis = f"{self.spatial}_i" if split else self.spatial
+        history = [f"split({self.spatial},{factor})"] if split else []
+        binds = [(thread_axis, "threadIdx.x")]
+        if self.gpu_others:
+            binds.append((self.gpu_others[0], "blockIdx.x"))
+            if len(self.gpu_others) > 1:
+                binds.append((self.gpu_others[1], "blockIdx.y"))
+        if split:
+            if params.use_vthread:
+                binds.append((f"{self.spatial}_o", "vthread"))
+            elif len(self.gpu_others) < 2:
+                binds.append((f"{self.spatial}_o", "blockIdx.y"))
+        annotations = {name: LoopAnnotation(bind=tag) for name, tag in binds}
+        history += [f"bind({name},{tag})" for name, tag in binds]
+        self._unroll(loops, params, annotations, history)
+        annotations[thread_axis] = annotations[thread_axis].merged_with(prefetch=True)
+        history.append(f"prefetch({thread_axis})")
+        return self._build(loops, annotations, history, structures)
+
+    def _build(self, loops: list[tuple[Iterator, int, int]],
+               annotations: dict[str, LoopAnnotation], history: list[str],
+               structures: dict | None) -> tuple[Callable[[], Stage], LoweredNest]:
+        """Stage factory and nest of a trial whose loops are ``(loop,
+        column, multiplier)``.
+
+        Loop ``k`` contributes ``multiplier * loop`` to the computation's
+        iterator ``column``: the substitution matrix has one nonzero per
+        column, so its product with the access matrix is a column gather
+        scaled by the multipliers.  The stage is only built for the trial
+        the tuner returns (:meth:`_stage`).
+        """
+        iterators = tuple((loop.name, loop.extent) for loop, _, _ in loops)
+        shared = None if structures is None else structures.get(iterators)
+        if shared is None:
+            columns = [column for _, column, _ in loops]
+            multipliers = np.array([multiplier for _, _, multiplier in loops],
+                                   dtype=np.int64)
+            coefficients = frozen_array(self.rows.coefficients[:, columns] * multipliers)
+            accesses = tuple(
+                LoweredAccess(access.tensor, access.is_write, access.dim_extents,
+                              {loop.name: strides[column] * multiplier
+                               for loop, column, multiplier in loops
+                               if strides[column] is not None},
+                              coefficients[first:first + len(access.dim_extents)],
+                              iterators)
+                for access, first, strides in zip(self.rows.accesses,
+                                                  self.rows.starts.tolist(),
+                                                  self.column_strides))
+            shared = [accesses, coefficients, []]
+            if structures is not None:
+                structures[iterators] = shared
+        bases, plain = self.computation.statement.domain.iterators, self.plain_loops
+        nest_loops = tuple(
+            LoweredLoop(loop.name, loop.extent, annotations[loop.name])
+            if loop.name in annotations
+            else plain[column] if loop is bases[column]
+            else LoweredLoop(loop.name, loop.extent, LoopAnnotation())
+            for loop, column, _ in loops)
+        nest = LoweredNest(self.computation.name, nest_loops, shared[0],
+                           self.computation.statement.domain.cardinality(),
+                           self.computation.element_bytes, tuple(history))
+        shared[2].append(nest)
+        return partial(self._stage, loops, annotations, history), nest
+
+    def _stage(self, loops: list[tuple[Iterator, int, int]],
+               annotations: dict[str, LoopAnnotation], history: list[str]) -> Stage:
+        """A fresh stage of the trial :meth:`_build` described."""
+        statement = self.computation.statement
+        columns = [column for _, column, _ in loops]
+        multipliers = np.array([multiplier for _, _, multiplier in loops], dtype=np.int64)
+        stage = Stage(self.computation)
+        stage.statement = Statement(
+            statement.name, Domain(tuple(loop for loop, _, _ in loops)), statement.layout,
+            frozen_array(statement.coefficients[:, columns] * multipliers), statement.offsets)
+        stage.annotations = dict(annotations)
+        stage.history = list(history)
+        return stage
+
+    def _template_stage(self, params: ScheduleParameters) -> Stage:
+        """The template applied through the Stage primitives (general path)."""
+        stage = create_schedule(self.computation)
+        if self.platform.is_gpu:
+            factor = self._gpu_thread_factor(params)
             thread_axis = self.spatial
             block_axis_spatial = None
             if 1 < factor < self.spatial_extent:
@@ -292,81 +480,38 @@ class TuningContext:
                 stage.bind(self.gpu_others[0], "blockIdx.x")
                 if len(self.gpu_others) > 1:
                     stage.bind(self.gpu_others[1], "blockIdx.y")
-            cached = (stage, thread_axis, block_axis_spatial)
-            self._structural[key] = cached
-        return cached
-
-    def instantiate(self, params: ScheduleParameters) -> Stage:
-        """Instantiate the platform template for ``params``.
-
-        CPU: tile, parallelise, vectorise, unroll.  GPU: map the output
-        loops to blocks/threads, unroll, prefetch.  Both clone the cached
-        structural state.
-        """
-        if self.platform.is_gpu:
-            return self._instantiate_gpu(params)
-        return self._instantiate_cpu(params)
-
-    def _instantiate_cpu(self, params: ScheduleParameters) -> Stage:
-        spatial_factor, outer_factor = self._cpu_split_factors(params)
-        stage = self._cpu_structural(spatial_factor, outer_factor).clone()
-        if params.unroll > 1 and self.reduction_set:
-            stage.unroll(self._last_reduction(stage), params.unroll)
-        return stage
-
-    def _instantiate_gpu(self, params: ScheduleParameters) -> Stage:
-        factor = self._gpu_thread_factor(params)
-        base, thread_axis, block_axis_spatial = self._gpu_structural(factor)
-        stage = base.clone()
-        if block_axis_spatial is not None:
-            if params.use_vthread:
-                stage.bind(block_axis_spatial, "vthread")
-            elif len(self.gpu_others) < 2:
-                stage.bind(block_axis_spatial, "blockIdx.y")
-        if params.unroll > 1 and self.reduction_set:
-            stage.unroll(self._last_reduction(stage), params.unroll)
-        stage.prefetch(thread_axis)
-        return stage
-
-    # ------------------------------------------------------------------
-    # Lowering with cached structural analysis
-    # ------------------------------------------------------------------
-    def lowered(self, stage: Stage) -> LoweredNest:
-        """Lower ``stage``, reusing cached access analysis per statement.
-
-        Clones produced by :meth:`instantiate` share their (immutable)
-        statement with the cached structural stage, so the layout analysis
-        — the expensive half of :func:`~repro.tenir.lower.lower` — runs
-        once per distinct structure, keyed by statement identity.  Each
-        cache entry pins its statement, so an identity key can never be
-        recycled while the entry exists.
-        """
-        statement = stage.statement
-        cached = self._lowered.get(id(statement))
-        if cached is None:
-            cached = (statement, analyse_accesses(statement),
-                      statement.domain.cardinality(), {})
-            self._lowered[id(statement)] = cached
-        _, accesses, macs, shared = cached
-        nest = lower(stage, accesses=accesses, macs=macs)
-        # The traffic arrays depend only on the statement (loop extents and
-        # accesses), never on annotations, so every annotation variant of
-        # one structure shares a single build.
-        arrays = shared.get("traffic")
-        if arrays is None:
-            shared["traffic"] = nest.traffic_arrays()
+            if block_axis_spatial is not None:
+                if params.use_vthread:
+                    stage.bind(block_axis_spatial, "vthread")
+                elif len(self.gpu_others) < 2:
+                    stage.bind(block_axis_spatial, "blockIdx.y")
         else:
-            object.__setattr__(nest, "_traffic_arrays", arrays)
-        return nest
+            spatial_factor, outer_factor = self._cpu_split_factors(params)
+            spatial_inner = self.spatial
+            if spatial_factor > 1:
+                _, spatial_inner = stage.split(self.spatial, spatial_factor)
+            outer_name = self.cpu_outer
+            if outer_factor > 1:
+                outer_name, _ = stage.split(self.cpu_outer, outer_factor)
+            remaining = [n for n in stage.loop_order if n not in (outer_name, spatial_inner)]
+            stage.reorder(outer_name, *remaining, spatial_inner)
+            stage.parallel(outer_name)
+            stage.vectorize(spatial_inner)
+        if params.unroll > 1 and self.reduction_set:
+            stage.unroll(next(n for n in reversed(stage.loop_order)
+                              if n in self.reduction_set), params.unroll)
+        if self.platform.is_gpu:
+            stage.prefetch(thread_axis)
+        return stage
 
 
 # ---------------------------------------------------------------------------
 # Shared tuning contexts
 # ---------------------------------------------------------------------------
-#: LRU bound on the process-wide context store (override with
-#: ``REPRO_TUNING_CONTEXTS``).  Each entry holds one template analysis plus
-#: its structural/lowering caches — small relative to a single tuning run.
-DEFAULT_MAX_CONTEXTS = int(os.environ.get("REPRO_TUNING_CONTEXTS", "512"))
+#: LRU bound on the process-wide context store.  Each entry holds one
+#: template analysis plus its per-key trial memo — small relative to a
+#: single tuning run.
+MAX_CONTEXTS = 512
 
 _shared_contexts: "OrderedDict[tuple[Computation, PlatformSpec], TuningContext]" = (
     OrderedDict())
@@ -383,8 +528,8 @@ def shared_tuning_context(computation: Computation,
     nest names included) is exactly what a freshly built context would
     produce.  The win is that re-tunes of the same operator — other trial
     budgets, multi-seed replications, repeated engine sessions — reuse the
-    template analysis plus the per-``schedule_key`` structural and lowering
-    caches the earlier tunes already paid for.
+    template analysis plus the per-``schedule_key`` trials (stage factory,
+    nest and estimate) the earlier tunes already paid for.
 
     Thread-safe: contexts may be built twice under a race, but only one is
     kept, and the per-context caches are deterministic read-through tables,
@@ -401,7 +546,7 @@ def shared_tuning_context(computation: Computation,
         context = _shared_contexts.get(key)
         if context is None:
             _shared_contexts[key] = context = built
-            while len(_shared_contexts) > DEFAULT_MAX_CONTEXTS:
+            while len(_shared_contexts) > MAX_CONTEXTS:
                 _shared_contexts.popitem(last=False)
     return context
 
@@ -446,15 +591,17 @@ class AutoTuner:
         The fast path: template analysis happens once in the
         :class:`TuningContext`, trials mapping to the same
         :meth:`~TuningContext.schedule_key` are instantiated, lowered and
-        scored once *per context lifetime* (the context memoises the
-        ``(stage, nest, estimate)`` triple per key, so a re-tune at a new
-        fidelity or from a new engine session only pays for keys it has
-        never seen), and freshly surviving candidates go through the
-        vectorised batch cost model.  Results are bit-identical to the
-        pre-fast-path loop frozen in ``tests/tuning_oracle.py`` for any
-        seed: every memoised value equals its recomputation.
+        scored once *per context lifetime* (the context memoises each
+        key's nest and estimate, and the stage once a tune returns it, so
+        a re-tune at a new fidelity or from a new engine session only pays
+        for keys it has never seen), and freshly surviving candidates go
+        through the vectorised batch cost model.  Results are
+        bit-identical to the pre-fast-path loop frozen in
+        ``tests/tuning_oracle.py`` for any seed: every memoised value
+        equals its recomputation.
         """
-        rng = make_rng(self.seed)
+        # Trial 0 always runs the default parameters: one trial draws nothing.
+        rng = make_rng(self.seed) if self.trials > 1 else None
         if context is None:
             context = shared_tuning_context(computation, platform)
         elif context.computation != computation or context.platform != platform:
@@ -467,20 +614,24 @@ class AutoTuner:
 
         # First params (in trial order) per schedule key, plus a local
         # reference to the context's memo entry so concurrent tunes on the
-        # shared context can never hand us a half-written slot.
+        # shared context can never hand us a half-written slot.  Keys the
+        # context has not seen are built together, in trial order.
         chosen: dict[tuple, tuple[ScheduleParameters, list]] = {}
+        fresh: dict[tuple, ScheduleParameters] = {}
         for params, key in zip(trial_params, trial_keys):
-            if key in chosen or key in context._invalid:
+            if key in chosen or key in fresh or key in context._invalid:
                 continue
             entry = context._instances.get(key)
             if entry is None:
-                try:
-                    stage = context.instantiate(params)
-                except ScheduleError:
-                    context._invalid.add(key)
-                    continue
-                entry = [stage, context.lowered(stage), None]
-                context._instances[key] = entry
+                fresh[key] = params
+            else:
+                chosen[key] = (params, entry)
+        for (key, params), built in zip(fresh.items(), context.trials(list(fresh.values()))):
+            if built is None:
+                context._invalid.add(key)
+                continue
+            entry = [*built, None]
+            context._instances[key] = entry
             chosen[key] = (params, entry)
 
         pending = [entry for _, entry in chosen.values() if entry[2] is None]
@@ -501,5 +652,8 @@ class AutoTuner:
                 best_key, best_seconds = key, seconds
         if best_key is None:
             raise ScheduleError("auto-tuning failed to produce a single valid schedule")
-        params, (stage, nest, estimate) = chosen[best_key]
+        params, entry = chosen[best_key]
+        if not isinstance(entry[0], Stage):
+            entry[0] = entry[0]()  # only the returned trial needs its stage
+        stage, nest, estimate = entry
         return TuningResult(stage, nest, estimate, params, self.trials)

@@ -13,13 +13,12 @@ tensor access, the information needed for locality analysis:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import LoweringError
-from repro.poly.affine import AffineMap
-from repro.poly.statement import Access, Statement
+from repro.poly.statement import Statement, frozen_array
 from repro.tenir.schedule import LoopAnnotation, Stage
 from repro.utils import prod
 
@@ -33,7 +32,7 @@ class LoweredLoop:
     annotation: LoopAnnotation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoweredAccess:
     """One tensor access with layout information."""
 
@@ -43,18 +42,37 @@ class LoweredAccess:
     dim_extents: tuple[int, ...]
     #: flattened (row-major) element stride contributed by each loop iterator
     iterator_strides: dict[str, int]
-    #: per-dimension (coefficient, extent) of each iterator (for footprint analysis)
-    dim_coefficients: tuple[dict[str, tuple[int, int]], ...]
+    #: per dimension, the coefficient of every loop iterator: the access's
+    #: rows of the statement's integer matrix (read-only)
+    coefficients: np.ndarray
+    #: ``(name, extent)`` of every loop iterator, in loop order
+    iterators: tuple[tuple[str, int], ...]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LoweredAccess):
+            return NotImplemented
+        return (self.tensor == other.tensor and self.is_write == other.is_write
+                and self.dim_extents == other.dim_extents
+                and self.iterator_strides == other.iterator_strides
+                and self.iterators == other.iterators
+                and np.array_equal(self.coefficients, other.coefficients))
+
+    @property
+    def dim_coefficients(self) -> tuple[dict[str, tuple[int, int]], ...]:
+        """Per dimension, ``(coefficient, extent)`` of each iterator it uses."""
+        return tuple({name: (coeff, extent)
+                      for (name, extent), coeff in zip(self.iterators, row) if coeff}
+                     for row in self.coefficients.tolist())
 
     def footprint(self, varying: set[str]) -> int:
         """Number of distinct elements touched while ``varying`` iterators sweep."""
         total = 1
-        for dim, coeffs in enumerate(self.dim_coefficients):
+        for row, dim_extent in zip(self.coefficients.tolist(), self.dim_extents):
             span = 1
-            for name, (coeff, extent) in coeffs.items():
-                if name in varying:
+            for (name, extent), coeff in zip(self.iterators, row):
+                if coeff and name in varying:
                     span += abs(coeff) * (extent - 1)
-            total *= min(span, self.dim_extents[dim])
+            total *= min(span, dim_extent)
         return total
 
     def stride_of(self, iterator: str) -> int:
@@ -92,86 +110,72 @@ class NestTrafficArrays:
     write_factor: np.ndarray
 
 
-def _build_traffic_arrays(nest: "LoweredNest") -> NestTrafficArrays:
-    loops = len(nest.loops)
-    depths = loops + 1
-    count = len(nest.accesses)
-    extents = np.array([loop.extent for loop in nest.loops], dtype=np.float64)
-    positions = {loop.name: index for index, loop in enumerate(nest.loops)}
-    max_dims = max((len(a.dim_extents) for a in nest.accesses), default=0)
+def attach_traffic_arrays(nests: list["LoweredNest"], blocks: list[np.ndarray],
+                          dim_extents: np.ndarray, starts: np.ndarray) -> None:
+    """Build and attach the locality arrays of nests over the same accesses.
 
-    # One padded (access, dim, loop) tensor; padded dims get a unit cap and
-    # zero contributions, so their span is exactly 1 and drops out of the
-    # footprint product.  Filled as nested Python lists — element-wise
-    # numpy stores would dominate at these tiny sizes.
-    contrib_rows: list[list[list[float]]] = []
-    caps_rows: list[list[float]] = []
-    affects_rows: list[list[bool]] = []
-    pad_dim = [0.0] * loops
-    for access in nest.accesses:
-        rows = []
-        caps = []
-        affect = [False] * loops
-        for dim, coeffs in enumerate(access.dim_coefficients):
-            row = pad_dim.copy()
-            caps.append(float(access.dim_extents[dim]))
-            for name, (coeff, extent) in coeffs.items():
-                position = positions.get(name)
-                if position is not None:
-                    row[position] = abs(coeff) * (extent - 1)
-                    affect[position] = True
-            rows.append(row)
-        while len(rows) < max_dims:
-            rows.append(pad_dim)
-            caps.append(1.0)
-        for name, stride in access.iterator_strides.items():
-            position = positions.get(name)
-            if position is not None and stride != 0:
-                affect[position] = True
-        contrib_rows.append(rows)
-        caps_rows.append(caps)
-        affects_rows.append(affect)
-    contrib = np.array(contrib_rows, dtype=np.float64).reshape(count, max_dims, loops)
-    dim_caps = np.array(caps_rows, dtype=np.float64).reshape(count, max_dims)
-    affects = np.array(affects_rows, dtype=bool).reshape(count, loops)
+    ``blocks[t]`` holds one row per dimension of each of nest ``t``'s
+    accesses (one column per loop of that nest); every nest has the same
+    accesses, so ``dim_extents`` (the dimensions' extents) and ``starts``
+    (the first row of each access) are shared — the trials of one tuned
+    computation.  One numpy pass serves the whole batch: nests with fewer
+    loops are padded with innermost loops of extent 1, which add zero to
+    every span and a factor of 1 to every trip count, and each nest's
+    arrays are its unpadded slice, so they equal a one-nest build exactly.
+    """
+    count = len(nests)
+    if not count:
+        return
+    loop_counts = [len(nest.loops) for nest in nests]
+    width = max(loop_counts)
+    rows = len(dim_extents)
+    magnitudes = np.zeros((count, rows, width), dtype=np.float64)
+    extents = np.ones((count, width), dtype=np.float64)
+    for index, (nest, block, loops) in enumerate(zip(nests, blocks, loop_counts)):
+        magnitudes[index, :, :loops] = np.abs(block)
+        extents[index, :loops] = [loop.extent for loop in nest.loops]
 
-    # span at start-depth d: 1 + sum of contributions of loops >= d
-    suffix = np.zeros((count, max_dims, depths), dtype=np.float64)
-    if loops:
-        suffix[:, :, :loops] = np.cumsum(contrib[:, :, ::-1], axis=2)[:, :, ::-1]
-    spans = np.minimum(1.0 + suffix, dim_caps[:, :, None])
-    footprints = np.prod(spans, axis=1).T  # (depths, accesses)
+    # span at start-depth d: 1 + sum of |coefficient| * (extent - 1) over
+    # loops >= d, capped at the dimension's extent; a footprint is the
+    # product of an access's spans.
+    suffix = np.zeros((count, rows, width + 1), dtype=np.float64)
+    suffix[:, :, :width] = (magnitudes * (extents - 1.0)[:, None, :])[:, :, ::-1].cumsum(
+        axis=2)[:, :, ::-1]
+    spans = np.minimum(1.0 + suffix, dim_extents.astype(np.float64)[None, :, None])
+    footprints = np.multiply.reduceat(spans, starts, axis=1)  # (nests, accesses, depths)
 
     # outer loops whose advance changes each access's working set
-    steps = np.where(affects, extents[None, :], 1.0)
-    refetch = np.empty((count, depths), dtype=np.float64)
-    refetch[:, 0] = 1.0
-    if loops:
-        refetch[:, 1:] = np.cumprod(steps, axis=1)
-    refetch = refetch.T
+    affects = np.logical_or.reduceat(magnitudes != 0, starts, axis=1)
+    refetch = np.ones_like(footprints)
+    refetch[:, :, 1:] = np.where(affects, extents[:, None, :], 1.0).cumprod(axis=2)
 
-    tensor_footprints = np.empty_like(footprints)
+    accesses = nests[0].accesses
+    tensor_footprints = footprints.copy()
     grouped: dict[str, list[int]] = {}
-    for index, access in enumerate(nest.accesses):
+    for index, access in enumerate(accesses):
         grouped.setdefault(access.tensor, []).append(index)
-    working_set = np.zeros(depths, dtype=np.float64)
+    working_set = np.zeros((count, width + 1), dtype=np.float64)
     for indices in grouped.values():
-        tensor_max = footprints[:, indices].max(axis=1)
-        tensor_footprints[:, indices] = tensor_max[:, None]
-        working_set += tensor_max
+        if len(indices) > 1:
+            tensor_footprints[:, indices] = footprints[:, indices].max(axis=1)[:, None]
+        working_set += tensor_footprints[:, indices[0]]
 
-    return NestTrafficArrays(
-        footprints=footprints,
-        tensor_footprints=tensor_footprints,
-        working_set_bytes=working_set * nest.element_bytes,
-        refetch=refetch,
-        compulsory_bytes=np.array(
-            [access.total_elements * nest.element_bytes for access in nest.accesses],
-            dtype=np.float64),
-        write_factor=np.array(
-            [2.0 if access.is_write else 1.0 for access in nest.accesses],
-            dtype=np.float64),
-    )
+    write_factor = np.array([2.0 if access.is_write else 1.0 for access in accesses],
+                            dtype=np.float64)
+    elements = [access.total_elements for access in accesses]
+    compulsory: dict[int, np.ndarray] = {}
+    for index, (nest, loops) in enumerate(zip(nests, loop_counts)):
+        size = nest.element_bytes
+        if size not in compulsory:
+            compulsory[size] = np.array([count * size for count in elements], dtype=np.float64)
+        object.__setattr__(nest, "_traffic_arrays", NestTrafficArrays(
+            footprints=footprints[index, :, :loops + 1].T,
+            tensor_footprints=tensor_footprints[index, :, :loops + 1].T,
+            working_set_bytes=working_set[index, :loops + 1] * size,
+            refetch=refetch[index, :, :loops + 1].T,
+            compulsory_bytes=compulsory[size],
+            write_factor=write_factor,
+        ))
 
 
 @dataclass(frozen=True)
@@ -212,8 +216,14 @@ class LoweredNest:
         """
         cached = self.__dict__.get("_traffic_arrays")
         if cached is None:
-            cached = _build_traffic_arrays(self)
-            object.__setattr__(self, "_traffic_arrays", cached)
+            dims = [len(access.dim_extents) for access in self.accesses]
+            attach_traffic_arrays(
+                [self], [np.concatenate([access.coefficients for access in self.accesses])
+                         .reshape(sum(dims), len(self.loops))],
+                np.array([extent for access in self.accesses
+                          for extent in access.dim_extents], dtype=np.int64),
+                np.cumsum([0] + dims)[:-1])
+            cached = self.__dict__["_traffic_arrays"]
         return cached
 
     def __getstate__(self):
@@ -242,75 +252,87 @@ class LoweredNest:
         return total
 
 
-def _analyse_access(access: Access, domain_extents: dict[str, int]) -> LoweredAccess:
-    dim_extents: list[int] = []
-    dim_coefficients: list[dict[str, tuple[int, int]]] = []
-    for expr in access.map.exprs:
-        span = 1 + expr.const
-        coeffs: dict[str, tuple[int, int]] = {}
-        for name, coeff in expr.coeffs:
-            extent = domain_extents[name]
-            coeffs[name] = (coeff, extent)
-            span += abs(coeff) * (extent - 1)
-        dim_extents.append(max(span, 1))
-        dim_coefficients.append(coeffs)
+@dataclass(frozen=True)
+class AccessRows:
+    """A statement's distinct accesses, analysed, with the matrix rows read.
 
-    # Row-major strides of the tensor dimensions.
-    dim_strides = [1] * len(dim_extents)
-    for dim in range(len(dim_extents) - 2, -1, -1):
-        dim_strides[dim] = dim_strides[dim + 1] * dim_extents[dim + 1]
+    ``coefficients`` holds one row per dimension of each access in
+    ``accesses`` (one column per loop), ``dim_extents`` those dimensions'
+    extents and ``starts`` the first row of each access.
+    """
 
-    iterator_strides: dict[str, int] = {}
-    for dim, coeffs in enumerate(dim_coefficients):
-        for name, (coeff, _extent) in coeffs.items():
-            iterator_strides[name] = iterator_strides.get(name, 0) + coeff * dim_strides[dim]
-
-    return LoweredAccess(
-        tensor=access.tensor,
-        is_write=access.is_write,
-        dim_extents=tuple(dim_extents),
-        iterator_strides=iterator_strides,
-        dim_coefficients=tuple(dim_coefficients),
-    )
+    accesses: tuple[LoweredAccess, ...]
+    coefficients: np.ndarray
+    dim_extents: np.ndarray
+    starts: np.ndarray
 
 
-def analyse_accesses(statement: Statement) -> tuple[LoweredAccess, ...]:
+def access_rows(statement: Statement) -> AccessRows:
     """Layout analysis of a statement's distinct tensor accesses.
 
-    This is the structural (annotation-independent) half of :func:`lower`;
-    the tuner's fast path caches it per scheduled statement so re-lowering
-    a nest that differs only in loop annotations costs nothing.
+    Read off the statement's integer matrix ``M`` (one row per access
+    dimension, one column per loop) and constants ``c``: a dimension spans
+    ``1 + c + |M| @ (extent - 1)`` elements, the tensor is laid out
+    row-major over those extents, and an iterator's stride is its column
+    weighted by the row strides.  Accesses with equal tensor, mode, rows
+    and constants are one access.
     """
-    domain_extents = {it.name: it.extent for it in statement.domain.iterators}
-    seen: set[tuple[str, bool, str]] = set()
-    accesses: list[LoweredAccess] = []
-    for access in statement.accesses:
-        key = (access.tensor, access.is_write, str(access.map))
-        if key in seen:
-            continue
-        seen.add(key)
-        accesses.append(_analyse_access(access, domain_extents))
-    return tuple(accesses)
+    iterators = tuple((it.name, it.extent) for it in statement.domain.iterators)
+    matrix, offsets = statement.coefficients, statement.offsets
+    layout, bounds = statement.layout, statement.rows()
+    seen: set = set()
+    kept = []
+    for index, (tensor, is_write, _) in enumerate(layout):
+        first, stop = bounds[index]
+        key = (tensor, is_write, matrix[first:stop].tobytes(), offsets[first:stop].tobytes())
+        if key not in seen:
+            seen.add(key)
+            kept.append(index)
+    if len(kept) < len(layout):
+        rows = np.concatenate([np.arange(*bounds[index]) for index in kept])
+        matrix, offsets = matrix[rows], offsets[rows]
+    dims = [layout[index][2] for index in kept]
+    starts = np.cumsum([0] + dims)[:-1]
+
+    spans = (np.abs(matrix) @ np.array([extent - 1 for _, extent in iterators],
+                                       dtype=np.int64)) + offsets + 1
+    dim_extents = np.maximum(spans, 1)
+    extents = dim_extents.tolist()
+    # Row-major strides of each access's tensor dimensions.
+    dim_strides = [0] * len(extents)
+    for first, count in zip(starts.tolist(), dims):
+        stride = 1
+        for row in range(first + count - 1, first - 1, -1):
+            dim_strides[row] = stride
+            stride *= extents[row]
+    strides = np.add.reduceat(matrix * np.array(dim_strides, dtype=np.int64)[:, None],
+                              starts, axis=0).tolist()
+    used = np.logical_or.reduceat(matrix != 0, starts, axis=0).tolist()
+    matrix = frozen_array(matrix)
+
+    accesses = []
+    for position, (index, first) in enumerate(zip(kept, starts.tolist())):
+        tensor, is_write, count = layout[index]
+        iterator_strides = {name: stride for (name, _), stride, uses
+                            in zip(iterators, strides[position], used[position]) if uses}
+        accesses.append(LoweredAccess(
+            tensor, is_write, tuple(extents[first:first + count]), iterator_strides,
+            matrix[first:first + count], iterators))
+    return AccessRows(tuple(accesses), matrix, dim_extents, starts)
 
 
-def lower(stage: Stage, *, accesses: tuple[LoweredAccess, ...] | None = None,
-          macs: int | None = None) -> LoweredNest:
-    """Lower a scheduled stage to an explicit nest description.
-
-    ``accesses``/``macs`` accept precomputed structural analysis (from
-    :func:`analyse_accesses` on the same statement) so callers lowering
-    many annotation variants of one structure skip the repeated work.
-    """
+def lower(stage: Stage) -> LoweredNest:
+    """Lower a scheduled stage to an explicit nest description."""
     statement = stage.statement
     loops = tuple(
-        LoweredLoop(it.name, it.extent, stage.annotations.get(it.name, LoopAnnotation()))
+        LoweredLoop(it.name, it.extent, stage.annotations.get(it.name) or LoopAnnotation())
         for it in statement.domain.iterators
     )
-    return LoweredNest(
-        name=stage.computation.name,
-        loops=loops,
-        accesses=analyse_accesses(statement) if accesses is None else accesses,
-        macs=statement.domain.cardinality() if macs is None else macs,
-        element_bytes=stage.computation.element_bytes,
-        history=tuple(stage.history),
-    )
+    rows = access_rows(statement)
+    nest = LoweredNest(stage.computation.name, loops, rows.accesses,
+                       statement.domain.cardinality(), stage.computation.element_bytes,
+                       tuple(stage.history))
+    # The cost model reads the locality arrays of every nest it scores;
+    # build them now, from the matrix rows already in hand.
+    attach_traffic_arrays([nest], [rows.coefficients], rows.dim_extents, rows.starts)
+    return nest

@@ -26,7 +26,7 @@ hardware cost model and the lowering pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.errors import ScheduleError
 from repro.poly.statement import Statement
@@ -58,7 +58,7 @@ class LoopAnnotation:
     prefetch: bool = False
 
     def merged_with(self, **updates) -> "LoopAnnotation":
-        return replace(self, **updates)
+        return LoopAnnotation(**{**self.__dict__, **updates})
 
 
 class Stage:
@@ -80,7 +80,8 @@ class Stage:
                 f"iterator '{name}' is not part of the loop nest {self.statement.domain.names}")
 
     def _annotation(self, name: str) -> LoopAnnotation:
-        return self.annotations.setdefault(name, LoopAnnotation())
+        annotation = self.annotations.get(name)
+        return LoopAnnotation() if annotation is None else annotation
 
     def _apply_structural(self, transformation: Transformation) -> None:
         self.statement = transformation.apply(self.statement)

@@ -268,3 +268,55 @@ class TestConcurrentSessions:
         store = CacheStore(tmp_path / "store")
         (shard,) = store.info()
         assert shard.entries == len(store.load_platform("cpu"))
+
+
+LOCK_HOLDER_SCRIPT = textwrap.dedent("""
+    import fcntl, os, sys
+    fd = os.open(sys.argv[1], os.O_CREAT | os.O_RDWR, 0o644)
+    fcntl.flock(fd, fcntl.LOCK_EX)
+    print("locked", flush=True)
+    sys.stdin.readline()
+""")
+
+
+class TestCacheClear:
+    def test_clear_waits_for_a_held_segment_lock(self, tmp_path):
+        """``repro cache clear`` unlinks a segment only under its writer
+        lock and leaves every lock file, so the store stays usable."""
+        import threading
+        import warnings
+
+        from repro.cli import main
+
+        shape, program = ConvolutionShape(8, 8, 6, 6, 3, 3), predefined_program("standard")
+        store = CacheStore(tmp_path)
+        store.append({("cpu", shape, program, 2, seed): 1.0 + seed for seed in range(4)})
+        shard = store.shard_path("cpu")
+        lock = shard.with_name(shard.name + ".lock")
+        holder = subprocess.Popen([sys.executable, "-c", LOCK_HOLDER_SCRIPT, str(lock)],
+                                  stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                  text=True)
+        try:
+            assert holder.stdout.readline().strip() == "locked"
+            codes = []
+            clearing = threading.Thread(target=lambda: codes.append(
+                main(["cache", "clear", "--cache-dir", str(tmp_path)])))
+            clearing.start()
+            clearing.join(timeout=1.0)
+            assert clearing.is_alive(), "the clear must wait for the writer lock"
+            assert shard.exists()
+            holder.stdin.write("\n")
+            holder.stdin.flush()
+            clearing.join(timeout=30)
+            assert not clearing.is_alive() and codes == [0]
+        finally:
+            if holder.poll() is None:
+                holder.kill()
+            holder.wait()
+        assert not shard.exists() and lock.exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a quarantined store warns
+            fresh = CacheStore(tmp_path)
+            fresh.append({("cpu", shape, program, 3, 0): 7.0})
+            assert fresh.load_platform("cpu") == {("cpu", shape, program, 3, 0): 7.0}
+        assert lock.exists()

@@ -246,11 +246,11 @@ class TestCache:
         # clear deletes only recognised store files and reports the rest.
         (tmp_path / "notes.txt").write_text("precious")
         out = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
-        # the shard and the Fisher segment, each with its lock file
-        assert "removed 4 cache store file(s)" in out
-        assert "skipped notes.txt" in out
+        # the shard and the Fisher segment; their lock files stay
+        assert "removed 2 cache store file(s)" in out
+        assert "skipped notes.txt" in out and ".lock" not in out
         assert (tmp_path / "notes.txt").exists()
-        assert not list(tmp_path.glob("fisher*"))
+        assert sorted(path.name for path in tmp_path.glob("fisher*")) == ["fisher.rcs.lock"]
         assert "no engine cache stores" in run_cli(
             capsys, "cache", "info", "--cache-dir", str(tmp_path))
 

@@ -3,9 +3,10 @@
 ``data/lowering_goldens.json`` holds, per case (a shape and a program, or
 the dense matrix product):
 
-* every compiled stage's ``signature()``, and every row of
-  ``analyse_accesses`` on its statement (dim extents, iterator strides and
-  dim coefficients);
+* every compiled stage's ``signature()``, and every access row of its
+  statement's layout analysis (dim extents, iterator strides and dim
+  coefficients; ``analyse_accesses`` when the table was recorded,
+  ``access_rows`` now);
 * per CPU and GPU template, one row per distinct ``schedule_key`` of the
   stage's tuning context: the loop order, extents and annotations of the
   lowered nest, its MAC count and its ``traffic_arrays()``.  The rows of
@@ -41,12 +42,11 @@ from repro.core.sequences import (
     paper_sequences,
     predefined_program,
 )
-from repro.errors import ScheduleError
 from repro.hardware import get_platform
 from repro.poly.statement import ConvolutionShape
 from repro.tenir import ScheduleParameters, TuningContext, dense_compute, lower
 from repro.tenir.expr import Computation
-from repro.tenir.lower import analyse_accesses
+from repro.tenir.lower import access_rows
 from repro.tenir.schedule import create_schedule
 from repro.utils import make_rng
 
@@ -95,14 +95,14 @@ def _canonical(value):
     return json.loads(json.dumps(value))
 
 
-def access_rows(statement) -> list[dict]:
+def access_table(statement) -> list[dict]:
     return [{"tensor": access.tensor,
              "is_write": access.is_write,
              "dim_extents": list(access.dim_extents),
              "iterator_strides": dict(access.iterator_strides),
              "dim_coefficients": [{name: list(pair) for name, pair in dim.items()}
                                   for dim in access.dim_coefficients]}
-            for access in analyse_accesses(statement)]
+            for access in access_rows(statement).accesses]
 
 
 def _parameter_grid(context: TuningContext):
@@ -120,20 +120,17 @@ def _parameter_grid(context: TuningContext):
 
 def template_rows(computation: Computation, platform_name: str) -> dict:
     context = TuningContext.build(computation, get_platform(platform_name))
-    rows = {}
-    default_key = None
+    batch = {}
     for params in _parameter_grid(context):
-        key = context.schedule_key(params)
-        default_key = default_key or key
-        if key in rows:
-            continue
-        try:
-            stage = context.instantiate(params)
-        except ScheduleError:
+        batch.setdefault(context.schedule_key(params), params)
+    default_key = next(iter(batch))
+    rows = {}
+    for key, built in zip(batch, context.trials(list(batch.values()))):
+        if built is None:
             rows[key] = "invalid"
             continue
-        nest = context.lowered(stage)
-        assert nest == lower(stage), "the tuner's nest must equal lower(stage)"
+        make_stage, nest = built
+        assert nest == lower(make_stage()), "the tuner's nest must be its stage's"
         arrays = nest.traffic_arrays()
         rows[key] = {
             "loops": [[loop.name, loop.extent, repr(loop.annotation)]
@@ -154,7 +151,7 @@ def observe_stage(stage) -> dict:
     computation = Computation(stage.computation.name, stage.statement,
                               stage.computation.element_bytes)
     return {"signature": _canonical(stage.signature()),
-            "accesses": access_rows(stage.statement),
+            "accesses": access_table(stage.statement),
             "templates": {name: template_rows(computation, name)
                           for name in PLATFORMS}}
 

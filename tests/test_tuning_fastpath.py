@@ -24,9 +24,11 @@ import tuning_oracle
 from repro.core.engine import EvaluationEngine
 from repro.core.sequences import predefined_program
 from repro.hardware import estimate_latency_batch, get_platform
-from repro.poly.statement import ConvolutionShape
+from repro.poly import AffineExpr, AffineMap, Domain
+from repro.poly.statement import Access, ConvolutionShape, Statement
 from repro.tenir import (
     AutoTuner,
+    Computation,
     TuningContext,
     conv2d_compute,
     create_schedule,
@@ -112,6 +114,36 @@ class TestTunerFastPath:
                 assert fast.estimate == reference.estimate
 
     @pytest.mark.parametrize("platform_name", ("cpu", "gpu"))
+    def test_stage_primitive_path_matches_reference(self, platform_name):
+        """Templates the integer-array path leaves to the Stage primitives
+        (a flow dependence; a single output-parallel loop) tune — or fail —
+        exactly like the oracle."""
+        def outcome(tune):
+            try:
+                result = tune()
+            except Exception as error:  # noqa: BLE001 - compared below
+                return type(error), str(error)
+            return result.seconds, result.parameters, result.nest
+
+        i, j, k = (AffineExpr.var(name) for name in "ijk")
+        stencil = Statement.create(
+            "stencil", Domain.of(i=8, j=8),
+            writes=[Access("A", AffineMap((i, j)), is_write=True)],
+            reads=[Access("A", AffineMap((AffineExpr.of({"i": 1}, 1),
+                                          AffineExpr.of({"j": 1}, -1))))])
+        row_sums = Statement.create(
+            "row_sums", Domain.of(i=16, k=4),
+            writes=[Access("O", AffineMap((i,)), is_write=True)],
+            reads=[Access("A", AffineMap((i, k))), Access("O", AffineMap((i,)))])
+        platform = get_platform(platform_name)
+        for statement in (stencil, row_sums):
+            computation = Computation(statement.name, statement)
+            for trials, seed in ((1, 0), (12, 0), (12, 3)):
+                assert outcome(lambda: AutoTuner(trials=trials, seed=seed).tune(
+                    computation, platform)) == outcome(lambda: tuning_oracle.reference_tune(
+                        computation, platform, trials=trials, seed=seed))
+
+    @pytest.mark.parametrize("platform_name", ("cpu", "gpu"))
     def test_context_sampling_matches_legacy_stream(self, platform_name):
         """TuningContext.sample consumes the RNG like the oracle's sampler."""
         platform = get_platform(platform_name)
@@ -132,13 +164,13 @@ class TestTunerFastPath:
         platform = get_platform("cpu")
         computation = conv2d_compute(ConvolutionShape(8, 8, 4, 4, 3, 3))
         calls = {"count": 0}
-        original = TuningContext.instantiate
+        original = TuningContext.trial
 
-        def counted(self, params):
+        def counted(self, params, *args):
             calls["count"] += 1
-            return original(self, params)
+            return original(self, params, *args)
 
-        monkeypatch.setattr(TuningContext, "instantiate", counted)
+        monkeypatch.setattr(TuningContext, "trial", counted)
         trials = 64
         AutoTuner(trials=trials, seed=0).tune(computation, platform)
         assert 0 < calls["count"] < trials, (
