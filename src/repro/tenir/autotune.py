@@ -165,12 +165,15 @@ class TuningContext:
     #: order preserves (before and after the template's splits); the GPU
     #: template never reorders, so it is not checked there
     any_order_legal: bool
-    #: per-``schedule_key`` ``[stage or its factory, nest, LatencyEstimate | None]``
+    #: per-``schedule_key`` ``[LatencyEstimate, (stage factory, nest) | None]``
     #: (and the keys whose instantiation raised) — the cross-call memo that
     #: makes re-tunes at another fidelity or seed near-free.  Every cached
     #: value equals its recomputation bit for bit, so sharing them changes
-    #: nothing but the wall clock.
-    _instances: dict = field(default_factory=dict, repr=False)
+    #: nothing but the wall clock.  Only trials a tune returned keep their
+    #: nest: holding every trial's object graph for the life of the
+    #: context cost more in memory and garbage collection than rebuilding
+    #: the rare returned trial that was not kept.
+    _scored: dict = field(default_factory=dict, repr=False)
     _invalid: set = field(default_factory=set, repr=False)
 
     @classmethod
@@ -528,8 +531,8 @@ def shared_tuning_context(computation: Computation,
     nest names included) is exactly what a freshly built context would
     produce.  The win is that re-tunes of the same operator — other trial
     budgets, multi-seed replications, repeated engine sessions — reuse the
-    template analysis plus the per-``schedule_key`` trials (stage factory,
-    nest and estimate) the earlier tunes already paid for.
+    template analysis plus the per-``schedule_key`` estimates (and returned
+    trials) the earlier tunes already paid for.
 
     Thread-safe: contexts may be built twice under a race, but only one is
     kept, and the per-context caches are deterministic read-through tables,
@@ -592,11 +595,11 @@ class AutoTuner:
         :class:`TuningContext`, trials mapping to the same
         :meth:`~TuningContext.schedule_key` are instantiated, lowered and
         scored once *per context lifetime* (the context memoises each
-        key's nest and estimate, and the stage once a tune returns it, so
-        a re-tune at a new fidelity or from a new engine session only pays
-        for keys it has never seen), and freshly surviving candidates go
-        through the vectorised batch cost model.  Results are
-        bit-identical to the pre-fast-path loop frozen in
+        key's estimate, and the nest of every trial a tune returned, so a
+        re-tune at a new fidelity or from a new engine session only scores
+        keys it has never seen), and freshly
+        surviving candidates go through the vectorised batch cost model.
+        Results are bit-identical to the pre-fast-path loop frozen in
         ``tests/tuning_oracle.py`` for any seed: every memoised value
         equals its recomputation.
         """
@@ -612,48 +615,46 @@ class AutoTuner:
                         for trial in range(self.trials)]
         trial_keys = [context.schedule_key(params) for params in trial_params]
 
-        # First params (in trial order) per schedule key, plus a local
-        # reference to the context's memo entry so concurrent tunes on the
-        # shared context can never hand us a half-written slot.  Keys the
-        # context has not seen are built together, in trial order.
-        chosen: dict[tuple, tuple[ScheduleParameters, list]] = {}
+        # First params (in trial order) per schedule key, and the memo
+        # entry of every key the context has already scored.  Keys it has
+        # not seen are built together, in trial order, and scored in one
+        # batch.
+        chosen: dict[tuple, ScheduleParameters] = {}
+        entries: dict[tuple, list] = {}
         fresh: dict[tuple, ScheduleParameters] = {}
         for params, key in zip(trial_params, trial_keys):
             if key in chosen or key in fresh or key in context._invalid:
                 continue
-            entry = context._instances.get(key)
+            entry = context._scored.get(key)
             if entry is None:
                 fresh[key] = params
             else:
-                chosen[key] = (params, entry)
-        for (key, params), built in zip(fresh.items(), context.trials(list(fresh.values()))):
-            if built is None:
+                chosen[key], entries[key] = params, entry
+        built: dict[tuple, tuple[Callable[[], Stage], LoweredNest]] = {}
+        for (key, params), trial in zip(fresh.items(), context.trials(list(fresh.values()))):
+            if trial is None:
                 context._invalid.add(key)
-                continue
-            entry = [*built, None]
-            context._instances[key] = entry
-            chosen[key] = (params, entry)
-
-        pending = [entry for _, entry in chosen.values() if entry[2] is None]
-        if pending:
-            estimates = estimate_latency_batch(
-                [entry[1] for entry in pending], platform)
-            for entry, estimate in zip(pending, estimates):
-                entry[2] = estimate
+            else:
+                chosen[key], built[key] = params, trial
+        if built:
+            scored = estimate_latency_batch([nest for _, nest in built.values()], platform)
+            for key, estimate in zip(built, scored):
+                entries[key] = context._scored[key] = [estimate, None]
 
         best_key: tuple | None = None
         best_seconds = float("inf")
         for key in trial_keys:
-            selected = chosen.get(key)
-            if selected is None:
+            entry = entries.get(key)
+            if entry is None:
                 continue
-            seconds = selected[1][2].seconds
-            if best_key is None or seconds < best_seconds:
-                best_key, best_seconds = key, seconds
+            if best_key is None or entry[0].seconds < best_seconds:
+                best_key, best_seconds = key, entry[0].seconds
         if best_key is None:
             raise ScheduleError("auto-tuning failed to produce a single valid schedule")
-        params, entry = chosen[best_key]
-        if not isinstance(entry[0], Stage):
-            entry[0] = entry[0]()  # only the returned trial needs its stage
-        stage, nest, estimate = entry
-        return TuningResult(stage, nest, estimate, params, self.trials)
+        params, entry = chosen[best_key], entries[best_key]
+        # Only returned trials keep their nest and stage factory; a key an
+        # earlier tune scored but did not return is rebuilt (one trial).
+        if entry[1] is None:
+            entry[1] = built.get(best_key) or context.trial(params)
+        make_stage, nest = entry[1]
+        return TuningResult(make_stage(), nest, entry[0], params, self.trials)
