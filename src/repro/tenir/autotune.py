@@ -165,7 +165,7 @@ class TuningContext:
     #: order preserves (before and after the template's splits); the GPU
     #: template never reorders, so it is not checked there
     any_order_legal: bool
-    #: per-``schedule_key`` ``[LatencyEstimate, (stage factory, nest) | None]``
+    #: per-``schedule_key`` ``[LatencyEstimate, (stage, nest) | None]``
     #: (and the keys whose instantiation raised) — the cross-call memo that
     #: makes re-tunes at another fidelity or seed near-free.  Every cached
     #: value equals its recomputation bit for bit, so sharing them changes
@@ -595,9 +595,9 @@ class AutoTuner:
         :class:`TuningContext`, trials mapping to the same
         :meth:`~TuningContext.schedule_key` are instantiated, lowered and
         scored once *per context lifetime* (the context memoises each
-        key's estimate, and the nest of every trial a tune returned, so a
-        re-tune at a new fidelity or from a new engine session only scores
-        keys it has never seen), and freshly
+        key's estimate, and the stage and nest of every trial a tune
+        returned, so a re-tune at a new fidelity or from a new engine
+        session only scores keys it has never seen), and freshly
         surviving candidates go through the vectorised batch cost model.
         Results are bit-identical to the pre-fast-path loop frozen in
         ``tests/tuning_oracle.py`` for any seed: every memoised value
@@ -631,7 +631,8 @@ class AutoTuner:
             else:
                 chosen[key], entries[key] = params, entry
         built: dict[tuple, tuple[Callable[[], Stage], LoweredNest]] = {}
-        for (key, params), trial in zip(fresh.items(), context.trials(list(fresh.values()))):
+        batch = context.trials(list(fresh.values())) if fresh else []
+        for (key, params), trial in zip(fresh.items(), batch):
             if trial is None:
                 context._invalid.add(key)
             else:
@@ -652,9 +653,10 @@ class AutoTuner:
         if best_key is None:
             raise ScheduleError("auto-tuning failed to produce a single valid schedule")
         params, entry = chosen[best_key], entries[best_key]
-        # Only returned trials keep their nest and stage factory; a key an
-        # earlier tune scored but did not return is rebuilt (one trial).
+        # Only returned trials keep their stage and nest; a key an earlier
+        # tune scored but did not return is rebuilt (one trial).
         if entry[1] is None:
-            entry[1] = built.get(best_key) or context.trial(params)
-        make_stage, nest = entry[1]
-        return TuningResult(make_stage(), nest, entry[0], params, self.trials)
+            make_stage, nest = built.get(best_key) or context.trial(params)
+            entry[1] = (make_stage(), nest)
+        stage, nest = entry[1]
+        return TuningResult(stage, nest, entry[0], params, self.trials)
