@@ -52,7 +52,7 @@ from repro.hardware.platform import PlatformSpec, get_platform
 from repro.poly.statement import ConvolutionShape
 
 #: Single-source package version (setup.py reads it from this file).
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 #: The supported public surface.  Additions are backwards-compatible;
 #: removals or renames require a major version bump (DESIGN.md §9).

@@ -39,6 +39,12 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from repro.core.cache_store import CacheStore
+from repro.core.checkpoint import (
+    CheckpointWriter,
+    append_legacy_entries,
+    checkpoint_store,
+    read_checkpoint,
+)
 from repro.core.engine import EvaluationEngine
 from repro.core.events import Observer
 from repro.core.program import (
@@ -635,7 +641,6 @@ class OptimizationSession:
                  request: OptimizationRequest | None = None,
                  observer: Observer | None = None,
                  checkpoint: str | Path | None = None,
-                 checkpoint_interval: float = 0.0,
                  **fields) -> OptimizationResult:
         """Run the unified search for one model on one platform.
 
@@ -648,10 +653,11 @@ class OptimizationSession:
         :class:`~repro.nn.module.Module`.
 
         ``checkpoint`` names a file to persist the search's resume point
-        to (atomically, after every tuning batch, rate-limited to one
-        write per ``checkpoint_interval`` seconds): a killed run continues
-        with :func:`resume_checkpoint` / ``repro resume`` to the
-        bit-identical result an uninterrupted run would have produced.
+        to: the request plus the session's store, which the search then
+        appends to after every tuning batch, so the session needs a
+        ``cache_dir``.  A killed run continues with
+        :func:`resume_checkpoint` / ``repro resume`` to the bit-identical
+        result an uninterrupted run would have produced.
         """
         instance: Module | None = model if isinstance(model, Module) else None
         if instance is not None:
@@ -685,37 +691,20 @@ class OptimizationSession:
             liar=request.liar)
         writer = None
         if checkpoint is not None:
-            from repro.core.checkpoint import CheckpointWriter
-
-            writer = CheckpointWriter(checkpoint, request.to_dict(), engine,
-                                      interval_seconds=checkpoint_interval)
+            writer = CheckpointWriter(checkpoint, request.to_dict(), engine)
             engine.subscribe(writer.on_event)
             writer.write()  # the resume point exists before any tuning
         try:
             outcome = search.search(instance, images, labels,
                                     dataset.spec.image_shape)
-        except BaseException as abort:
-            # An aborted search (exception, SIGTERM/SIGINT translated to
-            # one) still flushes everything paid for so far: the writer's
-            # periodic saves are rate-limited, and resume must not lose
-            # the tunings of the last interval.  A failing flush must not
-            # mask the abort itself.
-            if writer is not None:
-                try:
-                    writer.write()
-                except ReproError as flush_error:
-                    warnings.warn(
-                        f"final checkpoint flush failed while the search was "
-                        f"aborting ({abort!r}); resume falls back to the last "
-                        f"periodic checkpoint: {flush_error}",
-                        RuntimeWarning, stacklevel=2)
-                finally:
-                    engine.unsubscribe(writer.on_event)
-                writer = None
-            raise
         finally:
             if writer is not None:
+                # Completed or aborted (an exception, or SIGTERM/SIGINT
+                # translated to one), the store gets what the search paid
+                # for since its last tuning batch.  A store fault degrades
+                # inside save_cache and never masks the abort.
                 engine.unsubscribe(writer.on_event)
+                engine.save_cache()
         if writer is not None:
             writer.write(completed=True)
         engine_statistics = dataclasses.asdict(engine.statistics)
@@ -790,7 +779,6 @@ def optimize(model: Module | str = "resnet34", *,
              cache_dir: str | Path | None = None,
              observer: Observer | None = None,
              checkpoint: str | Path | None = None,
-             checkpoint_interval: float = 0.0,
              **fields) -> OptimizationResult:
     """One-call façade over the unified search (the README example).
 
@@ -799,8 +787,9 @@ def optimize(model: Module | str = "resnet34", *,
     :class:`ReproError` naming it.  Builds a session for the call, runs
     the search, and guarantees the engine teardown (cache write-back,
     pool shutdown) before returning.  With ``checkpoint=``, the search
-    persists its resume point after every tuning batch, so a killed run
-    continues bit-identically with :func:`resume_checkpoint`.
+    appends its work to ``cache_dir`` — ``<checkpoint>.store/`` when none
+    is given — after every tuning batch, so a killed run continues
+    bit-identically with :func:`resume_checkpoint`.
 
     Example::
 
@@ -809,50 +798,48 @@ def optimize(model: Module | str = "resnet34", *,
         print(f"{result.speedup:.2f}x")
     """
     request = OptimizationRequest.from_dict(fields)
+    if checkpoint is not None and cache_dir is None:
+        cache_dir = checkpoint_store(checkpoint)
     with OptimizationSession(request.platform,
                              tuner_trials=request.tuner_trials,
                              seed=request.seed, cache_dir=cache_dir,
                              observer=observer) as session:
-        return session.optimize(model, request=request, checkpoint=checkpoint,
-                                checkpoint_interval=checkpoint_interval)
+        return session.optimize(model, request=request, checkpoint=checkpoint)
 
 
 def resume_checkpoint(path: str | Path, *,
-                      cache_dir: str | Path | None = None,
                       observer: Observer | None = None,
                       checkpoint: str | Path | None = None) -> OptimizationResult:
     """Continue a killed search from its checkpoint, bit-identically.
 
-    Reads the checkpoint's request document and paid-for tuning entries,
-    warms a fresh engine with them, and re-runs the request: every search
-    strategy is a deterministic function of its seed given the engine's
-    memoised oracles, so the replayed prefix hits the warm cache (no
-    tuner work) and the run continues past the kill point exactly as the
+    Reads the checkpoint's request document and re-runs the request over
+    the store the checkpoint names, which holds every tuning and Fisher
+    score the run paid for: every search strategy is a deterministic
+    function of its seed given the engine's memoised oracles, so the
+    replayed prefix hits the warm cache (no Fisher profile, no tuner
+    work) and the run continues past the kill point exactly as the
     uninterrupted run would have.  Resuming a checkpoint of a *finished*
     search replays to the identical result almost instantly, so resume is
     safe to retry.  The resumed run keeps checkpointing to the same file
-    (or to ``checkpoint=`` when given).
+    (or to ``checkpoint=`` when given).  A ``/1`` checkpoint's entries are
+    first appended to ``<checkpoint>.store/``, which the run then uses.
 
     Example::
 
         result = repro.resume_checkpoint("run.ckpt.json")
         print(f"{result.speedup:.2f}x")
     """
-    from repro.core.checkpoint import read_checkpoint
-
     parsed = read_checkpoint(path)
     request = OptimizationRequest.from_dict(parsed.request_document)
+    target = Path(path) if checkpoint is None else Path(checkpoint)
+    store = parsed.store or checkpoint_store(target)
     with OptimizationSession(request.platform,
                              tuner_trials=request.tuner_trials,
-                             seed=request.seed, cache_dir=cache_dir,
+                             seed=request.seed, cache_dir=store,
                              observer=observer) as session:
-        engine = session.engine(request.platform,
-                                tuner_trials=request.tuner_trials,
-                                seed=request.seed)
-        engine.absorb_entries(parsed.entries)
-        return session.optimize(
-            request=request,
-            checkpoint=Path(path) if checkpoint is None else checkpoint)
+        if parsed.store is None:
+            append_legacy_entries(path, session.cache_store)
+        return session.optimize(request=request, checkpoint=target)
 
 
 def tune(shape: ConvolutionShape | Sequence[int],

@@ -168,21 +168,19 @@ def _build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--progress", action="store_true",
                           help="stream search progress events to stderr")
     optimize.add_argument("--checkpoint", default=None,
-                          help="persist the search's resume point to this "
-                               "file after every tuning batch; a killed run "
-                               "continues with 'repro resume'")
-    optimize.add_argument("--checkpoint-interval", type=float, default=0.0,
-                          help="minimum seconds between checkpoint writes")
+                          help="write the search's resume point to this "
+                               "file; its work goes to --cache-dir (default "
+                               "<checkpoint>.store/) after every tuning "
+                               "batch, and a killed run continues with "
+                               "'repro resume'")
     optimize.add_argument("--json", action="store_true")
 
     resume = commands.add_parser(
         "resume", help="continue a killed search from its checkpoint file")
     resume.add_argument("checkpoint",
                         help="a checkpoint written by 'repro optimize "
-                             "--checkpoint' (or optimize(checkpoint=...))")
-    resume.add_argument("--cache-dir", default=None,
-                        help="persist engine caches under this directory "
-                             "(default: $REPRO_CACHE_DIR when set)")
+                             "--checkpoint' (or optimize(checkpoint=...)); "
+                             "the run continues over the store it names")
     resume.add_argument("--progress", action="store_true",
                         help="stream search progress events to stderr")
     resume.add_argument("--json", action="store_true")
@@ -242,8 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (default: an ephemeral port, "
                             "advertised in <state-dir>/service.json)")
-    serve.add_argument("--checkpoint-interval", type=float, default=0.0,
-                       help="minimum seconds between a job's checkpoint writes")
 
     submit = commands.add_parser(
         "submit", help="queue one optimisation on the daemon")
@@ -347,8 +343,8 @@ def _print_progress(event) -> None:
 def _interruptible_checkpointing(checkpoint):
     """Translate SIGTERM/SIGINT into KeyboardInterrupt while checkpointing.
 
-    With ``--checkpoint``, a terminated run must flush a final resume
-    point before dying — the façade's abort path does that for any
+    With ``--checkpoint``, a terminated run must flush its work into the
+    store before dying — the façade's abort path does that for any
     in-flight exception, so the handler only has to turn the signal into
     one.  Returns the ``(signal, previous_handler)`` pairs to restore.
     """
@@ -377,8 +373,7 @@ def _cmd_optimize(args) -> int:
             **_request_fields(args),
             cache_dir=args.cache_dir or env_cache_dir(),
             observer=_print_progress if args.progress else None,
-            checkpoint=args.checkpoint,
-            checkpoint_interval=args.checkpoint_interval)
+            checkpoint=args.checkpoint)
     except KeyboardInterrupt:
         print(f"interrupted; resume with: repro resume {args.checkpoint}",
               file=sys.stderr)
@@ -394,11 +389,10 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    from repro.api import env_cache_dir, resume_checkpoint
+    from repro.api import resume_checkpoint
 
     result = resume_checkpoint(
-        args.checkpoint, cache_dir=args.cache_dir or env_cache_dir(),
-        observer=_print_progress if args.progress else None)
+        args.checkpoint, observer=_print_progress if args.progress else None)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
     else:
@@ -577,8 +571,7 @@ def _cmd_serve(args) -> int:
 
     state_dir = _service_state_dir(args.state_dir)
     service = OptimizationService(
-        state_dir, workers=args.workers, host=args.host, port=args.port,
-        checkpoint_interval=args.checkpoint_interval)
+        state_dir, workers=args.workers, host=args.host, port=args.port)
     host, port = service.start()
     print(f"repro service on {host}:{port} "
           f"({args.workers} workers, state {state_dir})", file=sys.stderr)

@@ -3,8 +3,9 @@
 This module is the only code that decides how a latency entry reaches
 disk: the binary shard records below, and one JSON form of an entry
 (:func:`entry_document` / :func:`entry_from_document`) that export
-envelopes and search checkpoints share.  Many tuning processes may share
-one warm ``cache_dir``, so the store is append-only and shard-per-platform:
+envelopes use and that ``/1`` search checkpoints carried.  Many tuning
+processes may share one warm ``cache_dir``, so the store is append-only
+and shard-per-platform:
 
 * **Content addressing** — every latency entry is keyed by the sha1 of its
   canonical ``(platform, shape, program, trials, seed)`` document (the
@@ -174,8 +175,8 @@ def key_from_document(document: Mapping) -> LatencyKey:
 def entry_document(key: LatencyKey, latency: float) -> dict:
     """One latency entry as a plain-JSON document: key plus ``latency_seconds``.
 
-    The line format of :meth:`CacheStore.export` and the entry format of
-    search checkpoints.
+    The line format of :meth:`CacheStore.export`, and the entry format of
+    ``/1`` search checkpoints.
 
     Example::
 

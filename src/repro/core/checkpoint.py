@@ -4,30 +4,29 @@ A multi-hour search must survive the process dying — OOM killer, preempted
 node, operator Ctrl-C — without losing the tuning work it already paid
 for.  The design follows the cheap-checkpoint + idempotent re-execution
 shape (Zeng et al., *Lightweight Soft Error Resilience for In-Order
-Cores*): instead of serialising every strategy's in-flight control state
-(RNG streams, frontiers, predictor weights — all of which would have to
-stay in lock-step with the code forever), a checkpoint records the two
-things that make a search a pure function:
+Cores*): instead of serialising any strategy's in-flight control state
+(RNG streams, frontiers, predictor weights), a checkpoint records the
+**request document** (:class:`repro.api.OptimizationRequest` as JSON)
+and the absolute path of the **store**
+(:class:`~repro.core.cache_store.CacheStore`) the search appends to.
 
-* the **request document** (:class:`repro.api.OptimizationRequest` as
-  JSON) — everything the run depends on, and
-* the **engine's memoised latency entries** — every tuning the run has
-  paid for so far, in the store's entry form
-  (:func:`~repro.core.cache_store.entry_document`).
-
-Every search strategy is deterministic given the engine's oracles, so
-*resuming* is simply re-running the request over an engine warmed with
-the checkpointed entries: the replayed prefix hits the cache (fast,
+The store holds the paid-for work: :class:`CheckpointWriter` flushes the
+engine's new latency entries and Fisher rows into it after every tuning
+batch and on abort, and a store append dedupes by digest and survives a
+torn tail, so it is safe to repeat.  The checkpoint file is a few
+hundred bytes of JSON, written scratch-then-``os.replace`` when the
+search starts and when it completes.  Every strategy is deterministic
+given the engine's oracles, so *resuming* re-runs the request over the
+named store: the replayed prefix hits the warm cache (no Fisher profile,
 no tuner work) and continues past the kill point exactly as the
-uninterrupted run would have — bit-identical results, golden-tested for
-all six strategies.  A checkpoint of a *finished* search resumes to the
-same result almost instantly, so resume is idempotent too.
+uninterrupted run would have; resuming a finished search replays it.  A
+store that lost a flush costs the resume re-tuning, never correctness.
 
-Checkpoint files are JSON, written scratch-then-``os.replace`` so a
-crash mid-write leaves the previous complete checkpoint in place, never
-a torn file.  :class:`CheckpointWriter` subscribes to the engine's event
-stream and persists after every tuning batch (rate-limited by
-``interval_seconds``), emitting a ``checkpoint_saved`` event per write.
+The reader is strict: an unknown field or a value of the wrong type
+raises :class:`~repro.errors.CheckpointError` naming it.  A
+``repro.search-checkpoint/1`` file (0.14 and earlier) carried the
+entries itself; it still resumes, its entries appended once to the
+resumed run's store.
 
 Example::
 
@@ -43,50 +42,59 @@ from __future__ import annotations
 
 import json
 import os
-import time
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from repro.core.cache_store import LatencyKey, entry_document, entry_from_document
-from repro.errors import CacheStoreError, CheckpointError
+from repro.core.cache_store import CacheStore, LatencyKey, entry_from_document
+from repro.errors import CacheStoreError, CheckpointError, DegradedExecutionWarning
 
 #: Schema tag of the checkpoint file format.
-CHECKPOINT_SCHEMA = "repro.search-checkpoint/1"
+CHECKPOINT_SCHEMA = "repro.search-checkpoint/2"
+#: The format up to 0.14, which carried the paid-for entries in the file.
+LEGACY_CHECKPOINT_SCHEMA = "repro.search-checkpoint/1"
+
+#: The fields each schema may hold besides ``schema``.
+_FIELDS = {CHECKPOINT_SCHEMA: ("request", "store", "completed"),
+           LEGACY_CHECKPOINT_SCHEMA: ("request", "completed", "progress", "entries")}
+
+
+def checkpoint_store(path: str | Path) -> Path:
+    """The store a checkpointed run appends to when it was given none.
+
+    Example::
+
+        checkpoint_store("run.ckpt.json")   # .../run.ckpt.json.store
+    """
+    target = Path(path).expanduser().absolute()
+    return target.with_name(target.name + ".store")
 
 
 @dataclass(frozen=True)
 class SearchCheckpoint:
-    """One parsed checkpoint: the request plus the paid-for tuning entries.
+    """One parsed checkpoint: the request plus the store it appends to.
 
     ``request_document`` is the originating
     :class:`~repro.api.OptimizationRequest` as a plain dict (this module
-    stays below the façade, so it never imports the typed request);
-    ``entries`` are the engine latency-cache entries captured at write
-    time; ``completed`` marks a checkpoint written after the search
-    finished, and ``progress`` carries informational counters for humans
-    and tools.
+    stays below the façade); ``store`` is the absolute directory of the
+    search's cache store, ``None`` only for a ``/1`` checkpoint (see
+    :func:`append_legacy_entries`); ``completed`` marks a checkpoint
+    written after the search finished.
 
     Example::
 
         checkpoint = read_checkpoint("run.ckpt.json")
-        print(len(checkpoint.entries), checkpoint.completed)
+        print(checkpoint.store, checkpoint.completed)
     """
 
     request_document: dict
-    entries: dict[LatencyKey, float] = field(default_factory=dict)
+    store: str | None
     completed: bool = False
-    progress: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": CHECKPOINT_SCHEMA,
-            "request": dict(self.request_document),
-            "completed": bool(self.completed),
-            "progress": dict(self.progress),
-            "entries": [entry_document(key, value)
-                        for key, value in self.entries.items()],
-        }
+        return {"schema": CHECKPOINT_SCHEMA, "request": dict(self.request_document),
+                "store": self.store, "completed": bool(self.completed)}
 
     @classmethod
     def from_dict(cls, document: Mapping, *,
@@ -95,29 +103,60 @@ class SearchCheckpoint:
             raise CheckpointError(
                 f"checkpoint {source} does not hold a JSON object")
         schema = document.get("schema")
-        if schema != CHECKPOINT_SCHEMA:
+        if not isinstance(schema, str) or schema not in _FIELDS:
             raise CheckpointError(
                 f"checkpoint {source} has schema {schema!r}; this build "
-                f"reads '{CHECKPOINT_SCHEMA}' — it was written by an "
+                f"reads '{CHECKPOINT_SCHEMA}' and "
+                f"'{LEGACY_CHECKPOINT_SCHEMA}' — it was written by an "
                 f"incompatible build or is not a checkpoint at all")
+        unknown = sorted(set(document) - {"schema", *_FIELDS[schema]})
+        if unknown:
+            raise CheckpointError(
+                f"checkpoint {source} has unknown field(s) {unknown}; "
+                f"a '{schema}' checkpoint holds only {list(_FIELDS[schema])}")
         request = document.get("request")
         if not isinstance(request, Mapping):
             raise CheckpointError(
                 f"checkpoint {source} is missing its request document; "
                 f"it cannot name the search to resume")
-        entries: dict[LatencyKey, float] = {}
-        for index, entry in enumerate(document.get("entries", ())):
-            try:
-                key, value = entry_from_document(entry)
-            except CacheStoreError as exc:
-                raise CheckpointError(
-                    f"checkpoint {source} entry #{index} is unreadable "
-                    f"({exc}); the file is corrupt — fall back to an older "
-                    f"checkpoint or restart the search") from exc
-            entries[key] = value
-        return cls(request_document=dict(request), entries=entries,
-                   completed=bool(document.get("completed", False)),
-                   progress=dict(document.get("progress", {})))
+        completed = document.get("completed", False)
+        if not isinstance(completed, bool):
+            raise CheckpointError(
+                f"checkpoint {source} field 'completed' must be true or "
+                f"false, not {completed!r}")
+        if schema == LEGACY_CHECKPOINT_SCHEMA:
+            _legacy_entries(document, source)  # refuse a corrupt file now
+            return cls(dict(request), None, completed)
+        store = document.get("store")
+        if not isinstance(store, str):
+            raise CheckpointError(
+                f"checkpoint {source} field 'store' must be the store "
+                f"directory as a string, not {store!r}")
+        return cls(dict(request), store, completed)
+
+
+def _legacy_entries(document: Mapping, source: str) -> dict[LatencyKey, float]:
+    """The latency entries of a ``/1`` document, validated."""
+    if not isinstance(document.get("progress", {}), Mapping):
+        raise CheckpointError(
+            f"checkpoint {source} field 'progress' must be an object, "
+            f"not {type(document['progress']).__name__}")
+    listed = document.get("entries", [])
+    if not isinstance(listed, list):
+        raise CheckpointError(
+            f"checkpoint {source} field 'entries' must be a list, "
+            f"not {type(listed).__name__}")
+    entries: dict[LatencyKey, float] = {}
+    for index, entry in enumerate(listed):
+        try:
+            key, value = entry_from_document(entry)
+        except CacheStoreError as exc:
+            raise CheckpointError(
+                f"checkpoint {source} entry #{index} is unreadable "
+                f"({exc}); the file is corrupt — fall back to an older "
+                f"checkpoint or restart the search") from exc
+        entries[key] = value
+    return entries
 
 
 def write_checkpoint(path: str | Path, checkpoint: SearchCheckpoint) -> Path:
@@ -149,20 +188,11 @@ def write_checkpoint(path: str | Path, checkpoint: SearchCheckpoint) -> Path:
     return target
 
 
-def read_checkpoint(path: str | Path) -> SearchCheckpoint:
-    """Load and validate a checkpoint file.
-
-    Raises :class:`~repro.errors.CheckpointError` naming the file and the
-    defect for anything short of a well-formed checkpoint.
-
-    Example::
-
-        checkpoint = read_checkpoint("run.ckpt.json")
-    """
+def _load_document(path: str | Path) -> tuple[object, str]:
     source = Path(path).expanduser()
     try:
         with open(source, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+            return json.load(handle), str(source)
     except FileNotFoundError:
         raise CheckpointError(
             f"checkpoint {source} does not exist; was the search started "
@@ -175,18 +205,55 @@ def read_checkpoint(path: str | Path) -> SearchCheckpoint:
             f"checkpoint {source} is not valid JSON ({exc}); the file is "
             f"corrupt — fall back to an older checkpoint or restart "
             f"the search") from exc
-    return SearchCheckpoint.from_dict(document, source=str(source))
+
+
+def read_checkpoint(path: str | Path) -> SearchCheckpoint:
+    """Load and validate a checkpoint file.
+
+    Raises :class:`~repro.errors.CheckpointError` naming the file and the
+    defect for anything short of a well-formed checkpoint.
+
+    Example::
+
+        checkpoint = read_checkpoint("run.ckpt.json")
+    """
+    document, source = _load_document(path)
+    return SearchCheckpoint.from_dict(document, source=source)
+
+
+def append_legacy_entries(path: str | Path, store: CacheStore) -> int:
+    """Append a ``/1`` checkpoint's latency entries to ``store``.
+
+    Returns the records appended.  A store that cannot take them is
+    reported with a :class:`~repro.errors.DegradedExecutionWarning`: the
+    resumed run then re-tunes what the entries held.
+
+    Example::
+
+        append_legacy_entries("old.ckpt.json", CacheStore("old.ckpt.json.store"))
+    """
+    document, source = _load_document(path)
+    try:
+        return store.append(_legacy_entries(document, source))
+    except (CacheStoreError, OSError) as exc:
+        warnings.warn(DegradedExecutionWarning(
+            f"the entries of checkpoint {source} could not be appended to "
+            f"the store {store.directory}; the resumed run re-tunes them "
+            f"({exc})", component="cache_store", reason=str(exc)),
+            stacklevel=2)
+        return 0
 
 
 class CheckpointWriter:
-    """An engine observer that persists a checkpoint after tuning batches.
+    """An engine observer that keeps a search's resume point durable.
 
-    Subscribes to the engine's event stream (``tune_batch`` marks the
-    moment new paid-for work exists) and writes at most one checkpoint
-    per ``interval_seconds``; :meth:`write` forces one unconditionally
-    (the façade calls it with ``completed=True`` when the search
-    finishes).  Each write emits a ``checkpoint_saved`` event through the
-    engine, so progress observers can surface the resume point.
+    Every ``tune_batch`` event (the moment new paid-for work exists)
+    flushes the engine's store with
+    :meth:`~repro.core.engine.EvaluationEngine.save_cache`, which appends
+    only what is new.  :meth:`write` writes the checkpoint document and
+    emits ``checkpoint_saved``; the façade calls it when the search
+    starts and, with ``completed=True``, when it completes.  The engine
+    must have a store: it is where the checkpoint's work lives.
 
     Example::
 
@@ -194,39 +261,27 @@ class CheckpointWriter:
         engine.subscribe(writer.on_event)
     """
 
-    def __init__(self, path: str | Path, request_document: dict,
-                 engine, interval_seconds: float = 0.0):
+    def __init__(self, path: str | Path, request_document: dict, engine):
         self.path = Path(path).expanduser()
+        if engine.cache_store is None:
+            raise CheckpointError(
+                f"checkpoint {self.path} needs a cache store to hold the "
+                f"search's work: give the session a cache_dir "
+                f"(repro.optimize and 'repro optimize' default it to "
+                f"<checkpoint>.store/)")
         self.request_document = dict(request_document)
         self.engine = engine
-        self.interval_seconds = float(interval_seconds)
-        self.writes = 0
-        self._last_write: float | None = None
 
     def on_event(self, event) -> None:
         """The :class:`~repro.core.events.Observer` hook."""
         if event.kind == "tune_batch":
-            now = time.monotonic()
-            if (self._last_write is not None
-                    and now - self._last_write < self.interval_seconds):
-                return
-            self.write()
+            self.engine.save_cache()
 
     def write(self, *, completed: bool = False) -> Path:
-        """Persist the current engine state; returns the checkpoint path."""
-        statistics = self.engine.statistics
-        checkpoint = SearchCheckpoint(
-            request_document=self.request_document,
-            entries=self.engine.cache_entries(),
-            completed=completed,
-            progress={
-                "cache_entries": self.engine.cache_size,
-                "tuner_calls": statistics.tuner_calls,
-                "latency_queries": statistics.latency_queries,
-            })
-        target = write_checkpoint(self.path, checkpoint)
-        self._last_write = time.monotonic()
-        self.writes += 1
-        self.engine.emit("checkpoint_saved", path=str(target),
-                         entries=len(checkpoint.entries), completed=completed)
+        """Persist the checkpoint document; returns the checkpoint path."""
+        store = str(self.engine.cache_store.directory.absolute())
+        target = write_checkpoint(self.path, SearchCheckpoint(
+            self.request_document, store, completed))
+        self.engine.emit("checkpoint_saved", path=str(target), store=store,
+                         completed=completed)
         return target

@@ -841,20 +841,16 @@ class EvaluationEngine(Observable):
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def _merge_entries(self, entries, *, remember: bool) -> int:
+    def _merge_entries(self, entries) -> int:
         """Merge ``entries`` into memory; in-memory entries win on conflict.
 
-        The newly merged entries count as loaded.  With ``remember`` they
-        also join the pending-append set, so a store-backed engine pushes
-        them into its shards on the next :meth:`save_cache`.
+        The newly merged entries count as loaded.
         """
         cache = self._latency_cache
         if not cache:
             # Warm start into an empty engine: bulk-insert without the
             # per-key membership checks (there is nothing to conflict with).
             cache.update(entries)
-            if remember:
-                self._pending.extend(entries)
             loaded = len(cache)
         else:
             loaded = 0
@@ -862,8 +858,6 @@ class EvaluationEngine(Observable):
                 if key not in cache:
                     cache[key] = seconds
                     loaded += 1
-                    if remember:
-                        self._pending.append(key)
         self.statistics.loaded_entries += loaded
         return loaded
 
@@ -924,31 +918,4 @@ class EvaluationEngine(Observable):
         except (CacheStoreError, OSError) as exc:
             self._quarantine_store(exc)
             return 0
-        return self._merge_entries(entries, remember=False)
-
-    def cache_entries(self) -> dict[LatencyKey, float]:
-        """A snapshot of the memoised latency entries.
-
-        This is what a search checkpoint persists: replaying a
-        deterministic search over an engine warmed with these entries
-        reproduces the interrupted run bit-for-bit without re-tuning.
-
-        Example::
-
-            entries = engine.cache_entries()
-        """
-        return dict(self._latency_cache)
-
-    def absorb_entries(self, entries: dict[LatencyKey, float]) -> int:
-        """Merge externally captured entries (checkpoint resume) into memory.
-
-        In-memory entries win on conflict, exactly as :meth:`load_cache`;
-        store-backed engines remember the absorbed keys so the next
-        :meth:`save_cache` appends them into the shards.  Returns the
-        number of entries actually added.
-
-        Example::
-
-            engine.absorb_entries(checkpoint_entries)
-        """
-        return self._merge_entries(entries, remember=self.cache_store is not None)
+        return self._merge_entries(entries)

@@ -39,8 +39,10 @@ public surface and covered by ``tests/test_api.py``):
     :class:`~repro.errors.DegradedExecutionWarning` raised at the same
     moment
 ``checkpoint_saved``
-    ``path``, ``entries``, ``completed`` — the search's resume point was
-    atomically persisted (see :mod:`repro.core.checkpoint`)
+    ``path``, ``store``, ``completed`` — the search's resume point (its
+    request and the store its work is appended to) was atomically
+    written, when the search started or completed (see
+    :mod:`repro.core.checkpoint`)
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ directory.  The daemon owns:
   :class:`~repro.core.events.ProgressEvent`\\ s to an append-only NDJSON
   log (``<state_dir>/events/<job>.ndjson``) that ``repro watch`` tails,
   and checkpoints through :class:`~repro.core.checkpoint.CheckpointWriter`
-  to ``<state_dir>/checkpoints/<job>.ckpt.json``.  Kill the daemon —
-  SIGKILL included — and the restarted daemon re-queues every
-  ``running`` job and resumes it from its checkpoint to the
+  to ``<state_dir>/checkpoints/<job>.ckpt.json``, a document naming the
+  shared store that the job appends its work to after every tuning
+  batch.  Kill the daemon — SIGKILL included — and the restarted daemon
+  re-queues every ``running`` job and re-runs it over that store to the
   bit-identical result.
 
 The wire protocol (JSON lines over local TCP; see
@@ -38,9 +39,8 @@ from pathlib import Path
 from repro import __version__
 from repro.api import OptimizationRequest, OptimizationSession
 from repro.core.cache_store import CacheStore
-from repro.core.checkpoint import read_checkpoint
 from repro.core.events import ProgressEvent
-from repro.errors import CheckpointError, ReproError, ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.service import protocol
 from repro.service.jobs import Job, JobStore
 
@@ -52,8 +52,8 @@ class _JobAborted(BaseException):
     """Raised inside a job's observer to stop its search mid-flight.
 
     Derives from ``BaseException`` so no library ``except Exception``
-    can swallow it; the façade's abort path still flushes a final
-    checkpoint on the way out.  ``requeue`` distinguishes a graceful
+    can swallow it; the façade's abort path still flushes the job's work
+    into the store on the way out.  ``requeue`` distinguishes a graceful
     daemon stop (the job goes back to ``queued`` and resumes later)
     from an operator ``cancel`` (terminal).
     """
@@ -77,15 +77,13 @@ class OptimizationService:
     """
 
     def __init__(self, state_dir: str | Path, *, workers: int = 2,
-                 host: str = protocol.DEFAULT_HOST, port: int = 0,
-                 checkpoint_interval: float = 0.0):
+                 host: str = protocol.DEFAULT_HOST, port: int = 0):
         if workers < 1:
             raise ServiceError("the service needs at least one worker")
         self.state_dir = Path(state_dir).expanduser()
         self.workers = int(workers)
         self.host = host
         self.port = int(port)
-        self.checkpoint_interval = float(checkpoint_interval)
         self.jobs = JobStore(self.state_dir / "jobs")
         self.cache_store = CacheStore(self.state_dir / "cache")
         (self.state_dir / "events").mkdir(parents=True, exist_ok=True)
@@ -165,7 +163,7 @@ class OptimizationService:
         """Graceful shutdown: abort running jobs back to ``queued``.
 
         Running searches abort at their next progress event; the façade's
-        abort path flushes a final checkpoint first, so a restarted
+        abort path flushes their work into the store first, so a restarted
         daemon resumes them without losing paid-for tunings.  Idempotent.
         """
         self._stopping.set()
@@ -252,18 +250,11 @@ class OptimizationService:
             session = OptimizationSession(
                 request.platform, tuner_trials=request.tuner_trials,
                 seed=request.seed, cache_store=self.cache_store)
-            engine = session.engine(request.platform,
-                                    tuner_trials=request.tuner_trials,
-                                    seed=request.seed)
-            checkpoint = self.checkpoint_path(job_id)
-            if checkpoint.exists():
-                try:
-                    engine.absorb_entries(read_checkpoint(checkpoint).entries)
-                except CheckpointError:
-                    pass  # torn/alien checkpoint: run fresh, overwrite it
+            # A re-run of an interrupted job replays what its checkpoint's
+            # store (this daemon's) already holds.
             result = session.optimize(
-                request=request, observer=observer, checkpoint=checkpoint,
-                checkpoint_interval=self.checkpoint_interval)
+                request=request, observer=observer,
+                checkpoint=self.checkpoint_path(job_id))
             self._finish(job, "done", result=result.to_dict())
         except _JobAborted as abort:
             if abort.requeue:

@@ -15,9 +15,10 @@ either in its old state or its new one, never torn.  The state machine::
 Recovery is the whole point of the layout: on startup the daemon calls
 :meth:`JobStore.recover`, which flips every ``running`` record back to
 ``queued`` — a job the previous daemon died under.  The worker that
-picks it up finds the job's checkpoint file and resumes through the
-normal :mod:`repro.core.checkpoint` path, so the replayed run is
-bit-identical to what the uninterrupted run would have produced.
+picks it up re-runs the request over the daemon's store, where the
+job's checkpoint (:mod:`repro.core.checkpoint`) flushed its work, so
+the replayed run is bit-identical to what the uninterrupted run would
+have produced.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro.api import OptimizationRequest, OptimizationResult, TuningResult
+from repro.core.cache_store import CacheStore
 from repro.cli import REQUEST_FLAGS, _build_parser, _request_fields, main
 from repro.errors import DegradedExecutionWarning
 
@@ -388,6 +389,14 @@ class TestExitCodes:
         assert main(["resume", str(torn)]) == 12
         assert "checkpoint" in capsys.readouterr().err.lower()
 
+    def test_a_malformed_checkpoint_field_exits_12(self, capsys, tmp_path):
+        malformed = tmp_path / "malformed.ckpt.json"
+        malformed.write_text(json.dumps({
+            "schema": "repro.search-checkpoint/1", "request": {},
+            "completed": False, "progress": 5, "entries": []}))
+        assert main(["resume", str(malformed)]) == 12
+        assert "'progress'" in capsys.readouterr().err
+
 
 class TestSignalledOptimize:
     def test_sigterm_flushes_checkpoint_and_resume_matches_golden(
@@ -415,17 +424,17 @@ class TestSignalledOptimize:
 
         monkeypatch.setattr(cli, "_print_progress", kill_on_second_batch)
         checkpoint = tmp_path / "run.ckpt.json"
-        # Rate-limit periodic writes away: only the abort-path flush can
-        # make the checkpoint carry the second batch's tunings.
         code = main(["optimize", *args, "--progress",
-                     "--checkpoint", str(checkpoint),
-                     "--checkpoint-interval", "3600"])
+                     "--checkpoint", str(checkpoint)])
         err = capsys.readouterr().err
         assert code == 130, err
         assert "resume with" in err
         document = json.loads(checkpoint.read_text())
-        assert document["entries"], "the final flush must persist tunings"
         assert not document["completed"]
+        assert document["store"] == str(checkpoint) + ".store"
+        store = CacheStore(document["store"])
+        assert store.entry_count("cpu") > 0, "the store must hold the tunings"
+        assert store.fisher_info()["profiles"] == 1
 
         resumed = json.loads(run_cli(capsys, "resume", str(checkpoint),
                                      "--json"))

@@ -8,12 +8,19 @@ next — and checks that ``repro resume`` still reproduces the result of an
 uninterrupted run, bit for bit.  This is the strongest statement the
 checkpoint layer makes, so CI runs it as its own job step.
 
+The victim is killed once its checkpoint is live: the document is not
+``completed`` and the store it names holds latency entries and the
+network's Fisher profile.  The resume must then re-score no operator the
+store holds, and build the profile again only to score operators the
+killed run never reached.
+
 Usage::
 
-    python tools/kill_resume_smoke.py [workdir]
+    PYTHONPATH=src python tools/kill_resume_smoke.py [workdir]
 
-Exits 0 when the resumed result equals the golden; 1 on divergence or on
-a run that never produced a live checkpoint to kill.
+Exits 0 when the resumed result equals the golden and the resume re-paid
+no stored Fisher work; 1 otherwise, or on a run that never produced a
+live checkpoint to kill.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+from repro.core.cache_store import CacheStore
 
 #: result-document keys that vary with wall clock or compile-trie warmth,
 #: never with the search's decisions (mirrors tests/test_faults.py)
@@ -57,13 +66,20 @@ def _stripped(document: dict) -> dict:
     return document
 
 
+def _fisher_rows(store: CacheStore) -> dict:
+    return store.fisher_info() or {"profiles": 0, "scores": 0}
+
+
 def _checkpoint_is_live(path: Path) -> bool:
-    """True once the file holds a complete checkpoint with paid-for work."""
+    """True once the run is past its first flush and not yet complete."""
     try:
         document = json.loads(path.read_text())
     except (OSError, ValueError):
         return False  # not written yet, or we raced the atomic rename
-    return bool(document.get("entries")) and not document.get("completed")
+    if document.get("completed"):
+        return False
+    store = CacheStore(document["store"])
+    return store.entry_count("cpu") > 0 and _fisher_rows(store)["profiles"] > 0
 
 
 def main(argv: list[str]) -> int:
@@ -78,7 +94,8 @@ def main(argv: list[str]) -> int:
     if golden_process.returncode != 0:
         print(f"FAIL: golden run exited {golden_process.returncode}\n{golden_err}")
         return 1
-    golden = _stripped(json.loads(golden_out))
+    golden_document = json.loads(golden_out)
+    golden = _stripped(golden_document)
 
     print("victim: checkpointed run, to be SIGKILLed mid-search ...", flush=True)
     victim = _repro("--checkpoint", str(checkpoint))
@@ -106,6 +123,8 @@ def main(argv: list[str]) -> int:
     if not checkpoint.exists():
         print("FAIL: the killed run left no checkpoint behind")
         return 1
+    stored_scores = _fisher_rows(CacheStore(
+        json.loads(checkpoint.read_text())["store"]))["scores"]
 
     print("resume: continuing from the checkpoint ...", flush=True)
     resume = subprocess.run(
@@ -114,15 +133,29 @@ def main(argv: list[str]) -> int:
     if resume.returncode != 0:
         print(f"FAIL: repro resume exited {resume.returncode}\n{resume.stderr}")
         return 1
-    resumed = _stripped(json.loads(resume.stdout))
+    resumed_document = json.loads(resume.stdout)
+    resumed = _stripped(resumed_document)
 
     if resumed != golden:
         diverging = [key for key in golden
                      if resumed.get(key) != golden.get(key)]
         print(f"FAIL: resumed result diverges from golden in {diverging}")
         return 1
+    work = resumed_document["engine_statistics"]
+    expected_scored = (golden_document["engine_statistics"]["fisher_scored"]
+                       - stored_scores)
+    if (work["fisher_scored"] != expected_scored
+            or work["fisher_profiles"] != (1 if expected_scored else 0)):
+        print(f"FAIL: the resume re-paid stored Fisher work: "
+              f"fisher_profiles={work['fisher_profiles']}, "
+              f"fisher_scored={work['fisher_scored']} with {stored_scores} "
+              f"operator scores already in the store "
+              f"(expected {expected_scored})")
+        return 1
     print(f"OK: resumed result is bit-identical to the uninterrupted run "
-          f"(killed={killed}, checkpoint={checkpoint})")
+          f"(killed={killed}, checkpoint={checkpoint}, "
+          f"fisher_profiles={work['fisher_profiles']}, "
+          f"fisher_scored={work['fisher_scored']})")
     return 0
 
 
