@@ -169,6 +169,9 @@ class LatencyPredictor:
         #: distribution at fit time
         self._transfer_features: list[np.ndarray] = []
         self._transfer_zscores: list[float] = []
+        #: every candidate's features, encoded once (``encode_candidate``
+        #: is pure); a search predicts most candidates many times
+        self._encoded: dict[CandidateKey, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Reference latencies (targets become log ratios to these)
@@ -199,8 +202,14 @@ class LatencyPredictor:
         # The tuner-trial budget is the fidelity axis: more trials find
         # better schedules, so the fidelity rides along as one extra
         # feature and low-fidelity observations still teach the model.
-        base = encode_candidate(shape, program)
-        return np.concatenate([base, [math.log2(max(int(trials), 1))]])
+        key = (shape, program, trials)
+        features = self._encoded.get(key)
+        if features is None:
+            base = encode_candidate(shape, program)
+            features = np.concatenate([base, [math.log2(max(int(trials), 1))]])
+            features.flags.writeable = False
+            self._encoded[key] = features
+        return features
 
     def observe(self, shape: ConvolutionShape, program: TransformProgram,
                 latency_seconds: float, *, trials: int = 1) -> None:

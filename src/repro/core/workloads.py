@@ -16,7 +16,7 @@ import numpy as np
 from repro.nn.layers import Conv2d
 from repro.nn.module import Module
 from repro.poly.statement import ConvolutionShape
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, no_grad
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,15 @@ class LayerWorkload:
         return self.shape.macs()
 
 
-def extract_workloads(model: Module, input_shape: tuple[int, int, int],
-                      batch_size: int = 1) -> list[LayerWorkload]:
+def extract_workloads(model: Module, input_shape: tuple[int, int, int]) -> list[LayerWorkload]:
     """Run a recording forward pass and return every convolution's workload.
 
     ``input_shape`` is (channels, height, width) of a single example.  All
     convolutions in the model are included — stems, shortcuts and the
     convolutions inside substituted candidate operators — because they all
-    contribute to the measured inference time.
+    contribute to the measured inference time.  Only the shapes are read,
+    so the pass records no tape and runs a batch of zero examples: every
+    activation has its full channel and spatial extent and no data.
     """
     convs: list[tuple[str, Conv2d]] = []
     for name, module in model.named_modules():
@@ -54,8 +55,8 @@ def extract_workloads(model: Module, input_shape: tuple[int, int, int],
 
     was_training = model.training
     model.eval()
-    dummy = np.zeros((batch_size,) + tuple(input_shape))
-    model(Tensor(dummy))
+    with no_grad():
+        model(Tensor(np.zeros((0,) + tuple(input_shape))))
     model.train(was_training)
 
     workloads: list[LayerWorkload] = []

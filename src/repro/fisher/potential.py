@@ -193,7 +193,10 @@ def fisher_profile(model: Module, images: np.ndarray, labels: np.ndarray) -> Fis
     The caller's model comes back as it went in: the parameters'
     ``requires_grad`` flags, the BN running statistics the training-mode
     pass updates, the recording flags and the training mode are restored,
-    and no parameter's ``.grad`` is touched.
+    and no parameter's ``.grad`` is touched.  The records hold the arrays
+    the tape made, not copies: nothing writes into a tensor's data, and
+    every gradient is an array of its own.  Only the caller's images are
+    copied, since they are the first convolution's input.
     """
     convs = _conv_layers(model)
     parameters = list(model.parameters())
@@ -209,7 +212,7 @@ def fisher_profile(model: Module, images: np.ndarray, labels: np.ndarray) -> Fis
             conv.last_input = None
             conv.last_output = None
         model.train(True)
-        logits = model(Tensor(np.asarray(images), requires_grad=True))
+        logits = model(Tensor(np.array(images, dtype=np.float64), requires_grad=True))
         loss = ops.cross_entropy(logits, np.asarray(labels))
         loss.backward()
 
@@ -222,8 +225,8 @@ def fisher_profile(model: Module, images: np.ndarray, labels: np.ndarray) -> Fis
             profile.layers[name] = LayerFisherRecord(
                 name=name,
                 score=layer_fisher(output.data, output.grad),
-                input_activation=conv.last_input.data.copy(),
-                output_gradient=output.grad.copy(),
+                input_activation=conv.last_input.data,
+                output_gradient=output.grad,
                 output_reference_std=output.data.std(axis=(0, 2, 3)),
                 output_shape=tuple(output.shape),
                 in_channels=conv.in_channels,

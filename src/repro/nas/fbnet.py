@@ -29,7 +29,7 @@ from repro.nn.layers import Conv2d
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD
 from repro.tensor import ops
-from repro.tensor.tensor import Tensor, stack
+from repro.tensor.tensor import Tensor
 from repro.utils import make_rng
 
 
@@ -92,11 +92,10 @@ class MixedOp(Module):
         return ops.softmax(self.alpha.reshape(1, -1), axis=1).reshape(-1)
 
     def forward(self, x: Tensor) -> Tensor:
-        weights = self.weights()
-        outputs = [candidate(x) for candidate in self.candidates]
-        stacked = stack(outputs, axis=0)                      # (K, N, C, H, W)
-        weighted = stacked * weights.reshape(-1, 1, 1, 1, 1)
-        return weighted.sum(axis=0)
+        # Summed in candidate order: the tape keeps the K outputs, and
+        # neither a (K, N, C, H, W) stack nor a product per candidate.
+        return ops.weighted_sum([candidate(x) for candidate in self.candidates],
+                                self.weights())
 
     def expected_latency(self) -> Tensor:
         return (self.weights() * Tensor(self.latencies)).sum()

@@ -38,7 +38,8 @@ class ReLU(Module):
 
 class Flatten(Module):
     def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
+        # No -1: NumPy cannot infer it for a batch of zero examples.
+        return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
 
 
 class Linear(Module):
@@ -60,9 +61,10 @@ class Linear(Module):
 class Conv2d(Module):
     """2-D convolution with optional grouping.
 
-    ``record_activations`` keeps a reference to the layer's output tensor so
-    that Fisher Potential (activation x gradient, per channel) can be read
-    after a backward pass.
+    ``record_activations`` keeps a reference to the layer's input and output
+    tensors, and marks the output to keep its gradient through
+    :meth:`Tensor.backward`, so that Fisher Potential (activation x
+    gradient, per channel) can be read after a backward pass.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
@@ -92,6 +94,7 @@ class Conv2d(Module):
         out = ops.conv2d(x, self.weight, self.bias, stride=self.stride,
                          padding=self.padding, groups=self.groups)
         if self.record_activations:
+            out.retain_grad()
             self.last_input = x
             self.last_output = out
         return out

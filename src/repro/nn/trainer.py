@@ -18,7 +18,7 @@ from repro.nn.metrics import AverageMeter, top_k_accuracy
 from repro.nn.module import Module
 from repro.nn.optim import SGD, MultiStepLR
 from repro.tensor import ops
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, no_grad
 
 
 @dataclass
@@ -89,15 +89,16 @@ class Trainer:
         return loss_meter.average, acc_meter.average
 
     def evaluate(self, loader: DataLoader) -> tuple[float, float]:
-        """Return (top-1 accuracy, top-5 accuracy) on a loader."""
+        """Return (top-1 accuracy, top-5 accuracy) on a loader (no tape is recorded)."""
         self.model.eval()
         top1 = AverageMeter()
         top5 = AverageMeter()
-        for images, labels in loader:
-            logits = self.model(Tensor(images))
-            k5 = min(5, logits.shape[1])
-            top1.update(top_k_accuracy(logits.data, labels, k=1), len(labels))
-            top5.update(top_k_accuracy(logits.data, labels, k=k5), len(labels))
+        with no_grad():
+            for images, labels in loader:
+                logits = self.model(Tensor(images))
+                k5 = min(5, logits.shape[1])
+                top1.update(top_k_accuracy(logits.data, labels, k=1), len(labels))
+                top5.update(top_k_accuracy(logits.data, labels, k=k5), len(labels))
         return top1.average, top5.average
 
     def fit(self, train_loader: DataLoader, test_loader: DataLoader | None = None) -> TrainingResult:

@@ -1,6 +1,6 @@
 """Tape-based autograd tensor engine (NumPy substrate for PyTorch)."""
 
-from repro.tensor.tensor import Tensor, concat, no_grad, stack, pad2d
+from repro.tensor.tensor import Tensor, concat, no_grad, pad2d
 from repro.tensor.ops import (
     avg_pool2d,
     batch_norm2d,
@@ -23,7 +23,6 @@ __all__ = [
     "Tensor",
     "concat",
     "no_grad",
-    "stack",
     "pad2d",
     "avg_pool2d",
     "batch_norm2d",

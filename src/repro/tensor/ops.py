@@ -10,9 +10,15 @@ The forward and input-gradient contractions call ``np.matmul`` on the
 im2col operands, which reads them in place and returns NCHW directly;
 ``np.einsum(..., optimize=True)`` copies the whole column tensor into
 transposed order and then copies its result again (DESIGN.md §2 has the
-measurements).  The weight-gradient contraction, which only training
-runs, stays an einsum.  Inside :func:`shared_columns`, convolutions of one
-recorded input build its columns once per kept channel count and stride.
+measurements).  The tape keeps no columns: a convolution's backward
+closure holds its input, which is a parent of its output anyway, and
+rebuilds the columns only when the weight needs a gradient.  The dense
+weight gradient is one ``np.matmul`` against columns rebuilt in
+``(C·KH·KW, N·OH·OW)`` layout; the grouped one stays an einsum over the
+forward's layout.  Inside :func:`shared_columns`,
+convolutions of one recorded input build its columns once per kept
+channel count and stride.  :func:`weighted_sum` mixes tensors as one
+tape node, keeping no product or partial sum.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "log_softmax",
     "cross_entropy",
     "dropout",
+    "weighted_sum",
     "upsample_nearest2d",
     "im2col",
     "col2im",
@@ -53,13 +60,9 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # ---------------------------------------------------------------------------
 # im2col / col2im
 # ---------------------------------------------------------------------------
-def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int) -> np.ndarray:
-    """Rearrange image patches into columns.
-
-    Input ``x`` has shape ``(N, C, H, W)``; the result has shape
-    ``(N, C, KH, KW, OH, OW)``.  The columns are one strided window view
-    over the (zero-padded) input, copied once into a contiguous array.
-    """
+def _windows(x: np.ndarray, kernel: tuple[int, int], stride: int,
+             padding: int) -> np.ndarray:
+    """The ``(N, C, KH, KW, OH, OW)`` window view over the zero-padded ``x``."""
     n, c, h, w = x.shape
     kh, kw = kernel
     oh = conv_output_size(h, kh, stride, padding)
@@ -69,10 +72,33 @@ def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int) ->
         padded[:, :, padding:padding + h, padding:padding + w] = x
         x = padded
     sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         x, shape=(n, c, kh, kw, oh, ow),
         strides=(sn, sc, sh, sw, stride * sh, stride * sw), writeable=False)
-    return windows.copy()
+
+
+def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int) -> np.ndarray:
+    """Rearrange image patches into columns.
+
+    Input ``x`` has shape ``(N, C, H, W)``; the result has shape
+    ``(N, C, KH, KW, OH, OW)``.  The columns are one strided window view
+    over the (zero-padded) input, copied once into a contiguous array.
+    """
+    return _windows(x, kernel, stride, padding).copy()
+
+
+def _gradient_columns(x: np.ndarray, kernel: tuple[int, int], stride: int,
+                      padding: int) -> np.ndarray:
+    """:func:`im2col` of ``x`` laid out as one ``(C·KH·KW, N·OH·OW)`` matrix.
+
+    The dense weight gradient contracts the output gradient with the
+    columns over the batch and every output position; in this layout that
+    is a single matmul against the columns' transpose.
+    """
+    windows = _windows(x, kernel, stride, padding)
+    n, c, kh, kw, oh, ow = windows.shape
+    return np.ascontiguousarray(windows.transpose(1, 2, 3, 0, 4, 5)).reshape(
+        c * kh * kw, n * oh * ow)
 
 
 def col2im(cols: np.ndarray, input_shape: tuple[int, int, int, int],
@@ -164,7 +190,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     """2-D convolution over NCHW input.
 
     ``weight`` has shape ``(C_out, C_in // groups, KH, KW)``.  Grouped and
-    depthwise convolutions are expressed through ``groups``.
+    depthwise convolutions are expressed through ``groups``.  The backward
+    closure keeps no im2col columns (see the module docstring).
     """
     n, c_in, h, w = x.shape
     c_out, c_in_group, kh, kw = weight.shape
@@ -180,18 +207,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
+    k = c_in * kh * kw
+    k_group = k // groups
+    cpg_out = c_out // groups
 
     cols = _columns(x.data, (kh, kw), stride, padding)  # (N, C, KH, KW, OH, OW)
-
     if groups == 1:
-        cols_mat = cols.reshape(n, c_in * kh * kw, oh * ow)
-        w_mat = weight.data.reshape(c_out, c_in * kh * kw)
-        out_data = np.matmul(w_mat, cols_mat).reshape(n, c_out, oh, ow)
+        w_mat = weight.data.reshape(c_out, k)
+        out_data = np.matmul(w_mat, cols.reshape(n, k, oh * ow)).reshape(n, c_out, oh, ow)
     else:
-        cpg_in = c_in // groups
-        cpg_out = c_out // groups
-        cols_g = cols.reshape(n, groups, cpg_in * kh * kw, oh * ow)
-        w_g = weight.data.reshape(groups, cpg_out, cpg_in * kh * kw)
+        cols_g = cols.reshape(n, groups, k_group, oh * ow)
+        w_g = weight.data.reshape(groups, cpg_out, k_group)
         out_data = np.matmul(w_g, cols_g).reshape(n, c_out, oh, ow)
 
     if bias is not None:
@@ -200,30 +226,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
     def backward(grad: np.ndarray) -> None:
         grad = grad.reshape(n, c_out, oh, ow)
-        if groups == 1:
-            grad_mat = grad.reshape(n, c_out, oh * ow)
-            cols_mat_local = cols.reshape(n, c_in * kh * kw, oh * ow)
-            if weight.requires_grad:
-                w_grad = np.einsum("nop,nkp->ok", grad_mat, cols_mat_local, optimize=True)
-                weight._accumulate(w_grad.reshape(weight.shape))
-            if x.requires_grad:
-                w_mat_local = weight.data.reshape(c_out, c_in * kh * kw)
-                cols_grad = np.matmul(w_mat_local.T, grad_mat)
-                cols_grad = cols_grad.reshape(n, c_in, kh, kw, oh, ow)
-                x._accumulate(col2im(cols_grad, x.shape, (kh, kw), stride, padding))
-        else:
-            cpg_in = c_in // groups
-            cpg_out = c_out // groups
-            grad_g = grad.reshape(n, groups, cpg_out, oh * ow)
-            cols_g_local = cols.reshape(n, groups, cpg_in * kh * kw, oh * ow)
-            if weight.requires_grad:
-                w_grad = np.einsum("ngop,ngkp->gok", grad_g, cols_g_local, optimize=True)
-                weight._accumulate(w_grad.reshape(weight.shape))
-            if x.requires_grad:
-                w_g_local = weight.data.reshape(groups, cpg_out, cpg_in * kh * kw)
-                cols_grad = np.matmul(w_g_local.transpose(0, 2, 1), grad_g)
-                cols_grad = cols_grad.reshape(n, c_in, kh, kw, oh, ow)
-                x._accumulate(col2im(cols_grad, x.shape, (kh, kw), stride, padding))
+        if weight.requires_grad:
+            if groups == 1:
+                # (K, N·P) @ (N·P, O), transposed: the operands and the
+                # order np.einsum("nop,nkp->ok", optimize=True) hands to
+                # matmul, without its copy of the columns.
+                cols_t = _gradient_columns(x.data, (kh, kw), stride, padding)
+                grad_t = grad.reshape(n, c_out, oh * ow).transpose(0, 2, 1).reshape(
+                    n * oh * ow, c_out)
+                w_grad = np.matmul(cols_t, grad_t).T
+            else:
+                # A batched matmul does not match this einsum's bits on
+                # every grouped shape (DESIGN.md §2), so the einsum stays,
+                # over columns in the forward's layout.
+                grad_g = grad.reshape(n, groups, cpg_out, oh * ow)
+                cols_g = im2col(x.data, (kh, kw), stride, padding).reshape(
+                    n, groups, k_group, oh * ow)
+                w_grad = np.einsum("ngop,ngkp->gok", grad_g, cols_g, optimize=True)
+            weight._accumulate(w_grad.reshape(weight.shape))
+        if x.requires_grad:
+            if groups == 1:
+                w_mat_local = weight.data.reshape(c_out, k)
+                cols_grad = np.matmul(w_mat_local.T, grad.reshape(n, c_out, oh * ow))
+            else:
+                w_g_local = weight.data.reshape(groups, cpg_out, k_group)
+                cols_grad = np.matmul(w_g_local.transpose(0, 2, 1),
+                                      grad.reshape(n, groups, cpg_out, oh * ow))
+            cols_grad = cols_grad.reshape(n, c_in, kh, kw, oh, ow)
+            x._accumulate(col2im(cols_grad, x.shape, (kh, kw), stride, padding))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
 
@@ -364,6 +394,29 @@ def upsample_nearest2d(x: Tensor, factor: int) -> Tensor:
         x._accumulate(reshaped.sum(axis=(3, 5)))
 
     return Tensor._make(data, (x,), backward)
+
+
+def weighted_sum(tensors: list[Tensor], weights: Tensor) -> Tensor:
+    """``tensors[0] * weights[0] + tensors[1] * weights[1] + ...`` as one node.
+
+    The values and gradients are those of adding the products one by one,
+    in order, but the tape keeps only the operands: no product and no
+    partial sum stays alive until backward.  ``weights`` is 1-D, one
+    scalar per tensor.
+    """
+    data = tensors[0].data * weights.data[0]
+    for tensor, weight in zip(tensors[1:], weights.data[1:]):
+        data = data + tensor.data * weight
+
+    def backward(grad: np.ndarray) -> None:
+        axes = tuple(range(grad.ndim))
+        weights_grad = np.empty_like(weights.data)
+        for index, tensor in enumerate(tensors):
+            tensor._accumulate(grad * weights.data[index])
+            weights_grad[index] = (grad * tensor.data).sum(axis=axes)
+        weights._accumulate(weights_grad)
+
+    return Tensor._make(data, (*tensors, weights), backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:

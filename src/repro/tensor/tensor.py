@@ -3,7 +3,10 @@
 The :class:`Tensor` class wraps an ``np.ndarray`` and records the operations
 applied to it on a tape (the reverse graph of parent tensors plus a backward
 closure per node).  Calling :meth:`Tensor.backward` performs reverse-mode
-differentiation over that tape.
+differentiation over that tape and consumes it: each interior node lets go
+of its closure, its parents and its gradient once it has passed the
+gradient on, so memory falls as the pass proceeds.  Leaves keep their
+gradients, and so does a node marked with :meth:`Tensor.retain_grad`.
 
 The engine is intentionally small but complete enough to train the
 convolutional networks used in the paper (ResNet, ResNeXt, DenseNet) and to
@@ -61,7 +64,7 @@ def no_grad() -> Iterator[None]:
     """Record no tape inside the scope.
 
     Results computed inside never require grad, so no backward closure
-    keeps its operands (im2col columns, weights) alive after the values
+    keeps its operands (inputs, weights, masks) alive after the values
     are read.  The values themselves are unchanged.  The flag is per
     thread, so a search scoring operators in one thread leaves another
     thread's training alone.
@@ -82,7 +85,8 @@ def no_grad() -> Iterator[None]:
 class Tensor:
     """An n-dimensional array with reverse-mode automatic differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name",
+                 "_retains_grad", "_released")
     __array_priority__ = 200  # ensure Tensor.__r*__ wins over ndarray ops
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
@@ -92,6 +96,8 @@ class Tensor:
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self.name = name
+        self._retains_grad = False
+        self._released = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -133,6 +139,14 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
+    def retain_grad(self) -> None:
+        """Keep this node's gradient after :meth:`backward` releases the tape.
+
+        Leaves always keep theirs; an interior node drops its gradient once
+        it has passed it on, unless it is marked.
+        """
+        self._retains_grad = True
+
     # ------------------------------------------------------------------
     # Tape construction
     # ------------------------------------------------------------------
@@ -161,7 +175,11 @@ class Tensor:
         """Run reverse-mode autodiff from this tensor.
 
         ``grad`` defaults to ones (only valid for scalar outputs, matching
-        the usual loss.backward() idiom).
+        the usual loss.backward() idiom).  The pass releases the tape behind
+        it: every interior node, this one included, drops its closure, its
+        parents and (unless :meth:`retain_grad` marked it) its gradient once
+        it has propagated.  A second ``backward()`` through a released node
+        raises :class:`~repro.errors.AutogradError`.
         """
         if not self.requires_grad:
             raise AutogradError("backward() called on a tensor that does not require grad")
@@ -189,6 +207,10 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._released:
+                raise AutogradError(
+                    "backward() through a graph an earlier backward() released; "
+                    "run the forward pass again")
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -196,10 +218,19 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+        # Popping drops the list's reference, so a released node's arrays go
+        # as soon as nothing outside the tape holds the node.
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
                 continue
-            node._backward(node.grad)
+            if node.grad is not None:
+                node._backward(node.grad)
+            node._backward = None
+            node._parents = ()
+            node._released = True
+            if not node._retains_grad:
+                node.grad = None
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic
@@ -404,19 +435,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             slicer = [slice(None)] * grad.ndim
             slicer[axis] = slice(start, stop)
             tensor._accumulate(grad[tuple(slicer)])
-
-    return Tensor._make(data, tensors, backward)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis (differentiable)."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        slices = np.split(grad, len(tensors), axis=axis)
-        for tensor, piece in zip(tensors, slices):
-            tensor._accumulate(np.squeeze(piece, axis=axis))
 
     return Tensor._make(data, tensors, backward)
 

@@ -162,6 +162,33 @@ class TestLatencyPredictor:
         assert incremental.statistics.fits == 2
         assert once.statistics.fits == 1
 
+    def test_each_candidate_is_encoded_once(self, monkeypatch):
+        import repro.core.predictor as predictor_module
+
+        entries = self._observations()
+        pairs = [(shape, program) for shape, program, _ in entries]
+        uncached = LatencyPredictor(min_observations=4)
+        _observe_all(uncached, entries)
+        expected = uncached.predict_batch(pairs, trials=4)
+
+        calls = []
+
+        def counted(shape, program):
+            calls.append((shape, program))
+            return encode_candidate(shape, program)
+
+        monkeypatch.setattr(predictor_module, "encode_candidate", counted)
+        predictor = LatencyPredictor(min_observations=4)
+        _observe_all(predictor, entries)
+        assert len(calls) == len(entries)
+        for _ in range(3):
+            predicted = predictor.predict_batch(pairs, trials=4)
+            assert predicted.tobytes() == expected.tobytes()
+        predictor.lie(*pairs[0], trials=4)
+        # another trial budget is another feature row
+        predictor.predict_batch(pairs[:2], trials=8)
+        assert len(calls) == len(entries) + 2
+
     def test_predict_batch_with_std_reports_zero_spread(self):
         predictor = LatencyPredictor(min_observations=4)
         entries = self._observations()

@@ -44,7 +44,60 @@ def minibatch(dataset):
     return dataset.random_minibatch(4, seed=0)
 
 
+def _batch_one_workloads(model, input_shape):
+    """Every recorded convolution's input size after a batch-1 pass on the tape,
+    the way workload extraction read it before it ran an empty batch."""
+    convs = [(name, module) for name, module in model.named_modules()
+             if isinstance(module, nn.Conv2d)]
+    for _, conv in convs:
+        conv.record_activations = True
+    model.eval()
+    model(Tensor(np.zeros((1,) + tuple(input_shape))))
+    sizes = {name: tuple(conv.last_input.shape[2:]) for name, conv in convs
+             if conv.last_input is not None}
+    for _, conv in convs:
+        conv.record_activations = False
+        conv.last_input = conv.last_output = None
+    return sizes
+
+
+def _substituted_resnet18():
+    """resnet18 with operators that slice channels, group, and upsample."""
+    model = repro.build_model("resnet18", width_multiplier=0.125)
+    configs = [nn.ConvTransformConfig(bottleneck_in=2),
+               nn.ConvTransformConfig(spatial_bottleneck=2, group_factors=(2,)),
+               nn.ConvTransformConfig(bottleneck_out=2)]
+    for (name, owner, conv), config in zip(nn.iter_replaceable_convs(model), configs):
+        setattr(owner, name.split(".")[-1], nn.DerivedConv2d(
+            conv.in_channels, conv.out_channels, conv.kernel_size, stride=conv.stride,
+            padding=conv.padding, config=config, rng=np.random.default_rng(0)))
+    return model
+
+
+def _flattening_model(image_size: int) -> nn.Module:
+    """A user module whose head flattens the feature map into a Linear layer."""
+    rng = np.random.default_rng(0)
+    return nn.Sequential(
+        nn.ConvBNReLU(3, 8, 3, stride=2, rng=rng), nn.Conv2d(8, 4, 1, rng=rng),
+        nn.Flatten(), nn.Linear(4 * (image_size // 2) ** 2, 10, rng=rng))
+
+
 class TestWorkloadExtraction:
+    @pytest.mark.parametrize("name", [*repro.MODEL_BUILDERS, "substituted", "flattening"])
+    def test_an_empty_batch_sizes_every_layer_as_a_batch_of_one(self, name):
+        for image_size in (8, 32):
+            if name == "substituted":
+                model = _substituted_resnet18()
+            elif name == "flattening":
+                model = _flattening_model(image_size)
+            else:
+                model = repro.build_model(name, width_multiplier=0.125)
+            workloads = extract_workloads(model, (3, image_size, image_size))
+            assert ({workload.name: workload.input_hw for workload in workloads}
+                    == _batch_one_workloads(model, (3, image_size, image_size)))
+            assert len(workloads) == sum(
+                1 for _, module in model.named_modules() if isinstance(module, nn.Conv2d))
+
     def test_extracts_every_convolution(self):
         model = _small_model()
         workloads = extract_workloads(model, (3, 8, 8))
