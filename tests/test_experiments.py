@@ -1,6 +1,23 @@
-"""Integration tests for the experiment drivers (small custom scales)."""
+"""Integration tests for the experiment drivers (small custom scales).
+
+``data/driver_goldens.json`` pins what the drivers report on the tiny
+scale below: chosen programs, speedups, latencies, TVM/NAS parameter
+counts, rejection counts, tunings and ``AutoTuner.tune`` calls, per pinned
+input.  Wall-clock fields, compile-cache traffic (it depends on what ran
+earlier in the process) and Ours' parameter count are not pinned.  Floats
+are compared at a relative tolerance of 1e-9: their last digits depend on
+how BLAS splits a reduction.
+
+Re-record the table only for a deliberate behaviour change::
+
+    PYTHONPATH=src python tests/test_experiments.py > tests/data/driver_goldens.json
+"""
 
 from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,10 +39,17 @@ from repro.experiments import (
     get_scale,
 )
 from repro.experiments.common import cifar_dataset, cifar_model_builders, format_table
+from repro.tenir.autotune import AutoTuner
+
+GOLDENS = Path(__file__).parent / "data" / "driver_goldens.json"
+TOLERANCE = dict(rel=1e-9, abs=1e-15)
+#: search statistics that measure wall-clock time or the process-wide
+#: compile cache, not the search
+UNPINNED_STATISTICS = ("search_seconds", "compile_hits", "compile_misses",
+                       "prefix_depth_saved")
 
 
-@pytest.fixture(scope="module")
-def tiny_scale() -> ExperimentScale:
+def tiny() -> ExperimentScale:
     """A test-only scale, even smaller than the CI scale."""
     pipeline = PipelineScale(width_multiplier=0.125, image_size=8, fisher_batch=4,
                              configurations=8, tuner_trials=3, train_size=32, test_size=16)
@@ -33,6 +57,124 @@ def tiny_scale() -> ExperimentScale:
                            proxy_epochs=1, proxy_batch=16, fbnet_epochs=1,
                            imagenet_image_size=8, imagenet_width=0.125,
                            imagenet_depth=0.2, interpolation_steps=1)
+
+
+@pytest.fixture(scope="module")
+def tiny_scale() -> ExperimentScale:
+    return tiny()
+
+
+#: The pinned driver inputs, by golden key.
+PINNED_RUNS = {
+    "fig4": lambda scale: fig4_end_to_end.run(
+        scale, seed=0, networks=("ResNet-34",), platforms=("cpu",)),
+    "deploy": lambda scale: deploy_study.run(
+        scale, seed=0, network="ResNet-34", platforms=("cpu",)),
+    "fig5": lambda scale: fig5_sequence_frequency.run(
+        scale, seed=0, networks=("ResNet-34",)),
+    "fig6": lambda scale: fig6_layerwise.run(scale, seed=0, max_layers=6),
+    "analysis": lambda scale: analysis_search.run(
+        scale, seed=0, network="ResNet-34"),
+    "analysis_predictor": lambda scale: analysis_predictor.run(
+        scale, seed=0, network="ResNet-34",
+        strategies=("evolutionary", "model_guided")),
+    "analysis_predictor_transfer": lambda scale: analysis_predictor.run(
+        scale, seed=0, network="ResNet-34", strategies=("model_guided",),
+        transfer_from="mgpu"),
+}
+
+
+def run_counted(name: str, scale: ExperimentScale):
+    """Run one pinned input; return its result and its ``AutoTuner.tune`` calls."""
+    calls = {"count": 0}
+    original = AutoTuner.tune
+
+    def counted(self, computation, platform):
+        calls["count"] += 1
+        return original(self, computation, platform)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AutoTuner, "tune", counted)
+        result = PINNED_RUNS[name](scale)
+    return result, calls["count"]
+
+
+def _primary(optimization) -> dict:
+    """The chosen program and scores of every layer, and the search's counts."""
+    return {"layers": [decision.to_dict() for decision in optimization.layers],
+            "search_statistics": {
+                key: value for key, value in optimization.search_statistics.items()
+                if key not in UNPINNED_STATISTICS}}
+
+
+def _observe_fig4(result) -> dict:
+    payload = fig4_end_to_end.to_payload(result)
+    for panel in payload["panels"]:
+        del panel["parameters"]["Ours"]
+    return {"payload": payload,
+            **_primary(fig4_end_to_end.primary_optimization(result, seed=0))}
+
+
+def _observe_deploy(result) -> dict:
+    return {"payload": deploy_study.to_payload(result),
+            "approaches": {
+                platform: {"TVM": [panel.tvm.latency_ms, panel.tvm.parameters],
+                           "NAS": [panel.nas.latency_ms, panel.nas.parameters],
+                           "Ours": [panel.ours.latency_ms]}
+                for platform, panel in result.panels.items()},
+            **_primary(deploy_study.primary_optimization(result, seed=0))}
+
+
+def _observe_analysis(result) -> dict:
+    payload = analysis_search.to_payload(result)
+    del payload["search_seconds"]
+    return {"payload": payload}
+
+
+def _observe_analysis_predictor(result) -> dict:
+    payload = analysis_predictor.to_payload(result)
+    for row in payload["strategies"]:
+        del row["search_seconds"]
+    return {"payload": payload,
+            **_primary(analysis_predictor.primary_optimization(result, seed=0))}
+
+
+OBSERVERS = {
+    "fig4": _observe_fig4,
+    "deploy": _observe_deploy,
+    "fig5": lambda result: {"payload": fig5_sequence_frequency.to_payload(result)},
+    "fig6": lambda result: {"payload": fig6_layerwise.to_payload(result)},
+    "analysis": _observe_analysis,
+    "analysis_predictor": _observe_analysis_predictor,
+    "analysis_predictor_transfer": _observe_analysis_predictor,
+}
+
+
+def observe(name: str, result, tuner_calls: int) -> dict:
+    """What the golden pins of one pinned run, as plain JSON."""
+    return json.loads(json.dumps({**OBSERVERS[name](result),
+                                  "tuner_calls": tuner_calls}))
+
+
+def assert_matches(observed, golden, where: str) -> None:
+    """Equal structure and values; floats at the golden tolerance."""
+    if isinstance(golden, dict):
+        assert isinstance(observed, dict) and sorted(observed) == sorted(golden), where
+        for key, value in golden.items():
+            assert_matches(observed[key], value, f"{where}.{key}")
+    elif isinstance(golden, list):
+        assert isinstance(observed, list) and len(observed) == len(golden), where
+        for index, (item, value) in enumerate(zip(observed, golden)):
+            assert_matches(item, value, f"{where}[{index}]")
+    elif isinstance(golden, float):
+        assert observed == pytest.approx(golden, **TOLERANCE), where
+    else:
+        assert observed == golden, where
+
+
+def assert_golden(name: str, result, tuner_calls: int) -> None:
+    golden = json.loads(GOLDENS.read_text())[name]
+    assert_matches(observe(name, result, tuner_calls), golden, name)
 
 
 class TestCommonHelpers:
@@ -79,16 +221,17 @@ class TestFigure3:
 
 class TestFigure4:
     def test_single_panel(self, tiny_scale):
-        result = fig4_end_to_end.run(tiny_scale, seed=0, networks=("ResNet-34",),
-                                     platforms=("cpu",))
+        result, tuner_calls = run_counted("fig4", tiny_scale)
         assert result.speedup("ResNet-34", "cpu", "TVM") == pytest.approx(1.0)
         assert result.speedup("ResNet-34", "cpu", "Ours") >= 1.0
         assert "Ours" in fig4_end_to_end.format_report(result)
+        assert_golden("fig4", result, tuner_calls)
 
 
 class TestFigure5:
     def test_frequency_counts(self, tiny_scale):
-        result = fig5_sequence_frequency.run(tiny_scale, seed=0, networks=("ResNet-34",))
+        result, tuner_calls = run_counted("fig5", tiny_scale)
+        assert_golden("fig5", result, tuner_calls)
         assert result.layer_counts["ResNet-34"] > 0
         # Counts are primitive applications from the chosen programs' IR:
         # every neural layer contributes at least one application, and only
@@ -101,7 +244,8 @@ class TestFigure5:
 
 class TestFigure6:
     def test_layerwise_rows(self, tiny_scale):
-        result = fig6_layerwise.run(tiny_scale, seed=0, max_layers=6)
+        result, tuner_calls = run_counted("fig6", tiny_scale)
+        assert_golden("fig6", result, tuner_calls)
         assert 1 <= len(result.rows) <= 6
         for row in result.rows:
             for label in result.sequences:
@@ -122,7 +266,8 @@ class TestFigure9:
 
 class TestAnalysis:
     def test_search_analysis(self, tiny_scale):
-        result = analysis_search.run(tiny_scale, seed=0, network="ResNet-34")
+        result, tuner_calls = run_counted("analysis", tiny_scale)
+        assert_golden("analysis", result, tuner_calls)
         assert result.compression_ratio >= 1.0
         assert result.speedup >= 1.0
         assert 0.0 <= result.rejection_rate <= 1.0
@@ -131,8 +276,8 @@ class TestAnalysis:
 
 class TestDeployStudy:
     def test_single_platform(self, tiny_scale):
-        result = deploy_study.run(tiny_scale, seed=0, network="ResNet-34",
-                                  platforms=("cpu",))
+        result, tuner_calls = run_counted("deploy", tiny_scale)
+        assert_golden("deploy", result, tuner_calls)
         assert set(result.panels) == {"cpu"}
         assert result.panels["cpu"].speedups()["Ours"] >= 1.0
         assert result.best_platform_for_ours() == "cpu"
@@ -155,9 +300,8 @@ class TestDeployStudy:
 
 class TestAnalysisPredictor:
     def test_strategy_rows_and_reduction(self, tiny_scale):
-        result = analysis_predictor.run(
-            tiny_scale, seed=0, network="ResNet-34",
-            strategies=("evolutionary", "model_guided"))
+        result, tuner_calls = run_counted("analysis_predictor", tiny_scale)
+        assert_golden("analysis_predictor", result, tuner_calls)
         assert [row.strategy for row in result.rows] == [
             "evolutionary", "model_guided"]
         guided = result.row("model_guided")
@@ -166,6 +310,13 @@ class TestAnalysisPredictor:
         assert result.evaluation_reduction() >= 1.0
         report = analysis_predictor.format_report(result)
         assert "model_guided" in report and "fewer full-trial" in report
+
+    def test_transfer_from_another_platform(self, tiny_scale):
+        """A surrogate trained on mgpu warm-starts model_guided on cpu."""
+        result, tuner_calls = run_counted("analysis_predictor_transfer", tiny_scale)
+        assert_golden("analysis_predictor_transfer", result, tuner_calls)
+        assert [row.strategy for row in result.rows] == ["model_guided"]
+        assert result.row("model_guided").evaluations_saved > 0
 
     def test_payload_and_document(self, tiny_scale):
         import json
@@ -258,3 +409,9 @@ class TestRegistry:
                           if line.strip() and not line.strip().startswith("#")
                           and "pragma" not in line and "__main__" not in line]
             assert len(statements) == 1, (path.name, statements)
+
+
+if __name__ == "__main__":
+    table = {name: observe(name, *run_counted(name, tiny())) for name in PINNED_RUNS}
+    json.dump(table, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
