@@ -20,8 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.pipeline import PipelineScale
-from repro.experiments.common import ExperimentScale
+from repro.experiments.common import ExperimentScale, PipelineScale
 
 
 def bench_scale() -> ExperimentScale:

@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.cache_store import CacheStore
 from repro.core.checkpoint import (
     CheckpointWriter,
@@ -47,6 +49,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.engine import EvaluationEngine
 from repro.core.events import Observer
+from repro.core.predictor import LatencyPredictor
 from repro.core.program import (
     TransformProgram,
     program_from_dict,
@@ -682,21 +685,43 @@ class OptimizationSession:
             test_size=16, image_size=request.image_size, seed=request.seed)
         images, labels = dataset.random_minibatch(request.fisher_batch,
                                                   seed=request.seed)
+        return self.search(instance, images, labels, request,
+                           observer=observer, checkpoint=checkpoint)
+
+    def search(self, model: Module, images: np.ndarray, labels: np.ndarray,
+               request: OptimizationRequest, *,
+               observer: Observer | None = None,
+               checkpoint: str | Path | None = None,
+               predictor: LatencyPredictor | None = None) -> OptimizationResult:
+        """Run ``request``'s search for ``model`` on a minibatch the caller drew.
+
+        The step :meth:`optimize` takes after drawing the request's
+        synthetic minibatch; the experiment drivers call it with the
+        minibatch of their own dataset.  The search runs on the session's
+        engine for ``(platform, tuner_trials, seed)`` of ``request``, with
+        ``observer`` and ``checkpoint`` as in :meth:`optimize`.
+        ``predictor`` is the latency surrogate ``model_guided`` starts from
+        and trains (a fresh one when ``None``).
+
+        Example::
+
+            images, labels = dataset.random_minibatch(4, seed=0)
+            result = session.search(model, images, labels, request)
+        """
         engine = self.engine(request.platform, tuner_trials=request.tuner_trials,
                              seed=request.seed)
         search = UnifiedSearch(
             engine.platform, configurations=request.configurations,
             fisher_threshold=request.fisher_threshold, strategy=request.strategy,
             seed=request.seed, engine=engine, observer=observer or self.observer,
-            liar=request.liar)
+            predictor=predictor, liar=request.liar)
         writer = None
         if checkpoint is not None:
             writer = CheckpointWriter(checkpoint, request.to_dict(), engine)
             engine.subscribe(writer.on_event)
             writer.write()  # the resume point exists before any tuning
         try:
-            outcome = search.search(instance, images, labels,
-                                    dataset.spec.image_shape)
+            outcome = search.search(model, images, labels, images.shape[1:])
         finally:
             if writer is not None:
                 # Completed or aborted (an exception, or SIGTERM/SIGINT

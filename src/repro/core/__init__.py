@@ -66,14 +66,6 @@ from repro.core.search import (
     get_strategy,
     register_strategy,
 )
-from repro.core.pipeline import (
-    ApproachMeasurement,
-    ComparisonResult,
-    PipelineScale,
-    compare_approaches,
-    network_latency,
-    workload_latency,
-)
 from repro.core.interpolation import (
     InterpolationPoint,
     InterpolationResult,
@@ -97,7 +89,5 @@ __all__ = [
     "SEARCH_STRATEGY_REGISTRY", "SearchStrategy",
     "get_strategy", "register_strategy",
     "LayerChoice", "SearchStatistics", "UnifiedSearch", "UnifiedSearchResult",
-    "ApproachMeasurement", "ComparisonResult", "PipelineScale", "compare_approaches",
-    "network_latency", "workload_latency",
     "InterpolationPoint", "InterpolationResult", "interpolate_between_groupings",
 ]

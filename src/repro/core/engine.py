@@ -11,7 +11,7 @@ Every layer of the codebase asks the same two questions:
 
 Both are expensive relative to everything around them, and both are pure
 functions of a small key, so the engine memoises them and is shared across
-searches, the pipeline's three approaches and the experiment drivers.
+searches, Figure 4's three approaches and the experiment drivers.
 This is what keeps the paper's §7.2 claim honest in the reproduction:
 ~1000 configurations stay cheap *because* each unique (shape, sequence)
 pair is tuned exactly once per platform.

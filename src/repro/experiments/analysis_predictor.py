@@ -4,7 +4,7 @@ The model-based NAS literature (BANANAS, DeepHyper's asynchronous
 model-based search) promises an order of magnitude fewer real evaluations
 for the same search quality.  This driver measures that trade-off inside
 the unified space: every registered strategy runs the same search on the
-same network/platform pair — each against its own fresh engine, so tuning
+same network/platform pair — each in its own fresh session, so tuning
 work is attributable — and the table reports, per strategy, the achieved
 latency next to the candidate tunings it paid for, plus the surrogate's
 verified prediction error and the evaluations it screened
@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.search import UnifiedSearch, UnifiedSearchResult
+from repro.api import OptimizationResult, OptimizationSession
+from repro.core.predictor import LatencyPredictor
 from repro.experiments.common import (
     ExperimentScale,
     cifar_dataset,
     cifar_model_builders,
-    evaluation_engine,
     format_table,
     get_scale,
+    search_request,
 )
 from repro.experiments.registry import (
     ExperimentSpec,
@@ -78,7 +79,7 @@ class PredictorAnalysisResult:
     network: str
     platform: str
     rows: list[StrategyRow] = field(default_factory=list)
-    outcomes: dict[str, UnifiedSearchResult] = field(default_factory=dict)
+    outcomes: dict[str, OptimizationResult] = field(default_factory=dict)
 
     def row(self, strategy: str) -> StrategyRow:
         for entry in self.rows:
@@ -100,51 +101,53 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0,
     scale = get_scale(scale)
     builder = cifar_model_builders(scale)[network]
     dataset = cifar_dataset(scale, seed=seed)
-    plat = get_platform(platform)
     images, labels = dataset.random_minibatch(scale.pipeline.fisher_batch,
                                               seed=seed)
+
+    def search(target: str, strategy: str, predictor=None):
+        """One search, and the candidate tunings it paid for.
+
+        Each search runs in a session of its own: the point is the
+        per-strategy evaluation bill, so no strategy may ride another's
+        cache.
+        """
+        model = builder()
+        request = search_request(scale.pipeline, model, target, seed,
+                                 strategy=strategy)
+        with OptimizationSession(tuner_trials=scale.pipeline.tuner_trials,
+                                 seed=seed) as session:
+            optimization = session.search(model, images, labels, request,
+                                          predictor=predictor)
+            return optimization, full_trial_tunings(session.engine(target))
+
     # Cross-platform transfer (the paper's "one network, many targets"
     # study): train a surrogate on transfer_from's platform first, then
     # warm-start model_guided's predictor from it — the cold-start
     # tunings it skips surface as evaluations_saved in the table.
     warm = None
     if transfer_from:
-        source = get_platform(transfer_from)
-        source_engine = evaluation_engine(source, scale, seed=seed)
-        source_search = UnifiedSearch(
-            source, configurations=scale.pipeline.configurations,
-            strategy="model_guided", seed=seed, engine=source_engine)
-        source_search.search(builder(), images, labels,
-                             dataset.spec.image_shape)
-        warm = source_search.predictor
-    result = PredictorAnalysisResult(network=network, platform=plat.name)
+        warm = LatencyPredictor()
+        search(transfer_from, "model_guided", predictor=warm)
+    result = PredictorAnalysisResult(network=network,
+                                     platform=get_platform(platform).name)
     for strategy in strategies:
-        # A fresh engine per strategy: the point is the per-strategy
-        # evaluation bill, so no strategy may ride another's cache.
-        engine = evaluation_engine(plat, scale, seed=seed)
         predictor = None
         if warm is not None and strategy == "model_guided":
-            from repro.core.predictor import LatencyPredictor
-
             predictor = LatencyPredictor()
             predictor.warm_start_from(warm)
-        search = UnifiedSearch(plat, configurations=scale.pipeline.configurations,
-                               strategy=strategy, seed=seed,
-                               engine=engine, predictor=predictor)
-        outcome = search.search(builder(), images, labels,
-                                dataset.spec.image_shape)
-        statistics = outcome.statistics
-        result.outcomes[strategy] = outcome
+        optimization, tuned_evaluations = search(platform, strategy, predictor)
+        statistics = optimization.search_statistics
+        result.outcomes[strategy] = optimization
         result.rows.append(StrategyRow(
             strategy=strategy,
-            optimized_latency_seconds=outcome.optimized_latency_seconds,
-            speedup=outcome.speedup,
-            configurations_evaluated=statistics.configurations_evaluated,
-            tuned_evaluations=full_trial_tunings(engine),
-            tuner_calls=engine.statistics.tuner_calls,
-            predictor_mae=statistics.predictor_mae,
-            evaluations_saved=statistics.evaluations_saved,
-            search_seconds=statistics.search_seconds,
+            optimized_latency_seconds=optimization.optimized_latency_seconds,
+            speedup=optimization.speedup,
+            configurations_evaluated=statistics["configurations_evaluated"],
+            tuned_evaluations=tuned_evaluations,
+            tuner_calls=optimization.engine_statistics["tuner_calls"],
+            predictor_mae=statistics["predictor_mae"],
+            evaluations_saved=statistics["evaluations_saved"],
+            search_seconds=statistics["search_seconds"],
         ))
     return result
 
@@ -187,7 +190,7 @@ def to_payload(result: PredictorAnalysisResult) -> dict:
                 "search_seconds": row.search_seconds,
                 "rejections_by_primitive": dict(
                     result.outcomes[row.strategy]
-                    .statistics.rejections_by_primitive),
+                    .search_statistics["rejections_by_primitive"]),
             }
             for row in result.rows
         ],
@@ -199,15 +202,9 @@ def to_payload(result: PredictorAnalysisResult) -> dict:
     return payload
 
 
-def primary_optimization(result: PredictorAnalysisResult, seed: int = 0):
-    """The model_guided run's outcome as a façade result (or None)."""
-    from repro.api import OptimizationResult
-
-    outcome = result.outcomes.get("model_guided")
-    if outcome is None:
-        return None
-    return OptimizationResult.from_search(outcome, strategy="model_guided",
-                                          seed=seed)
+def primary_optimization(result: PredictorAnalysisResult):
+    """The model_guided run's result (or None)."""
+    return result.outcomes.get("model_guided")
 
 
 register_experiment(ExperimentSpec(

@@ -11,22 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.search import UnifiedSearch
+from repro.api import OptimizationSession
 from repro.data import test_loader, train_loader
 from repro.experiments.common import (
     ExperimentScale,
     cifar_dataset,
     cifar_model_builders,
-    evaluation_engine,
     format_table,
     get_scale,
+    search_request,
 )
 from repro.experiments.registry import (
     ExperimentSpec,
     main as registry_main,
     register_experiment,
 )
-from repro.hardware import get_platform
 from repro.nn.trainer import proxy_fit
 
 
@@ -60,7 +59,6 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0,
     scale = get_scale(scale)
     builder = cifar_model_builders(scale)[network]
     dataset = cifar_dataset(scale, seed=seed)
-    plat = get_platform(platform)
     images, labels = dataset.random_minibatch(scale.pipeline.fisher_batch, seed=seed)
     loader = train_loader(dataset, batch_size=scale.proxy_batch, seed=seed)
     held_out = test_loader(dataset)
@@ -68,12 +66,14 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0,
     original_fit = proxy_fit(builder(), loader, held_out, epochs=scale.proxy_epochs)
 
     search_model = builder()
-    search = UnifiedSearch(plat, configurations=scale.pipeline.configurations,
-                           strategy=strategy, seed=seed,
-                           engine=evaluation_engine(plat, scale, seed=seed))
-    outcome = search.search(search_model, images, labels, dataset.spec.image_shape)
-    optimized = search.materialize(builder(), outcome, seed=seed)
+    request = search_request(scale.pipeline, search_model, platform, seed,
+                             strategy=strategy)
+    with OptimizationSession(tuner_trials=scale.pipeline.tuner_trials,
+                             seed=seed) as session:
+        optimization = session.search(search_model, images, labels, request)
+    optimized = optimization.apply_to(builder())
     optimized_fit = proxy_fit(optimized, loader, held_out, epochs=scale.proxy_epochs)
+    statistics = optimization.search_statistics
 
     return AnalysisResult(
         network=network,
@@ -81,11 +81,11 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0,
         optimized_accuracy=100.0 * optimized_fit.final_accuracy,
         original_parameters=builder().num_parameters(),
         optimized_parameters=optimized.num_parameters(),
-        search_seconds=outcome.statistics.search_seconds,
-        configurations_evaluated=outcome.statistics.configurations_evaluated,
-        rejection_rate=outcome.statistics.rejection_rate,
-        speedup=outcome.speedup,
-        rejections_by_primitive=dict(outcome.statistics.rejections_by_primitive),
+        search_seconds=statistics["search_seconds"],
+        configurations_evaluated=statistics["configurations_evaluated"],
+        rejection_rate=statistics["rejection_rate"],
+        speedup=optimization.speedup,
+        rejections_by_primitive=dict(statistics["rejections_by_primitive"]),
     )
 
 

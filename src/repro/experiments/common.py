@@ -6,6 +6,13 @@ shrinks widths, image sizes and candidate counts so the whole suite runs on
 the NumPy substrate in minutes; the full scale uses the paper's settings.
 README.md's Experiments section lists the drivers, and DESIGN.md §4 gives
 the scale knobs.
+
+A driver is a client of one :class:`~repro.api.OptimizationSession` per
+run: it reads baseline latencies from the session's engines and runs the
+unified search through :meth:`~repro.api.OptimizationSession.search`, on a
+request :func:`search_request` builds from the scale.  The Figure-4
+comparison of the three approaches (:func:`compare_approaches`) lives here,
+beside the drivers that report it.
 """
 
 from __future__ import annotations
@@ -13,12 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.engine import EvaluationEngine
-from repro.core.pipeline import PipelineScale
+import numpy as np
+
+from repro.api import OptimizationRequest, OptimizationResult, OptimizationSession
+from repro.core.workloads import extract_workloads
 from repro.data import SyntheticImageDataset
 from repro.errors import ReproError
-from repro.hardware.platform import PlatformSpec, get_platform
 from repro.models import densenet161, densenet169, densenet201, resnet18, resnet34, resnext29_2x64d
+from repro.nas.blockswap import BlockSwap, BlockSwapResult
 from repro.nn.module import Module
 
 #: Platform names in the order used by Figure 4.
@@ -26,6 +35,32 @@ FIGURE4_PLATFORMS = ("cpu", "gpu", "mcpu", "mgpu")
 
 #: The three CIFAR-10 evaluation networks of the paper.
 CIFAR_NETWORKS = ("ResNet-34", "ResNeXt-29-2x64d", "DenseNet-161")
+
+
+@dataclass(frozen=True)
+class PipelineScale:
+    """Knobs that trade fidelity for runtime (see DESIGN.md §4)."""
+
+    width_multiplier: float = 0.5
+    image_size: int = 32
+    fisher_batch: int = 4
+    configurations: int = 150
+    tuner_trials: int = 6
+    blockswap_budget: float = 0.45
+    train_size: int = 96
+    test_size: int = 48
+
+    @classmethod
+    def ci(cls) -> "PipelineScale":
+        """Small settings used by the benchmark harness."""
+        return cls()
+
+    @classmethod
+    def full(cls) -> "PipelineScale":
+        """Paper-scale settings (hours of NumPy compute; shapes unchanged)."""
+        return cls(width_multiplier=1.0, image_size=32,
+                   fisher_batch=32, configurations=1000, tuner_trials=32,
+                   blockswap_budget=0.5, train_size=50000, test_size=10000)
 
 
 @dataclass(frozen=True)
@@ -66,19 +101,6 @@ def get_scale(scale: str | ExperimentScale) -> ExperimentScale:
     if scale == "full":
         return ExperimentScale.full()
     raise ReproError(f"unknown scale '{scale}'; expected 'ci' or 'full'")
-
-
-def evaluation_engine(platform: str | PlatformSpec, scale: ExperimentScale,
-                      seed: int = 0) -> EvaluationEngine:
-    """One shared evaluation engine for a driver's work on one platform.
-
-    Every latency query of a driver should go through a single engine per
-    platform so tuning work is shared across approaches, networks and
-    repeated runs.
-    """
-    spec = get_platform(platform) if isinstance(platform, str) else platform
-    return EvaluationEngine(spec, tuner_trials=scale.pipeline.tuner_trials,
-                            seed=seed)
 
 
 def cifar_model_builders(scale: ExperimentScale) -> dict[str, Callable[[], Module]]:
@@ -126,21 +148,128 @@ def imagenet_dataset(scale: ExperimentScale, seed: int = 0) -> SyntheticImageDat
         image_size=scale.imagenet_image_size, num_classes=classes, seed=seed)
 
 
-def first_search_optimization(panels, strategy: str = "greedy", seed: int = 0):
-    """The first panel's unified-search outcome as a façade result (or None).
+def search_request(scale: PipelineScale, model: Module, platform: str,
+                   seed: int, strategy: str = "greedy") -> OptimizationRequest:
+    """The request a driver's unified search of ``model`` runs under.
 
-    Shared ``primary`` extractor for registry specs built on
-    :func:`~repro.core.pipeline.compare_approaches` panels; the registry
-    passes the run's actual seed through.  ``strategy`` is the
-    :class:`~repro.core.search.UnifiedSearch` default the pipeline uses.
+    The search knobs are the scale's.  The drivers build their networks
+    themselves, so the request names ``model`` by its instance marker.
     """
-    from repro.api import OptimizationResult
+    return OptimizationRequest(
+        model=f"instance:{type(model).__name__}", platform=platform,
+        strategy=strategy, configurations=scale.configurations,
+        tuner_trials=scale.tuner_trials, seed=seed,
+        width_multiplier=scale.width_multiplier, image_size=scale.image_size,
+        fisher_batch=scale.fisher_batch)
 
-    for panel in panels:
-        if panel.search_result is not None:
-            return OptimizationResult.from_search(panel.search_result,
-                                                  strategy=strategy, seed=seed)
-    return None
+
+# ---------------------------------------------------------------------------
+# Figure 4: one network compiled three ways
+# ---------------------------------------------------------------------------
+@dataclass
+class ApproachMeasurement:
+    """Latency of one approach on one platform."""
+
+    name: str
+    latency_seconds: float
+    parameters: int
+
+    @property
+    def latency_ms(self) -> float:
+        return self.latency_seconds * 1e3
+
+
+@dataclass
+class ComparisonResult:
+    """TVM vs NAS vs Ours for one network / platform pair (one Figure 4 panel)."""
+
+    network: str
+    platform: str
+    tvm: ApproachMeasurement
+    nas: ApproachMeasurement
+    ours: ApproachMeasurement
+    #: the unified search behind ``ours``
+    optimization: OptimizationResult
+    blockswap_result: BlockSwapResult
+
+    def speedups(self) -> dict[str, float]:
+        """Speedup over the TVM baseline (the y-axis of Figure 4)."""
+        base = self.tvm.latency_seconds
+        return {
+            "TVM": 1.0,
+            "NAS": base / self.nas.latency_seconds,
+            "Ours": base / self.ours.latency_seconds,
+        }
+
+
+def network_latency(model: Module, input_shape: tuple[int, int, int],
+                    engine) -> float:
+    """Auto-tuned latency of every convolution in ``model``, summed.
+
+    ``engine`` is a session's (:meth:`~repro.api.OptimizationSession.engine`).
+    """
+    return engine.workloads_latency(extract_workloads(model, input_shape))
+
+
+def compare_approaches(network: str, model_builder: Callable[[], Module],
+                       platform: str, *, session: OptimizationSession,
+                       scale: PipelineScale, dataset: SyntheticImageDataset,
+                       seed: int = 0) -> ComparisonResult:
+    """Produce one Figure-4 panel: TVM vs NAS vs Ours for one network/platform.
+
+    * ``TVM``  — the original network, every convolution compiled with the
+      auto-tuned default schedule;
+    * ``NAS``  — the BlockSwap-compressed network, compiled the same way;
+    * ``Ours`` — the session's unified search, interleaving neural and
+      program transformations with Fisher-Potential legality.
+
+    All three read their latencies from the session's engine for
+    ``(platform, scale.tuner_trials, seed)``, so each unique workload is
+    tuned once per platform across every panel the session runs.
+    """
+    engine = session.engine(platform, tuner_trials=scale.tuner_trials, seed=seed)
+    input_shape = dataset.spec.image_shape
+    images, labels = dataset.random_minibatch(scale.fisher_batch, seed=seed)
+
+    # --- TVM baseline: original model, tuned default schedules.
+    tvm_model = model_builder()
+    tvm_latency = network_latency(tvm_model, input_shape, engine)
+    tvm = ApproachMeasurement("TVM", tvm_latency, tvm_model.num_parameters())
+
+    # --- NAS baseline: BlockSwap compression, then the same compilation.
+    nas_model = model_builder()
+    blockswap = BlockSwap(budget_ratio=scale.blockswap_budget, seed=seed)
+    blockswap_result = blockswap.compress(nas_model, images, labels)
+    nas_latency = network_latency(nas_model, input_shape, engine)
+    nas = ApproachMeasurement("NAS", nas_latency, nas_model.num_parameters())
+
+    # --- Ours: the unified search.
+    ours_model = model_builder()
+    optimization = session.search(
+        ours_model, images, labels,
+        search_request(scale, ours_model, platform, seed))
+    # Convolutions outside the search's layers cost the same under every
+    # approach.
+    searched = optimization.programs()
+    non_searched = engine.workloads_latency(
+        w for w in extract_workloads(ours_model, input_shape)
+        if w.name not in searched)
+    ours_latency = optimization.optimized_latency_seconds + non_searched
+    tvm_equivalent = optimization.baseline_latency_seconds + non_searched
+    # Both totals come from identical engine cache entries; they can differ
+    # only by floating-point summation order.
+    if not np.isclose(tvm_latency, tvm_equivalent, rtol=1e-9, atol=1e-15):
+        raise ReproError(
+            f"latency accounting drift: the TVM baseline measured "
+            f"{tvm_latency!r}s but the search's TVM-equivalent total is "
+            f"{tvm_equivalent!r}s for {network} on {platform}")
+    ours = ApproachMeasurement(
+        "Ours", ours_latency,
+        optimization.apply_to(model_builder()).num_parameters())
+
+    return ComparisonResult(
+        network=network, platform=platform, tvm=tvm, nas=nas, ours=ours,
+        optimization=optimization, blockswap_result=blockswap_result)
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

@@ -12,17 +12,18 @@ directly visible.  ``examples/deploy_across_platforms.py`` delegates here.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.core.pipeline import ComparisonResult, compare_approaches
+from repro.api import OptimizationSession
 from repro.experiments.common import (
     CIFAR_NETWORKS,
     FIGURE4_PLATFORMS,
+    ComparisonResult,
     ExperimentScale,
     cifar_dataset,
     cifar_model_builders,
-    evaluation_engine,
-    first_search_optimization,
+    compare_approaches,
     format_table,
     get_scale,
 )
@@ -41,8 +42,10 @@ class DeployResult:
     panels: dict[str, ComparisonResult] = field(default_factory=dict)
 
     def chosen_sequences(self, platform: str, top: int = 3) -> list[tuple[str, int]]:
-        search = self.panels[platform].search_result
-        return search.sequence_frequency().most_common(top) if search else []
+        """The ``top`` neural programs the search chose most often, by kind."""
+        layers = self.panels[platform].optimization.layers
+        return Counter(decision.program.kind for decision in layers
+                       if decision.is_neural).most_common(top)
 
     def best_platform_for_ours(self) -> str:
         """The target where the unified search wins the most over TVM."""
@@ -52,12 +55,12 @@ class DeployResult:
         rows = []
         for platform, panel in self.panels.items():
             speedups = panel.speedups()
-            search = panel.search_result
             top = ", ".join(f"{kind}x{count}"
                             for kind, count in self.chosen_sequences(platform))
             rows.append((platform, panel.tvm.latency_ms, speedups["NAS"],
                          speedups["Ours"],
-                         search.statistics.rejection_rate if search else 0.0, top))
+                         panel.optimization.search_statistics["rejection_rate"],
+                         top))
         return rows
 
 
@@ -71,11 +74,12 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0,
                        f"{sorted(CIFAR_NETWORKS)}")
     dataset = cifar_dataset(scale, seed=seed)
     result = DeployResult(network=network)
-    for platform in platforms:
-        result.panels[platform] = compare_approaches(
-            network, builders[network], platform, scale=scale.pipeline,
-            dataset=dataset, seed=seed,
-            engine=evaluation_engine(platform, scale, seed=seed))
+    with OptimizationSession(tuner_trials=scale.pipeline.tuner_trials,
+                             seed=seed) as session:
+        for platform in platforms:
+            result.panels[platform] = compare_approaches(
+                network, builders[network], platform, session=session,
+                scale=scale.pipeline, dataset=dataset, seed=seed)
     return result
 
 
@@ -99,11 +103,10 @@ def to_payload(result: DeployResult) -> dict:
             {"platform": platform,
              "tvm_latency_ms": panel.tvm.latency_ms,
              "speedups": panel.speedups(),
-             "rejection_rate": (panel.search_result.statistics.rejection_rate
-                                if panel.search_result else 0.0),
+             "rejection_rate":
+                 panel.optimization.search_statistics["rejection_rate"],
              "rejections_by_primitive": dict(
-                 panel.search_result.statistics.rejections_by_primitive
-                 if panel.search_result else {}),
+                 panel.optimization.search_statistics["rejections_by_primitive"]),
              "chosen_sequences": dict(result.chosen_sequences(platform, top=10))}
             for platform, panel in result.panels.items()
         ],
@@ -111,9 +114,9 @@ def to_payload(result: DeployResult) -> dict:
     }
 
 
-def primary_optimization(result: DeployResult, seed: int = 0):
-    """The first target's unified-search outcome as a façade result."""
-    return first_search_optimization(result.panels.values(), seed=seed)
+def primary_optimization(result: DeployResult):
+    """The first target's unified-search result (None without targets)."""
+    return next((panel.optimization for panel in result.panels.values()), None)
 
 
 register_experiment(ExperimentSpec(

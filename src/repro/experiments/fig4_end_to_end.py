@@ -9,15 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.pipeline import ComparisonResult, compare_approaches
+from repro.api import OptimizationSession
 from repro.experiments.common import (
     CIFAR_NETWORKS,
     FIGURE4_PLATFORMS,
+    ComparisonResult,
     ExperimentScale,
     cifar_dataset,
     cifar_model_builders,
-    evaluation_engine,
-    first_search_optimization,
+    compare_approaches,
     format_table,
     get_scale,
 )
@@ -53,16 +53,16 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0,
     scale = get_scale(scale)
     builders = cifar_model_builders(scale)
     dataset = cifar_dataset(scale, seed=seed)
-    # One engine per platform, shared across the networks: identical
-    # workloads appearing in several panels are tuned once.
-    engines = {platform: evaluation_engine(platform, scale, seed=seed)
-               for platform in platforms}
     result = Fig4Result()
-    for network in networks:
-        for platform in platforms:
-            result.panels[(network, platform)] = compare_approaches(
-                network, builders[network], platform, scale=scale.pipeline,
-                dataset=dataset, seed=seed, engine=engines[platform])
+    # One session, so one engine per platform shared across the networks:
+    # identical workloads appearing in several panels are tuned once.
+    with OptimizationSession(tuner_trials=scale.pipeline.tuner_trials,
+                             seed=seed) as session:
+        for network in networks:
+            for platform in platforms:
+                result.panels[(network, platform)] = compare_approaches(
+                    network, builders[network], platform, session=session,
+                    scale=scale.pipeline, dataset=dataset, seed=seed)
     return result
 
 
@@ -88,11 +88,10 @@ def to_payload(result: Fig4Result) -> dict:
                 # Rejection accounting rides along per panel so --json
                 # output differentiates *why* candidates died, not just
                 # the headline speedups.
-                "rejection_rate": (panel.search_result.statistics.rejection_rate
-                                   if panel.search_result else 0.0),
+                "rejection_rate":
+                    panel.optimization.search_statistics["rejection_rate"],
                 "rejections_by_primitive": dict(
-                    panel.search_result.statistics.rejections_by_primitive
-                    if panel.search_result else {}),
+                    panel.optimization.search_statistics["rejections_by_primitive"]),
             }
             for (network, platform), panel in result.panels.items()
         ],
@@ -100,9 +99,9 @@ def to_payload(result: Fig4Result) -> dict:
     }
 
 
-def primary_optimization(result: Fig4Result, seed: int = 0):
-    """The first panel's unified-search outcome as a façade result."""
-    return first_search_optimization(result.panels.values(), seed=seed)
+def primary_optimization(result: Fig4Result):
+    """The first panel's unified-search result (None without panels)."""
+    return next((panel.optimization for panel in result.panels.values()), None)
 
 
 register_experiment(ExperimentSpec(

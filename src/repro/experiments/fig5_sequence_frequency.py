@@ -11,9 +11,10 @@ transform programs' primitive applications in the sequence IR.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.core.search import UnifiedSearch
+from repro.api import OptimizationSession
 from repro.experiments.common import (
     CIFAR_NETWORKS,
     ExperimentScale,
@@ -21,13 +22,13 @@ from repro.experiments.common import (
     cifar_model_builders,
     format_table,
     get_scale,
+    search_request,
 )
 from repro.experiments.registry import (
     ExperimentSpec,
     main as registry_main,
     register_experiment,
 )
-from repro.hardware import get_platform
 
 
 @dataclass
@@ -53,17 +54,19 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0,
     dataset = cifar_dataset(scale, seed=seed)
     images, labels = dataset.random_minibatch(scale.pipeline.fisher_batch, seed=seed)
     result = Fig5Result()
-    for network in networks:
-        model = builders[network]()
-        search = UnifiedSearch(get_platform(platform),
-                               configurations=scale.pipeline.configurations,
-                               tuner_trials=scale.pipeline.tuner_trials,
-                               seed=seed)
-        outcome = search.search(model, images, labels, dataset.spec.image_shape)
-        result.frequencies[network] = dict(outcome.primitive_frequency())
-        result.neural_layer_counts[network] = sum(
-            1 for choice in outcome.choices.values() if choice.sequence.is_neural)
-        result.layer_counts[network] = len(outcome.choices)
+    with OptimizationSession(tuner_trials=scale.pipeline.tuner_trials,
+                             seed=seed) as session:
+        for network in networks:
+            model = builders[network]()
+            optimization = session.search(
+                model, images, labels,
+                search_request(scale.pipeline, model, platform, seed))
+            neural = [decision.program for decision in optimization.layers
+                      if decision.is_neural]
+            result.frequencies[network] = dict(Counter(
+                name for program in neural for name in program.primitive_names()))
+            result.neural_layer_counts[network] = len(neural)
+            result.layer_counts[network] = len(optimization.layers)
     return result
 
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.engine import EvaluationEngine
+from repro.api import OptimizationSession
 from repro.core.program import TransformProgram
 from repro.core.sequences import paper_sequences, predefined_program
 from repro.core.workloads import extract_workloads, unique_shapes
 from repro.experiments.common import (
     ExperimentScale,
     cifar_dataset,
-    evaluation_engine,
     format_table,
     get_scale,
 )
@@ -28,7 +27,6 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.fisher import fisher_profile
-from repro.hardware import get_platform
 from repro.models import resnet34
 from repro.poly.statement import ConvolutionShape
 
@@ -56,10 +54,8 @@ class Fig6Result:
 
 
 def run(scale: str | ExperimentScale = "ci", seed: int = 0, max_layers: int = 11,
-        platform: str = "cpu", engine: EvaluationEngine | None = None) -> Fig6Result:
+        platform: str = "cpu") -> Fig6Result:
     scale = get_scale(scale)
-    plat = get_platform(platform)
-    engine = engine or evaluation_engine(plat, scale, seed=seed)
     dataset = cifar_dataset(scale, seed=seed)
     model = resnet34(width_multiplier=scale.pipeline.width_multiplier)
     images, labels = dataset.random_minibatch(scale.pipeline.fisher_batch, seed=seed)
@@ -85,17 +81,20 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0, max_layers: int = 11
 
     result = Fig6Result(sequences=tuple(sequences))
     standard = predefined_program("standard")
-    for index, (shape, name) in enumerate(distinct):
-        baseline = engine.tuned_latency(shape, standard)
-        row = LayerRow(layer_index=index, shape=shape, baseline_seconds=baseline,
-                       sensitive=profile.score_of(name) >= cutoff)
-        for label, sequence in sequences.items():
-            if row.sensitive or not sequence.applicable(shape):
-                row.speedups[label] = 1.0
-                continue
-            seconds = engine.tuned_latency(shape, sequence)
-            row.speedups[label] = baseline / max(seconds, 1e-12)
-        result.rows.append(row)
+    with OptimizationSession(platform, tuner_trials=scale.pipeline.tuner_trials,
+                             seed=seed) as session:
+        engine = session.engine()
+        for index, (shape, name) in enumerate(distinct):
+            baseline = engine.tuned_latency(shape, standard)
+            row = LayerRow(layer_index=index, shape=shape, baseline_seconds=baseline,
+                           sensitive=profile.score_of(name) >= cutoff)
+            for label, sequence in sequences.items():
+                if row.sensitive or not sequence.applicable(shape):
+                    row.speedups[label] = 1.0
+                    continue
+                seconds = engine.tuned_latency(shape, sequence)
+                row.speedups[label] = baseline / max(seconds, 1e-12)
+            result.rows.append(row)
     return result
 
 

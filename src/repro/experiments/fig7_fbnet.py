@@ -11,16 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.pipeline import compare_approaches, network_latency
+from repro.api import OptimizationSession
 from repro.data import train_loader
 from repro.experiments.common import (
     CIFAR_NETWORKS,
     ExperimentScale,
     cifar_dataset,
     cifar_model_builders,
-    evaluation_engine,
+    compare_approaches,
     format_table,
     get_scale,
+    network_latency,
 )
 from repro.experiments.registry import (
     ExperimentSpec,
@@ -75,26 +76,27 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0,
     builders = cifar_model_builders(scale)
     dataset = cifar_dataset(scale, seed=seed)
     plat = get_platform(platform)
-    engine = evaluation_engine(plat, scale, seed=seed)
     result = Fig7Result()
-    for network in networks:
-        comparison = compare_approaches(network, builders[network], platform,
-                                        scale=scale.pipeline, dataset=dataset, seed=seed,
-                                        engine=engine)
-        speedups = comparison.speedups()
+    with OptimizationSession(tuner_trials=scale.pipeline.tuner_trials,
+                             seed=seed) as session:
+        for network in networks:
+            comparison = compare_approaches(network, builders[network], platform,
+                                            session=session, scale=scale.pipeline,
+                                            dataset=dataset, seed=seed)
+            speedups = comparison.speedups()
 
-        fbnet_model = builders[network]()
-        fbnet = FBNetSearch(plat, epochs=scale.fbnet_epochs, seed=seed)
-        loader = train_loader(dataset, batch_size=scale.proxy_batch, seed=seed)
-        hw = dataset.spec.image_shape[1:]
-        outcome = fbnet.search(fbnet_model, loader, hw)
-        selected = _apply_fbnet_plan(builders[network](), outcome.plan())
-        fbnet_latency = network_latency(selected, dataset.spec.image_shape, plat,
-                                        engine=engine)
-        result.rows.append(Fig7Row(
-            network=network, tvm=1.0, nas=speedups["NAS"],
-            fbnet=comparison.tvm.latency_seconds / fbnet_latency,
-            ours=speedups["Ours"], fbnet_epochs=outcome.epochs_trained))
+            fbnet_model = builders[network]()
+            fbnet = FBNetSearch(plat, epochs=scale.fbnet_epochs, seed=seed)
+            loader = train_loader(dataset, batch_size=scale.proxy_batch, seed=seed)
+            hw = dataset.spec.image_shape[1:]
+            outcome = fbnet.search(fbnet_model, loader, hw)
+            selected = _apply_fbnet_plan(builders[network](), outcome.plan())
+            fbnet_latency = network_latency(selected, dataset.spec.image_shape,
+                                            session.engine(platform))
+            result.rows.append(Fig7Row(
+                network=network, tvm=1.0, nas=speedups["NAS"],
+                fbnet=comparison.tvm.latency_seconds / fbnet_latency,
+                ours=speedups["Ours"], fbnet_epochs=outcome.epochs_trained))
     return result
 
 

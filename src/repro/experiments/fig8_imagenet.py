@@ -12,25 +12,25 @@ dataset: for every model it reports original and optimised inference time
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
-from repro.core.search import UnifiedSearch
-from repro.core.pipeline import network_latency
+from repro.api import OptimizationSession
 from repro.data import test_loader, train_loader
 from repro.experiments.common import (
     ExperimentScale,
-    evaluation_engine,
     format_table,
     get_scale,
     imagenet_dataset,
     imagenet_model_builders,
+    network_latency,
+    search_request,
 )
 from repro.experiments.registry import (
     ExperimentSpec,
     main as registry_main,
     register_experiment,
 )
-from repro.hardware import get_platform
 from repro.nn.trainer import proxy_fit
 
 
@@ -71,44 +71,51 @@ def run(scale: str | ExperimentScale = "ci", seed: int = 0, platform: str = "cpu
     if models is not None:
         builders = {name: builders[name] for name in models}
     dataset = imagenet_dataset(scale, seed=seed)
-    plat = get_platform(platform)
-    # One engine for the whole model family: the ResNets and DenseNets share
-    # many convolution shapes, so the later models tune almost nothing new.
-    engine = evaluation_engine(plat, scale, seed=seed)
-    images, labels = dataset.random_minibatch(scale.pipeline.fisher_batch, seed=seed)
+    # The search knobs are the pipeline's; the network is the ImageNet one.
+    pipeline = dataclasses.replace(scale.pipeline, width_multiplier=scale.imagenet_width,
+                                   image_size=scale.imagenet_image_size)
+    images, labels = dataset.random_minibatch(pipeline.fisher_batch, seed=seed)
     loader = train_loader(dataset, batch_size=scale.proxy_batch, seed=seed)
     held_out = test_loader(dataset)
 
     result = Fig8Result()
-    for name, builder in builders.items():
-        original = builder()
-        original_latency = network_latency(original, dataset.spec.image_shape, plat,
-                                           engine=engine)
-        original_fit = proxy_fit(builder(), loader, held_out, epochs=scale.proxy_epochs)
+    # One session, so one engine for the whole model family: the ResNets and
+    # DenseNets share many convolution shapes, so the later models tune
+    # almost nothing new.
+    with OptimizationSession(platform, tuner_trials=pipeline.tuner_trials,
+                             seed=seed) as session:
+        for name, builder in builders.items():
+            original = builder()
+            original_latency = network_latency(original, dataset.spec.image_shape,
+                                               session.engine())
+            original_fit = proxy_fit(builder(), loader, held_out,
+                                     epochs=scale.proxy_epochs)
 
-        search_model = builder()
-        search = UnifiedSearch(plat, configurations=scale.pipeline.configurations,
-                               seed=seed, engine=engine)
-        outcome = search.search(search_model, images, labels, dataset.spec.image_shape)
-        optimized = search.materialize(builder(), outcome, seed=seed)
-        # Latency accounting mirrors Figure 4: the compiled network consists of
-        # the transformed loop nests the search selected, so its latency is the
-        # original's with the searched layers' baseline cost swapped for the
-        # optimised cost.  The materialised module is used for accuracy and
-        # parameter counting only.
-        optimized_latency = (original_latency - outcome.baseline_latency_seconds
-                             + outcome.optimized_latency_seconds)
-        optimized_fit = proxy_fit(optimized, loader, held_out, epochs=scale.proxy_epochs)
+            search_model = builder()
+            optimization = session.search(
+                search_model, images, labels,
+                search_request(pipeline, search_model, platform, seed))
+            optimized = optimization.apply_to(builder())
+            # Latency accounting mirrors Figure 4: the compiled network consists
+            # of the transformed loop nests the search selected, so its latency
+            # is the original's with the searched layers' baseline cost swapped
+            # for the optimised cost.  The materialised module is used for
+            # accuracy and parameter counting only.
+            optimized_latency = (original_latency
+                                 - optimization.baseline_latency_seconds
+                                 + optimization.optimized_latency_seconds)
+            optimized_fit = proxy_fit(optimized, loader, held_out,
+                                      epochs=scale.proxy_epochs)
 
-        result.points.append(Fig8Point(
-            model=name,
-            original_latency_ms=original_latency * 1e3,
-            optimized_latency_ms=optimized_latency * 1e3,
-            original_accuracy=100.0 * original_fit.final_accuracy,
-            optimized_accuracy=100.0 * optimized_fit.final_accuracy,
-            original_parameters=builder().num_parameters(),
-            optimized_parameters=optimized.num_parameters(),
-        ))
+            result.points.append(Fig8Point(
+                model=name,
+                original_latency_ms=original_latency * 1e3,
+                optimized_latency_ms=optimized_latency * 1e3,
+                original_accuracy=100.0 * original_fit.final_accuracy,
+                optimized_accuracy=100.0 * optimized_fit.final_accuracy,
+                original_parameters=builder().num_parameters(),
+                optimized_parameters=optimized.num_parameters(),
+            ))
     return result
 
 

@@ -46,8 +46,8 @@ class ExperimentSpec:
     options: tuple[str, ...] = ()
     #: scale presets ``run`` understands (every driver takes ``ExperimentScale`` too)
     scales: tuple[str, ...] = ("ci", "full")
-    #: optional extractor ``(result, seed=...) -> OptimizationResult`` for
-    #: the run's core search (the registry threads the run's seed through)
+    #: optional extractor ``result -> OptimizationResult`` returning the
+    #: run's core search, as the driver's session produced it
     primary: Callable | None = None
 
     def supports(self, option: str) -> bool:
@@ -131,7 +131,7 @@ class ExperimentRun:
             "data": self.spec.payload(self.result),
         }
         if self.spec.primary is not None:
-            primary = self.spec.primary(self.result, seed=self.seed)
+            primary = self.spec.primary(self.result)
             if primary is not None:
                 merged = primary.to_dict()
                 # The flat merge is only sound while the two documents

@@ -21,7 +21,9 @@ from repro.api import (
     program_to_dict,
 )
 from repro.core.engine import EvaluationEngine
+from repro.core.predictor import LatencyPredictor
 from repro.core.sequences import SEQUENCE_KINDS, predefined_program
+from repro.data import SyntheticImageDataset
 from repro.errors import ReproError
 from repro.hardware.platform import get_platform
 from repro.nn.convs import DerivedConv2d
@@ -358,6 +360,42 @@ class TestSessionLifecycle:
         engine = EvaluationEngine(get_platform("cpu"), tuner_trials=3)
         with pytest.raises(ReproError, match="save_cache"):
             engine.save_cache()
+
+
+class TestSessionSearch:
+    """``search`` is ``optimize``'s second step, on a minibatch the caller drew."""
+
+    @staticmethod
+    def _minibatch(request):
+        dataset = SyntheticImageDataset.cifar10_like(
+            train_size=32, test_size=16, image_size=request.image_size,
+            seed=request.seed)
+        return dataset.random_minibatch(request.fisher_batch, seed=request.seed)
+
+    def test_optimize_is_search_on_the_requests_minibatch(self):
+        request = OptimizationRequest(model="resnet18", **TINY)
+        with OptimizationSession(tuner_trials=3) as session:
+            expected = session.optimize(request=request)
+        with OptimizationSession(tuner_trials=3) as session:
+            result = session.search(
+                build_model("resnet18", width_multiplier=0.125),
+                *self._minibatch(request), request)
+        assert result.request == expected.request == request
+        assert result.programs() == expected.programs()
+        assert (result.optimized_latency_seconds
+                == expected.optimized_latency_seconds)
+
+    def test_search_trains_the_predictor_it_is_given(self):
+        request = OptimizationRequest(model="resnet18", strategy="model_guided",
+                                      **TINY)
+        predictor = LatencyPredictor()
+        with OptimizationSession(tuner_trials=3) as session:
+            result = session.search(
+                build_model("resnet18", width_multiplier=0.125),
+                *self._minibatch(request), request, predictor=predictor)
+        assert predictor.statistics.observations > 0
+        assert result.search_statistics["predictor_mae"] == (
+            predictor.statistics.mean_absolute_error)
 
 
 class TestObserver:

@@ -5,10 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import nn
-from repro.core import compare_approaches
+from repro import OptimizationSession, nn
 from repro.core.engine import EvaluationEngine
-from repro.core.pipeline import PipelineScale
 from repro.core.program import TransformProgram, step
 from repro.core.sequences import predefined_program
 from repro.core.search import (
@@ -20,6 +18,7 @@ from repro.core.search import (
 from repro.core.workloads import extract_workloads
 from repro.data import SyntheticImageDataset
 from repro.errors import EngineError, SearchError
+from repro.experiments.common import PipelineScale, compare_approaches
 from repro.fisher import fisher_key, fisher_profile
 from repro.hardware import get_platform
 from repro.models import resnet34
@@ -321,22 +320,27 @@ class TestPipelineAccounting:
     def test_compare_approaches_tunes_each_unique_workload_once(self, dataset, tune_counter):
         scale = PipelineScale(width_multiplier=0.125, image_size=8, fisher_batch=4,
                               configurations=10, tuner_trials=3, train_size=32, test_size=16)
-        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=3, seed=0)
-        result = compare_approaches("tiny-resnet",
-                                    lambda: resnet34(width_multiplier=0.125),
-                                    "cpu", scale=scale, dataset=dataset, seed=0,
-                                    engine=engine)
-        # Exactly one AutoTuner.tune per loop nest of each unique
-        # (shape, sequence) pair — seq3 builds two nests, the rest one.
-        expected = sum(len(sequence.build_computations(shape))
-                       for _platform, shape, sequence, _trials, _seed in engine.cache_keys())
-        assert tune_counter["count"] == expected
-        assert engine.statistics.tuner_calls == expected
+        with OptimizationSession(tuner_trials=3, seed=0) as session:
+            result = compare_approaches("tiny-resnet",
+                                        lambda: resnet34(width_multiplier=0.125),
+                                        "cpu", session=session, scale=scale,
+                                        dataset=dataset, seed=0)
+            # The three approaches shared the session's one cpu engine.
+            assert len(session.engines) == 1
+            engine = session.engine("cpu")
+            # Exactly one AutoTuner.tune per loop nest of each unique
+            # (shape, sequence) pair — seq3 builds two nests, the rest one.
+            expected = sum(len(sequence.build_computations(shape))
+                           for _platform, shape, sequence, _trials, _seed
+                           in engine.cache_keys())
+            assert tune_counter["count"] == expected
+            assert engine.statistics.tuner_calls == expected
 
-        # The shared oracle makes the TVM totals agree without rescaling.
-        assert result.speedups()["TVM"] == pytest.approx(1.0)
+            # The shared oracle makes the TVM totals agree without rescaling.
+            assert result.speedups()["TVM"] == pytest.approx(1.0)
 
-        # A repeated comparison against the warm engine re-tunes nothing.
-        compare_approaches("tiny-resnet", lambda: resnet34(width_multiplier=0.125),
-                           "cpu", scale=scale, dataset=dataset, seed=0, engine=engine)
-        assert tune_counter["count"] == expected
+            # A repeated comparison in the warm session re-tunes nothing.
+            compare_approaches("tiny-resnet", lambda: resnet34(width_multiplier=0.125),
+                               "cpu", session=session, scale=scale, dataset=dataset,
+                               seed=0)
+            assert tune_counter["count"] == expected

@@ -8,11 +8,9 @@ import pytest
 import repro
 from repro import nn
 from repro.core import (
-    PipelineScale,
+    EvaluationEngine,
     UnifiedSearch,
-    compare_approaches,
     extract_workloads,
-    network_latency,
     total_macs,
     unique_shapes,
 )
@@ -20,6 +18,7 @@ from repro.core import search as search_module
 from repro.core.search import SEARCH_STRATEGY_REGISTRY
 from repro.data import SyntheticImageDataset
 from repro.errors import SearchError
+from repro.experiments.common import PipelineScale, compare_approaches, network_latency
 from repro.hardware import get_platform
 from repro.models import resnet34
 from repro.tensor import Tensor
@@ -235,20 +234,22 @@ class TestUnifiedSearch:
 
 class TestPipeline:
     def test_network_latency_positive(self):
-        latency = network_latency(_small_model(), (3, 8, 8), get_platform("cpu"), tuner_trials=3)
-        assert latency > 0
+        engine = EvaluationEngine(get_platform("cpu"), tuner_trials=3)
+        assert network_latency(_small_model(), (3, 8, 8), engine) > 0
 
     def test_compare_approaches_orders_results(self, dataset):
         scale = PipelineScale(width_multiplier=0.125, image_size=8, fisher_batch=4,
                               configurations=10, tuner_trials=3, train_size=32, test_size=16)
-        result = compare_approaches("tiny-resnet",
-                                    lambda: resnet34(width_multiplier=0.125),
-                                    "cpu", scale=scale, dataset=dataset, seed=0)
+        with repro.OptimizationSession(tuner_trials=3) as session:
+            result = compare_approaches("tiny-resnet",
+                                        lambda: resnet34(width_multiplier=0.125),
+                                        "cpu", session=session, scale=scale,
+                                        dataset=dataset, seed=0)
         speedups = result.speedups()
         assert speedups["TVM"] == pytest.approx(1.0)
         assert speedups["Ours"] >= speedups["NAS"] * 0.9
         assert speedups["Ours"] >= 1.0
-        assert result.search_result is not None and result.blockswap_result is not None
+        assert result.optimization.layers and result.blockswap_result is not None
 
     def test_pipeline_scale_presets(self):
         assert PipelineScale.full().configurations == 1000

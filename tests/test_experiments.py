@@ -21,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.pipeline import PipelineScale
 from repro.experiments import (
     ExperimentScale,
     analysis_predictor,
@@ -38,7 +37,12 @@ from repro.experiments import (
     table1_primitives,
     get_scale,
 )
-from repro.experiments.common import cifar_dataset, cifar_model_builders, format_table
+from repro.experiments.common import (
+    PipelineScale,
+    cifar_dataset,
+    cifar_model_builders,
+    format_table,
+)
 from repro.tenir.autotune import AutoTuner
 
 GOLDENS = Path(__file__).parent / "data" / "driver_goldens.json"
@@ -112,7 +116,7 @@ def _observe_fig4(result) -> dict:
     for panel in payload["panels"]:
         del panel["parameters"]["Ours"]
     return {"payload": payload,
-            **_primary(fig4_end_to_end.primary_optimization(result, seed=0))}
+            **_primary(fig4_end_to_end.primary_optimization(result))}
 
 
 def _observe_deploy(result) -> dict:
@@ -122,7 +126,7 @@ def _observe_deploy(result) -> dict:
                            "NAS": [panel.nas.latency_ms, panel.nas.parameters],
                            "Ours": [panel.ours.latency_ms]}
                 for platform, panel in result.panels.items()},
-            **_primary(deploy_study.primary_optimization(result, seed=0))}
+            **_primary(deploy_study.primary_optimization(result))}
 
 
 def _observe_analysis(result) -> dict:
@@ -136,7 +140,7 @@ def _observe_analysis_predictor(result) -> dict:
     for row in payload["strategies"]:
         del row["search_seconds"]
     return {"payload": payload,
-            **_primary(analysis_predictor.primary_optimization(result, seed=0))}
+            **_primary(analysis_predictor.primary_optimization(result))}
 
 
 OBSERVERS = {
@@ -226,6 +230,15 @@ class TestFigure4:
         assert result.speedup("ResNet-34", "cpu", "Ours") >= 1.0
         assert "Ours" in fig4_end_to_end.format_report(result)
         assert_golden("fig4", result, tuner_calls)
+        # Ours is counted on the network the search's choices build, so on
+        # this ResNet-34 it keeps the original's count exactly when no layer
+        # went neural.
+        panel = result.panels[("ResNet-34", "cpu")]
+        build = cifar_model_builders(tiny_scale)["ResNet-34"]
+        assert panel.ours.parameters == (
+            panel.optimization.apply_to(build()).num_parameters())
+        assert ((panel.ours.parameters == panel.tvm.parameters)
+                == (not panel.optimization.neural_layers()))
 
 
 class TestFigure5:
@@ -292,10 +305,10 @@ class TestDeployStudy:
         payload = json.loads(json.dumps(deploy_study.to_payload(result)))
         row = payload["platforms"][0]
         assert "rejections_by_primitive" in row
-        expected = result.panels["cpu"].search_result.statistics
+        expected = result.panels["cpu"].optimization.search_statistics
         assert row["rejections_by_primitive"] == {
             key: int(value)
-            for key, value in expected.rejections_by_primitive.items()}
+            for key, value in expected["rejections_by_primitive"].items()}
 
 
 class TestAnalysisPredictor:
@@ -388,6 +401,35 @@ class TestRegistry:
             run_experiment("fig99")
         with pytest.raises(Exception, match="does not accept"):
             run_experiment("table1", scale=tiny_scale, platform="gpu")
+
+    def test_drivers_are_session_clients(self):
+        """No driver imports a search or an engine; core never imports the façade."""
+        import ast
+        import pathlib
+
+        import repro
+
+        package_dir = pathlib.Path(repro.__file__).parent
+
+        def imports(path):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    yield node.module or "", {alias.name for alias in node.names}
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        yield alias.name, set()
+
+        drivers = sorted((package_dir / "experiments").glob("*.py"))
+        core = sorted((package_dir / "core").glob("*.py"))
+        assert len(drivers) == 14 and core
+        for path in drivers:
+            for module, names in imports(path):
+                assert not names & {"UnifiedSearch", "EvaluationEngine"}, (
+                    path.name, module)
+        for path in core:
+            for module, names in imports(path):
+                assert module != "repro.api" and not (
+                    module == "repro" and "api" in names), (path.name, module)
 
     def test_no_driver_keeps_a_bespoke_main(self):
         """Every driver's __main__ block must delegate to the registry."""
